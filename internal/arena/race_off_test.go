@@ -1,0 +1,5 @@
+//go:build !race
+
+package arena
+
+const raceEnabled = false

@@ -12,7 +12,8 @@
 //	byte    kind: 1 = data, 2 = ack
 //
 //	data body (kind 1):
-//	  int64   envelope id (world-unique sequence number)
+//	  int64   envelope id (sender-unique sequence number)
+//	  int64   link sequence number (contiguous from 1 per src→dst link)
 //	  int32   src rank
 //	  int32   dst rank
 //	  int32   collective tag
@@ -43,7 +44,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
+	"offt/internal/arena"
 	"offt/internal/mpi/fault"
 )
 
@@ -55,10 +58,10 @@ const (
 )
 
 const (
-	dataHeaderBytes = 1 + 8 + 4 + 4 + 4 + 8 + 4 // kind..n, excluding payload
+	dataHeaderBytes = 1 + 8 + 8 + 4 + 4 + 4 + 8 + 4 // kind..n, excluding payload
 	ackBodyBytes    = 1 + 8 + 4
 	finBodyBytes    = 1
-	prefixBytes     = 4
+	PrefixBytes     = 4 // the length prefix ahead of every frame body
 	elemBytes       = 16
 )
 
@@ -73,9 +76,11 @@ var (
 )
 
 // Envelope is one sequence-numbered, checksummed message of the
-// self-healing transport.
+// self-healing transport. ID names the message to the fault plan, the
+// outstanding set and the ack; Seq counts one src→dst link's messages from
+// 1 without gaps, which keeps the receiver's Dedup exact and bounded.
 type Envelope struct {
-	ID            int64
+	ID, Seq       int64
 	Src, Dst, Tag int
 	Sum           uint64
 	Data          []complex128
@@ -95,18 +100,25 @@ func (e *Envelope) Verify() bool { return Checksum(e.Data) == e.Sum }
 // Frame is one decoded wire frame: a data envelope or an acknowledgement.
 type Frame struct {
 	Kind    byte
-	Env     Envelope // valid when Kind == KindData
-	AckID   int64    // valid when Kind == KindAck
-	AckFrom int      // valid when Kind == KindAck
+	Env     Envelope    // valid when Kind == KindData
+	Payload *arena.Slab // owns Env.Data; whoever consumes the frame releases it
+	AckID   int64       // valid when Kind == KindAck
+	AckFrom int         // valid when Kind == KindAck
 }
 
+// DataFrameLen is the encoded size, length prefix included, of a data
+// frame carrying n payload elements.
+func DataFrameLen(n int) int { return PrefixBytes + dataHeaderBytes + elemBytes*n }
+
 // AppendData appends a complete data frame (length prefix included) for e
-// to buf and returns the extended slice.
+// to buf and returns the extended slice. The frame is sized once, up
+// front: a nil buf is allocated exactly, a DataFrameLen one never grows.
 func AppendData(buf []byte, e *Envelope) []byte {
-	body := dataHeaderBytes + elemBytes*len(e.Data)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(body))
+	buf = slices.Grow(buf, DataFrameLen(len(e.Data)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(dataHeaderBytes+elemBytes*len(e.Data)))
 	buf = append(buf, KindData)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.ID))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Seq))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e.Src)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e.Dst)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e.Tag)))
@@ -118,6 +130,9 @@ func AppendData(buf []byte, e *Envelope) []byte {
 	}
 	return buf
 }
+
+// AckFrameLen is the encoded size of an ack frame, length prefix included.
+const AckFrameLen = PrefixBytes + ackBodyBytes
 
 // AppendAck appends a complete ack frame (length prefix included) to buf
 // and returns the extended slice.
@@ -136,9 +151,10 @@ func AppendFin(buf []byte) []byte {
 	return append(buf, KindFin)
 }
 
-// Decode parses one frame body (the bytes after the length prefix). The
-// returned data envelope owns a fresh payload slice — it never aliases
-// body, so callers can reuse their read buffer for the next frame.
+// Decode parses one frame body (the bytes after the length prefix). A data
+// frame's payload is decoded into an arena slab (Frame.Payload) the caller
+// owns — it never aliases body, so callers can reuse their read buffer for
+// the next frame.
 func Decode(body []byte) (Frame, error) {
 	if len(body) < 1 {
 		return Frame{}, ErrTruncated
@@ -164,27 +180,29 @@ func Decode(body []byte) (Frame, error) {
 		}
 		e := Envelope{
 			ID:  int64(binary.LittleEndian.Uint64(body[1:])),
-			Src: int(int32(binary.LittleEndian.Uint32(body[9:]))),
-			Dst: int(int32(binary.LittleEndian.Uint32(body[13:]))),
-			Tag: int(int32(binary.LittleEndian.Uint32(body[17:]))),
-			Sum: binary.LittleEndian.Uint64(body[21:]),
+			Seq: int64(binary.LittleEndian.Uint64(body[9:])),
+			Src: int(int32(binary.LittleEndian.Uint32(body[17:]))),
+			Dst: int(int32(binary.LittleEndian.Uint32(body[21:]))),
+			Tag: int(int32(binary.LittleEndian.Uint32(body[25:]))),
+			Sum: binary.LittleEndian.Uint64(body[29:]),
 		}
-		n := int(binary.LittleEndian.Uint32(body[29:]))
+		n := int(binary.LittleEndian.Uint32(body[37:]))
 		if e.Src < 0 || e.Dst < 0 || e.Tag < 0 {
 			return Frame{}, fmt.Errorf("%w: negative rank or tag", ErrBadHeader)
 		}
 		if n < 0 || len(body) != dataHeaderBytes+elemBytes*n {
 			return Frame{}, ErrTruncated
 		}
-		e.Data = make([]complex128, n)
-		for i := 0; i < n; i++ {
+		payload := arena.Get(n)
+		e.Data = payload.Data
+		for i := range e.Data {
 			off := dataHeaderBytes + elemBytes*i
 			e.Data[i] = complex(
 				math.Float64frombits(binary.LittleEndian.Uint64(body[off:])),
 				math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:])),
 			)
 		}
-		return Frame{Kind: KindData, Env: e}, nil
+		return Frame{Kind: KindData, Env: e, Payload: payload}, nil
 	default:
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadKind, body[0])
 	}
@@ -196,14 +214,19 @@ func Decode(body []byte) (Frame, error) {
 // grown — for the next call. A clean EOF at a frame boundary is io.EOF;
 // truncation inside a frame is io.ErrUnexpectedEOF.
 func Read(r io.Reader, max int, scratch []byte) (Frame, []byte, error) {
-	var prefix [prefixBytes]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+	// The prefix is read into scratch too: a local array would escape
+	// through the io.Reader call and cost an allocation per frame.
+	if cap(scratch) < PrefixBytes {
+		scratch = make([]byte, 64)
+	}
+	prefix := scratch[:PrefixBytes]
+	if _, err := io.ReadFull(r, prefix); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, scratch, err
 	}
-	body := int(binary.LittleEndian.Uint32(prefix[:]))
+	body := int(binary.LittleEndian.Uint32(prefix))
 	if body > max {
 		return Frame{}, scratch, fmt.Errorf("%w: %d > %d", ErrTooLarge, body, max)
 	}

@@ -153,7 +153,7 @@ func TestTruncationErrors(t *testing.T) {
 		}
 	}
 	// Body shorter than its header claims at the Decode level.
-	body := full[prefixBytes:]
+	body := full[PrefixBytes:]
 	if _, err := Decode(body[:len(body)-1]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}

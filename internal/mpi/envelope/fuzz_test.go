@@ -31,8 +31,8 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 
 	// Truncations at every interesting boundary.
 	f.Add(valid[:3])                          // inside the length prefix
-	f.Add(valid[:prefixBytes])                // prefix only
-	f.Add(valid[:prefixBytes+1])              // kind only
+	f.Add(valid[:PrefixBytes])                // prefix only
+	f.Add(valid[:PrefixBytes+1])              // kind only
 	f.Add(valid[:len(valid)/2])               // mid-body
 	f.Add(valid[:len(valid)-1])               // one byte short
 	f.Add(AppendAck(nil, 7, 3))               // valid ack
@@ -58,7 +58,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			switch fr.Kind {
 			case KindData:
 				reenc := AppendData(nil, &fr.Env)
-				fr2, err2 := Decode(reenc[prefixBytes:])
+				fr2, err2 := Decode(reenc[PrefixBytes:])
 				if err2 != nil {
 					t.Fatalf("re-encoded frame failed to decode: %v", err2)
 				}
@@ -67,13 +67,13 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 				}
 			case KindAck:
 				reenc := AppendAck(nil, fr.AckID, fr.AckFrom)
-				fr2, err2 := Decode(reenc[prefixBytes:])
+				fr2, err2 := Decode(reenc[PrefixBytes:])
 				if err2 != nil || !reflect.DeepEqual(fr, fr2) {
 					t.Fatalf("ack round trip: %+v vs %+v (%v)", fr, fr2, err2)
 				}
 			case KindFin:
 				reenc := AppendFin(nil)
-				fr2, err2 := Decode(reenc[prefixBytes:])
+				fr2, err2 := Decode(reenc[PrefixBytes:])
 				if err2 != nil || !reflect.DeepEqual(fr, fr2) {
 					t.Fatalf("fin round trip: %+v vs %+v (%v)", fr, fr2, err2)
 				}

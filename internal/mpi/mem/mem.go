@@ -1,7 +1,7 @@
 // Package mem implements the mpi.Comm interface for real in-process runs:
-// ranks are goroutines, payloads are real complex128 slices routed through
-// a shared in-memory mailbox. Optionally, message delivery is delayed
-// according to a machine model's latency/bandwidth so that computation-
+// ranks are goroutines, payloads are real complex128 slabs handed over
+// through a shared in-memory mailbox (see World.send for who owns a
+// payload when). Optionally, message delivery is delayed according to a machine model's latency/bandwidth so that computation-
 // communication overlap produces genuine wall-clock savings even on one
 // core (the delay is idle time, not CPU time).
 //
@@ -24,8 +24,10 @@ import (
 	"sync"
 	"time"
 
+	"offt/internal/arena"
 	"offt/internal/machine"
 	"offt/internal/mpi"
+	"offt/internal/mpi/envelope"
 	"offt/internal/mpi/fault"
 	"offt/internal/mpi/sched"
 	"offt/internal/telemetry"
@@ -102,7 +104,7 @@ type World struct {
 
 	mu      sync.Mutex
 	conds   []*sync.Cond
-	boxes   []map[mkey][]message
+	boxes   []envelope.Mailbox
 	blocked []blockInfo // per-rank: what the rank is currently parked on
 	// finished counts ranks whose body returned; inFlight counts scheduled
 	// deliveries not yet deposited. Together with the outstanding map they
@@ -112,21 +114,18 @@ type World struct {
 	failed   error
 	closed   bool
 
+	// Envelope transport state. linkSeq and dedup (sized by the first
+	// enveloped send, indexed src*p+dst) number and filter each link.
 	nextID      int64
 	outstanding map[int64]*outMsg
-	seen        []map[int64]struct{}
+	linkSeq     []int64
+	dedup       []envelope.Dedup
 
-	stats counters
+	stats envelope.Counters
 
 	barGen   int
 	barCount int
 	barCond  *sync.Cond
-}
-
-type mkey struct{ src, tag int }
-
-type message struct {
-	data []complex128
 }
 
 // NewWorld creates an in-process world of p ranks.
@@ -143,13 +142,10 @@ func NewWorld(p int, opts ...Option) *World {
 		outstanding: make(map[int64]*outMsg),
 	}
 	w.conds = make([]*sync.Cond, p)
-	w.boxes = make([]map[mkey][]message, p)
-	w.seen = make([]map[int64]struct{}, p)
+	w.boxes = make([]envelope.Mailbox, p)
 	w.blocked = make([]blockInfo, p)
 	for i := range w.conds {
 		w.conds[i] = sync.NewCond(&w.mu)
-		w.boxes[i] = make(map[mkey][]message)
-		w.seen[i] = make(map[int64]struct{})
 	}
 	w.barCond = sync.NewCond(&w.mu)
 	for _, o := range opts {
@@ -159,28 +155,11 @@ func NewWorld(p int, opts ...Option) *World {
 }
 
 // Health returns a snapshot of the world's transport-recovery counters.
-func (w *World) Health() mpi.Health { return w.stats.snapshot() }
+func (w *World) Health() mpi.Health { return w.stats.Snapshot() }
 
 // RegisterTelemetry bridges the world's transport-recovery counters into a
-// telemetry registry under "mem.transport.*". The counters stay atomics
-// owned by the transport; the registry reads them lazily at snapshot time,
-// so there is no double counting and no hot-path cost. Safe on a nil
-// registry.
-func (w *World) RegisterTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		return
-	}
-	r.Func("mem.transport.sent", w.stats.sent.Load)
-	r.Func("mem.transport.delivered", w.stats.delivered.Load)
-	r.Func("mem.transport.retransmits", w.stats.retransmits.Load)
-	r.Func("mem.transport.dedups", w.stats.dedups.Load)
-	r.Func("mem.transport.acks", w.stats.acks.Load)
-	r.Func("mem.transport.backoffs", w.stats.backoffs.Load)
-	r.Func("mem.transport.drops_injected", w.stats.dropsInjected.Load)
-	r.Func("mem.transport.corruptions_injected", w.stats.corruptionsInjected.Load)
-	r.Func("mem.transport.duplicates_injected", w.stats.duplicatesInjected.Load)
-	r.Func("mem.transport.corruptions_detected", w.stats.corruptionsDetected.Load)
-}
+// telemetry registry under "mem.transport.*" (see envelope.Counters).
+func (w *World) RegisterTelemetry(r *telemetry.Registry) { w.stats.Register(r, "mem") }
 
 // WorldFailure is the panic payload a failed world delivers to ranks
 // blocked in Wait or Barrier: the hard hang timeout, the deadlock
@@ -279,24 +258,6 @@ func (w *World) Run(body func(c *Comm)) error {
 	return first
 }
 
-// tryClaim removes and returns the first message matching k from dst's
-// mailbox, if present.
-func (w *World) tryClaim(dst int, k mkey) ([]complex128, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	q := w.boxes[dst][k]
-	if len(q) == 0 {
-		return nil, false
-	}
-	m := q[0]
-	if len(q) == 1 {
-		delete(w.boxes[dst], k)
-	} else {
-		w.boxes[dst][k] = q[1:]
-	}
-	return m.data, true
-}
-
 // Comm is one in-process rank's communicator.
 type Comm struct {
 	world *World
@@ -347,21 +308,28 @@ func (c *Comm) NextTags(n int) int {
 	return t
 }
 
-// Send hands one block from this rank to dst to the transport
-// (eager-buffered: the payload is copied at call time).
+// Send hands one block from this rank to dst to the transport, which
+// copies it into an arena payload before returning (see World.send).
 func (c *Comm) Send(dst, tag int, data []complex128) {
 	c.world.send(c.rank, dst, tag, data)
 }
 
-// TryClaim removes and returns the first mailbox message from (src, tag).
-func (c *Comm) TryClaim(src, tag int) ([]complex128, bool) {
-	return c.world.tryClaim(c.rank, mkey{src, tag})
+// TryClaim removes the first mailbox message from (src, tag) and passes
+// its payload to the caller, who owns it until Release.
+func (c *Comm) TryClaim(src, tag int) *arena.Slab {
+	w := c.world
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.boxes[c.rank].Claim(src, tag)
 }
+
+// Release returns a claimed payload to the arena (a no-op under a fault plan).
+func (c *Comm) Release(payload *arena.Slab) { payload.Release() }
 
 // Queued reports whether a message from (src, tag) is in the mailbox.
 // Called with w.mu held (waitInner's park predicate).
 func (c *Comm) Queued(src, tag int) bool {
-	return len(c.world.boxes[c.rank][mkey{src, tag}]) > 0
+	return c.world.boxes[c.rank].Has(src, tag)
 }
 
 // Scratch returns the rank's reusable packet-assembly buffer, grown to n.
@@ -380,10 +348,10 @@ var _ sched.Port = (*Comm)(nil)
 
 // Ialltoallv starts a non-blocking all-to-all with real payloads using the
 // configured exchange schedule (SetExchange; pairwise by default). The send
-// buffer is copied out as messages are handed to the transport; inbound
-// blocks are copied into recv during Test/Wait (the caller's CPU does the
-// "progression" work, like the paper's manual progression). All schedules
-// deliver bit-identical receive buffers (see package mpi/sched).
+// buffer is copied out, once, as messages are handed to the transport;
+// inbound blocks are copied into recv during Test/Wait (the caller's CPU
+// does the "progression" work, like the paper's manual progression). All
+// schedules deliver bit-identical receive buffers (see package mpi/sched).
 func (c *Comm) Ialltoallv(send []complex128, sendCounts []int, recv []complex128, recvCounts []int) mpi.Request {
 	return sched.Post(c, c.ex, send, sendCounts, recv, recvCounts)
 }
@@ -396,16 +364,7 @@ func (c *Comm) Alltoallv(send []complex128, sendCounts []int, recv []complex128,
 
 // Test drains whatever has arrived and reports completion.
 func (c *Comm) Test(reqs ...mpi.Request) bool {
-	all := true
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		if !r.(sched.Request).Drain() {
-			all = false
-		}
-	}
-	return all
+	return sched.DrainAll(reqs)
 }
 
 // Wait blocks until all requests complete, draining as messages arrive.
@@ -467,17 +426,8 @@ func (c *Comm) waitInner(reqs []mpi.Request, limit time.Duration) error {
 			w.mu.Unlock()
 			return err
 		}
-		avail := false
-		for _, r := range reqs {
-			if r == nil {
-				continue
-			}
-			if r.(sched.Request).Queued() {
-				avail = true
-			}
-		}
-		if !avail {
-			w.blocked[c.rank] = waitBlockInfoLocked(reqs)
+		if !sched.AnyQueued(reqs) {
+			w.blocked[c.rank] = blockInfo{kind: blockedWait, reqs: reqs}
 			w.conds[c.rank].Wait()
 			w.blocked[c.rank] = blockInfo{}
 		}

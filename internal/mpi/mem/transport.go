@@ -1,39 +1,13 @@
 package mem
 
 import (
-	"sync/atomic"
 	"time"
 
+	"offt/internal/arena"
 	"offt/internal/mpi"
 	"offt/internal/mpi/envelope"
 	"offt/internal/mpi/fault"
 )
-
-// counters aggregates transport-recovery activity world-wide. All fields
-// are updated atomically so senders, delivery timers and retransmit timers
-// never contend on the world lock just to count.
-type counters struct {
-	sent, delivered                    atomic.Int64
-	dropsInjected, corruptionsInjected atomic.Int64
-	duplicatesInjected, retransmits    atomic.Int64
-	dedups, corruptionsDetected        atomic.Int64
-	acks, backoffs                     atomic.Int64
-}
-
-func (s *counters) snapshot() mpi.Health {
-	return mpi.Health{
-		Sent:                s.sent.Load(),
-		Delivered:           s.delivered.Load(),
-		DropsInjected:       s.dropsInjected.Load(),
-		CorruptionsInjected: s.corruptionsInjected.Load(),
-		DuplicatesInjected:  s.duplicatesInjected.Load(),
-		Retransmits:         s.retransmits.Load(),
-		Dedups:              s.dedups.Load(),
-		CorruptionsDetected: s.corruptionsDetected.Load(),
-		Acks:                s.acks.Load(),
-		Backoffs:            s.backoffs.Load(),
-	}
-}
 
 // outMsg tracks an unacknowledged envelope on the sender side. The
 // envelope format itself — and its binary wire framing, used by the net
@@ -44,24 +18,27 @@ type outMsg struct {
 	timer *time.Timer
 }
 
-// maxBackoff caps the exponential retransmission backoff at rto << maxBackoff.
-const maxBackoff = 4
-
-// send routes one block from src to dst, copying the payload at call time
-// (eager-buffered semantics). Without an active fault plan it takes the
-// direct path (immediate or delay-timed deposit); with one, every message
-// goes through the retransmitting envelope transport.
+// send routes one block from src to dst. The block is copied once, into a
+// payload borrowed from the arena, and the handle changes owner with the
+// message: transport → dst's mailbox → the schedule that claims it, which
+// releases it after copying the block into its receive buffer. Without an
+// active fault plan the message takes the direct path (immediate or
+// delay-timed deposit); with one, every message goes through the
+// retransmitting envelope transport.
 func (w *World) send(src, dst, tag int, block []complex128) {
-	data := make([]complex128, len(block))
-	copy(data, block)
-	w.stats.sent.Add(1)
+	payload := arena.Get(len(block))
+	copy(payload.Data, block)
+	w.stats.Sent.Add(1)
 	if w.plan.Active() {
-		w.sendEnvelope(src, dst, tag, data)
+		// The outstanding set, a pending duplicate and a retransmit timer
+		// alias this payload: the handle is dropped, never released.
+		w.sendEnvelope(src, dst, tag, payload.Data)
 		return
 	}
-	k := mkey{src, tag}
 	if !w.delayed {
-		w.deposit(dst, k, message{data: data})
+		w.mu.Lock()
+		w.depositLocked(dst, src, tag, payload)
+		w.mu.Unlock()
 		return
 	}
 	bytes := len(block) * mpi.Elem16
@@ -74,21 +51,17 @@ func (w *World) send(src, dst, tag int, block []complex128) {
 		w.inFlight--
 		closed := w.closed
 		if !closed {
-			w.boxes[dst][k] = append(w.boxes[dst][k], message{data: data})
-			w.stats.delivered.Add(1)
-			w.conds[dst].Broadcast()
+			w.depositLocked(dst, src, tag, payload)
 		}
 		w.mu.Unlock()
 	})
 }
 
-// deposit delivers a message to dst's mailbox immediately.
-func (w *World) deposit(dst int, k mkey, m message) {
-	w.mu.Lock()
-	w.boxes[dst][k] = append(w.boxes[dst][k], m)
-	w.stats.delivered.Add(1)
+// depositLocked delivers a payload to dst's mailbox (w.mu held).
+func (w *World) depositLocked(dst, src, tag int, payload *arena.Slab) {
+	w.boxes[dst].Put(src, tag, payload)
+	w.stats.Delivered.Add(1)
 	w.conds[dst].Broadcast()
-	w.mu.Unlock()
 }
 
 // sendEnvelope registers the message as outstanding and starts delivery
@@ -103,8 +76,14 @@ func (w *World) sendEnvelope(src, dst, tag int, data []complex128) {
 		w.mu.Unlock()
 		return
 	}
+	if w.linkSeq == nil {
+		w.linkSeq = make([]int64, w.p*w.p)
+		w.dedup = make([]envelope.Dedup, w.p*w.p)
+	}
 	w.nextID++
 	env.ID = w.nextID
+	w.linkSeq[src*w.p+dst]++
+	env.Seq = w.linkSeq[src*w.p+dst]
 	w.outstanding[env.ID] = om
 	w.mu.Unlock()
 	w.transmit(om, 0)
@@ -123,7 +102,7 @@ func (w *World) transmit(om *outMsg, attempt int) {
 	}
 	w.mu.Unlock()
 	if attempt > 0 {
-		w.stats.retransmits.Add(1)
+		w.stats.Retransmits.Add(1)
 	}
 	d := w.plan.Decide(env.Src, env.Dst, env.Tag, env.ID, attempt)
 	now := time.Since(w.epoch).Nanoseconds()
@@ -137,28 +116,25 @@ func (w *World) transmit(om *outMsg, attempt int) {
 		delay += int64(link * w.plan.NICFactor(env.Src) * w.plan.LinkFactor(env.Src, env.Dst, now))
 	}
 	if d.Drop {
-		w.stats.dropsInjected.Add(1)
+		w.stats.DropsInjected.Add(1)
 	} else {
 		payload := env.Data
 		if d.Corrupt {
-			w.stats.corruptionsInjected.Add(1)
+			w.stats.CorruptionsInjected.Add(1)
 			payload = fault.CorruptCopy(env.Data, uint64(env.ID)<<8^uint64(attempt))
 		}
 		w.deliverAfter(delay, env, payload)
 		if d.Duplicate {
-			w.stats.duplicatesInjected.Add(1)
+			w.stats.DuplicatesInjected.Add(1)
 			w.deliverAfter(delay, env, env.Data)
 		}
 	}
-	rto := w.rto
-	for i := 0; i < attempt && i < maxBackoff; i++ {
-		rto *= 2
-	}
+	rto := envelope.Backoff(w.rto, attempt)
 	next := attempt + 1
 	w.mu.Lock()
 	if w.outstanding[env.ID] == om && !w.closed && w.failed == nil {
 		if attempt > 0 {
-			w.stats.backoffs.Add(1)
+			w.stats.Backoffs.Add(1)
 		}
 		om.timer = time.AfterFunc(time.Duration(delay)+rto, func() { w.transmit(om, next) })
 	}
@@ -195,20 +171,15 @@ func (w *World) deliverEnvelope(env *envelope.Envelope, payload []complex128) {
 	}
 	if !ok {
 		// No acknowledgement: the sender's retransmit timer recovers.
-		w.stats.corruptionsDetected.Add(1)
+		w.stats.CorruptionsDetected.Add(1)
 		return
 	}
-	if _, dup := w.seen[env.Dst][env.ID]; dup {
-		w.stats.dedups.Add(1)
-		w.ackLocked(env.ID)
-		return
-	}
-	w.seen[env.Dst][env.ID] = struct{}{}
 	w.ackLocked(env.ID)
-	w.stats.delivered.Add(1)
-	k := mkey{env.Src, env.Tag}
-	w.boxes[env.Dst][k] = append(w.boxes[env.Dst][k], message{data: payload})
-	w.conds[env.Dst].Broadcast()
+	if w.dedup[env.Src*w.p+env.Dst].Duplicate(env.Seq) {
+		w.stats.Dedups.Add(1)
+		return
+	}
+	w.depositLocked(env.Dst, env.Src, env.Tag, &arena.Slab{Data: payload})
 }
 
 // ackLocked retires an outstanding envelope and stops its retransmit
@@ -223,7 +194,7 @@ func (w *World) ackLocked(id int64) {
 		om.timer.Stop()
 	}
 	delete(w.outstanding, id)
-	w.stats.acks.Add(1)
+	w.stats.Acks.Add(1)
 }
 
 // shutdownTransport stops all pending retransmission timers when Run

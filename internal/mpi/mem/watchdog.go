@@ -10,13 +10,13 @@ import (
 	"offt/internal/mpi/sched"
 )
 
-// blockInfo describes what a parked rank is blocked on, for the deadlock
-// watchdog and deadline diagnostics. The zero value means "not blocked".
+// blockInfo records what a parked rank is blocked on, for the deadlock
+// watchdog. The zero value means "not blocked". Parking only notes the
+// requests; what they still miss is worked out if the watchdog fires.
 type blockInfo struct {
-	kind    blockKind
-	seqs    []int // wait: collective sequence numbers still incomplete
-	missing []int // wait: union of source ranks not yet delivered
-	gen     int   // barrier: generation being waited on
+	kind blockKind
+	reqs []mpi.Request // wait: the caller's requests, frozen while it is parked
+	gen  int           // barrier: generation being waited on
 }
 
 type blockKind int
@@ -27,11 +27,11 @@ const (
 	blockedBarrier
 )
 
-// waitBlockInfoLocked summarizes a set of incomplete requests for the
-// watchdog (w.mu held: the pending maps are only mutated by the owning
-// rank, which is about to park).
-func waitBlockInfoLocked(reqs []mpi.Request) blockInfo {
-	info := blockInfo{kind: blockedWait}
+// missingLocked summarizes a parked rank's incomplete requests: their
+// collective sequence numbers and the union of source ranks not yet
+// delivered (w.mu held: the pending sets are only mutated by the owning
+// rank, which is parked).
+func missingLocked(reqs []mpi.Request) (allSeqs, allFrom []int) {
 	from := map[int]bool{}
 	for _, r := range reqs {
 		if r == nil {
@@ -41,17 +41,17 @@ func waitBlockInfoLocked(reqs []mpi.Request) blockInfo {
 		if len(seqs) == 0 {
 			continue
 		}
-		info.seqs = append(info.seqs, seqs...)
+		allSeqs = append(allSeqs, seqs...)
 		for _, s := range missing {
 			from[s] = true
 		}
 	}
 	for s := range from {
-		info.missing = append(info.missing, s)
+		allFrom = append(allFrom, s)
 	}
-	sort.Ints(info.seqs)
-	sort.Ints(info.missing)
-	return info
+	sort.Ints(allSeqs)
+	sort.Ints(allFrom)
+	return allSeqs, allFrom
 }
 
 // DeadlineError reports a Wait that exceeded its soft deadline: which
@@ -157,7 +157,8 @@ func (w *World) deadlockErrLocked() error {
 	for r, b := range w.blocked {
 		switch b.kind {
 		case blockedWait:
-			fmt.Fprintf(&sb, " rank %d in Wait on collective seq %v missing blocks from ranks %v;", r, b.seqs, b.missing)
+			seqs, missing := missingLocked(b.reqs)
+			fmt.Fprintf(&sb, " rank %d in Wait on collective seq %v missing blocks from ranks %v;", r, seqs, missing)
 		case blockedBarrier:
 			fmt.Fprintf(&sb, " rank %d in Barrier generation %d (%d/%d arrived);", r, b.gen, w.barCount, w.p)
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"offt/internal/machine"
+	"offt/internal/mpi/envelope"
 )
 
 // Config describes one process's membership in a world to Join.
@@ -87,8 +88,8 @@ func Join(cfg Config, opts ...Option) (*World, error) {
 		mach:        machine.Laptop(),
 		rto:         25 * time.Millisecond,
 		hangTimeout: defaultHangTimeout,
-		box:         make(map[mkey][]message),
-		seen:        make(map[seenKey]struct{}),
+		dedup:       make([]envelope.Dedup, cfg.Size),
+		linkSeq:     make([]int64, cfg.Size),
 		outstanding: make(map[int64]*outMsg),
 		peers:       make([]*peer, cfg.Size),
 	}

@@ -6,12 +6,14 @@
 //
 // The transport speaks the shared envelope protocol (package
 // mpi/envelope): length-prefixed frames carrying sequence-numbered,
-// checksummed payloads, acknowledged by the receiver and retransmitted
-// with capped exponential backoff by the sender. TCP already guarantees
-// delivery — the protocol layer exists so the existing fault-injection
-// surfaces (mpi/fault chaos profiles: drops, corruption, duplication,
-// NIC stalls) work unchanged above the socket, and so a lost peer
-// process converts into a prompt world failure instead of a hang.
+// checksummed payloads, acknowledged by the receiver and, when a fault
+// plan is attached, retransmitted with capped exponential backoff by the
+// sender. TCP already guarantees delivery — the protocol layer exists so
+// the existing fault-injection surfaces (mpi/fault chaos profiles: drops,
+// corruption, duplication, NIC stalls) work unchanged above the socket,
+// and so a lost peer process converts into a prompt world failure instead
+// of a hang. Frames and decoded payloads are arena buffers with one owner
+// at a time (see World.send and World.deliverData).
 //
 // All four exchange schedules (pairwise, windowed, Bruck, hierarchical;
 // package mpi/sched) run over this engine bit-identically to the mem
@@ -26,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"offt/internal/arena"
 	"offt/internal/machine"
 	"offt/internal/mpi"
 	"offt/internal/mpi/envelope"
@@ -39,7 +42,9 @@ type Option func(*World)
 
 // WithFaults attaches a deterministic fault plan to the transport:
 // injected drops, corruptions, duplicates and stalls are applied above
-// the socket, recovered by the envelope protocol.
+// the socket, recovered by the envelope protocol. Attach it to every rank
+// of a world or to none: a rank without one cannot recover a corrupted
+// delivery (see World.deliverData).
 func WithFaults(plan *fault.Plan) Option {
 	return func(w *World) {
 		if plan != nil {
@@ -86,17 +91,6 @@ func WithMachine(m machine.Machine) Option {
 // defaultHangTimeout mirrors the mem engine's watchdog default.
 const defaultHangTimeout = 20 * time.Second
 
-type mkey struct{ src, tag int }
-
-type seenKey struct {
-	src int
-	id  int64
-}
-
-type message struct {
-	data []complex128
-}
-
 // World is this process's membership in a multi-process job: one local
 // rank, p-1 peer connections. Create it with Join; a World runs one body
 // (Run) and is then closed.
@@ -110,22 +104,25 @@ type World struct {
 	deadline    time.Duration // soft deadline for WaitDeadline; 0 = disabled
 	hangTimeout time.Duration // hard per-call limit; <= 0 = disabled
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	box     map[mkey][]message
-	seen    map[seenKey]struct{}
-	blocked blockInfo
-	failed  error
-	closed  bool
-	done    bool // Run completed (teardown barrier passed)
+	mu     sync.Mutex
+	cond   *sync.Cond
+	box    envelope.Mailbox
+	dedup  []envelope.Dedup // by source rank: exact, bounded duplicate filter per inbound link
+	failed error
+	closed bool
+	done   bool // Run completed (teardown barrier passed)
 
+	// nextID and linkSeq (by destination rank, contiguous from 1) belong
+	// to the rank's own goroutine, the only sender.
 	nextID      int64
+	linkSeq     []int64
 	outstanding map[int64]*outMsg
 
-	peers []*peer // indexed by rank; peers[w.rank] == nil
+	peers []*peer     // indexed by rank; peers[w.rank] == nil
+	wake  *time.Timer // the parked rank's deadline wake-up, reused across waits
 	wg    sync.WaitGroup
 
-	stats counters
+	stats envelope.Counters
 }
 
 // Rank returns this process's rank in the world.
@@ -135,26 +132,12 @@ func (w *World) Rank() int { return w.rank }
 func (w *World) Size() int { return w.p }
 
 // Health returns a snapshot of the world's transport-recovery counters.
-func (w *World) Health() mpi.Health { return w.stats.snapshot() }
+func (w *World) Health() mpi.Health { return w.stats.Snapshot() }
 
 // RegisterTelemetry bridges the transport-recovery counters into a
 // telemetry registry under "net.transport.*" (same counter set as the mem
-// engine's "mem.transport.*"). Safe on a nil registry.
-func (w *World) RegisterTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		return
-	}
-	r.Func("net.transport.sent", w.stats.sent.Load)
-	r.Func("net.transport.delivered", w.stats.delivered.Load)
-	r.Func("net.transport.retransmits", w.stats.retransmits.Load)
-	r.Func("net.transport.dedups", w.stats.dedups.Load)
-	r.Func("net.transport.acks", w.stats.acks.Load)
-	r.Func("net.transport.backoffs", w.stats.backoffs.Load)
-	r.Func("net.transport.drops_injected", w.stats.dropsInjected.Load)
-	r.Func("net.transport.corruptions_injected", w.stats.corruptionsInjected.Load)
-	r.Func("net.transport.duplicates_injected", w.stats.duplicatesInjected.Load)
-	r.Func("net.transport.corruptions_detected", w.stats.corruptionsDetected.Load)
-}
+// engine's "mem.transport.*"; see envelope.Counters).
+func (w *World) RegisterTelemetry(r *telemetry.Registry) { w.stats.Register(r, "net") }
 
 // WorldFailure is the panic payload a failed world delivers to the rank
 // blocked in Wait or Barrier, mirroring the mem engine's semantics. Run
@@ -274,7 +257,7 @@ func (w *World) Close() error {
 			continue
 		}
 		if graceful {
-			pe.enqueue(envelope.AppendFin(nil))
+			pe.enqueue(outFrame{b: envelope.AppendFin(nil)})
 		}
 		pe.beginClose()
 	}
@@ -311,23 +294,6 @@ func (w *World) Close() error {
 	}
 	<-readersDone
 	return nil
-}
-
-// tryClaim removes and returns the first message matching k, if present.
-func (w *World) tryClaim(k mkey) ([]complex128, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	q := w.box[k]
-	if len(q) == 0 {
-		return nil, false
-	}
-	m := q[0]
-	if len(q) == 1 {
-		delete(w.box, k)
-	} else {
-		w.box[k] = q[1:]
-	}
-	return m.data, true
 }
 
 // Comm is the local rank's communicator. It implements mpi.Comm plus the
@@ -375,19 +341,24 @@ func (c *Comm) NextTags(n int) int {
 	return t
 }
 
-// Send hands one block to the transport (eager-buffered).
+// Send hands one block to the transport, which encodes it into a frame of
+// its own before returning (see World.send).
 func (c *Comm) Send(dst, tag int, data []complex128) { c.w.send(dst, tag, data) }
 
-// TryClaim removes and returns the first mailbox message from (src, tag).
-func (c *Comm) TryClaim(src, tag int) ([]complex128, bool) {
-	return c.w.tryClaim(mkey{src, tag})
+// TryClaim removes the first mailbox message from (src, tag) and passes
+// its payload to the caller, who owns it until Release.
+func (c *Comm) TryClaim(src, tag int) *arena.Slab {
+	c.w.mu.Lock()
+	defer c.w.mu.Unlock()
+	return c.w.box.Claim(src, tag)
 }
+
+// Release returns a claimed payload to the arena.
+func (c *Comm) Release(payload *arena.Slab) { payload.Release() }
 
 // Queued reports whether a message from (src, tag) is in the mailbox.
 // Called with w.mu held (the wait loop's park predicate).
-func (c *Comm) Queued(src, tag int) bool {
-	return len(c.w.box[mkey{src, tag}]) > 0
-}
+func (c *Comm) Queued(src, tag int) bool { return c.w.box.Has(src, tag) }
 
 // Scratch returns the rank's reusable packet-assembly buffer, grown to n.
 func (c *Comm) Scratch(n int) []complex128 {
@@ -417,16 +388,7 @@ func (c *Comm) Alltoallv(send []complex128, sendCounts []int, recv []complex128,
 
 // Test drains whatever has arrived and reports completion.
 func (c *Comm) Test(reqs ...mpi.Request) bool {
-	all := true
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		if !r.(sched.Request).Drain() {
-			all = false
-		}
-	}
-	return all
+	return sched.DrainAll(reqs)
 }
 
 // Wait blocks until all requests complete, draining as frames arrive. A
@@ -459,14 +421,19 @@ func (c *Comm) waitInner(reqs []mpi.Request, limit time.Duration, hard bool) err
 	var deadline time.Time
 	if limit > 0 {
 		deadline = time.Now().Add(limit)
-		// The cond has no timed wait: a one-shot timer wakes this rank so
-		// the loop can observe the deadline.
-		timer := time.AfterFunc(limit, func() {
-			w.mu.Lock()
-			w.cond.Broadcast()
-			w.mu.Unlock()
-		})
-		defer timer.Stop()
+		// The cond has no timed wait: a timer wakes this rank so the loop
+		// can observe the deadline. Only the rank's own goroutine waits, so
+		// every wait re-arms one timer; a stale firing is a spurious wake-up.
+		if w.wake == nil {
+			w.wake = time.AfterFunc(limit, func() {
+				w.mu.Lock()
+				w.cond.Broadcast()
+				w.mu.Unlock()
+			})
+		} else {
+			w.wake.Reset(limit)
+		}
+		defer w.wake.Stop()
 	}
 	for {
 		if c.Test(reqs...) {
@@ -483,19 +450,8 @@ func (c *Comm) waitInner(reqs []mpi.Request, limit time.Duration, hard bool) err
 			w.mu.Unlock()
 			return err
 		}
-		avail := false
-		for _, r := range reqs {
-			if r == nil {
-				continue
-			}
-			if r.(sched.Request).Queued() {
-				avail = true
-			}
-		}
-		if !avail {
-			w.blocked = waitBlockInfo(reqs)
+		if !sched.AnyQueued(reqs) {
 			w.cond.Wait()
-			w.blocked = blockInfo{}
 		}
 		w.mu.Unlock()
 	}
@@ -521,15 +477,14 @@ func (c *Comm) Barrier() {
 		dst := (c.w.rank + (1 << k)) % p
 		src := (c.w.rank - (1 << k) + p) % p
 		w.send(dst, base+k, token)
-		c.claimBlocking(src, base+k, fmt.Sprintf("Barrier round %d/%d", k+1, rounds))
+		c.claimBlocking(src, base+k, fmt.Sprintf("Barrier round %d/%d", k+1, rounds)).Release()
 	}
 }
 
 // claimBlocking waits for one message from (src, tag), honoring the hang
-// timeout and world-failure semantics.
-func (c *Comm) claimBlocking(src, tag int, what string) []complex128 {
+// timeout and world-failure semantics. The caller owns the payload.
+func (c *Comm) claimBlocking(src, tag int, what string) *arena.Slab {
 	w := c.w
-	k := mkey{src, tag}
 	var deadline time.Time
 	if w.hangTimeout > 0 {
 		deadline = time.Now().Add(w.hangTimeout)
@@ -541,8 +496,8 @@ func (c *Comm) claimBlocking(src, tag int, what string) []complex128 {
 		defer timer.Stop()
 	}
 	for {
-		if data, ok := w.tryClaim(k); ok {
-			return data
+		if payload := c.TryClaim(src, tag); payload != nil {
+			return payload
 		}
 		w.mu.Lock()
 		if w.failed != nil {
@@ -555,55 +510,14 @@ func (c *Comm) claimBlocking(src, tag int, what string) []complex128 {
 			panic(WorldFailure{fmt.Errorf("net: rank %d: %s timed out after %v waiting on rank %d (collective seq %d)",
 				w.rank, what, w.hangTimeout, src, tag)})
 		}
-		if len(w.box[k]) == 0 {
-			w.blocked = blockInfo{kind: blockedWait, seqs: []int{tag}, missing: []int{src}}
+		if !w.box.Has(src, tag) {
 			w.cond.Wait()
-			w.blocked = blockInfo{}
 		}
 		w.mu.Unlock()
 	}
 }
 
 // ---- diagnostics ------------------------------------------------------------
-
-// blockInfo describes what the parked rank is blocked on.
-type blockInfo struct {
-	kind    blockKind
-	seqs    []int
-	missing []int
-}
-
-type blockKind int
-
-const (
-	notBlocked blockKind = iota
-	blockedWait
-)
-
-// waitBlockInfo summarizes a set of incomplete requests.
-func waitBlockInfo(reqs []mpi.Request) blockInfo {
-	info := blockInfo{kind: blockedWait}
-	from := map[int]bool{}
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		seqs, missing := r.(sched.Request).Missing()
-		if len(seqs) == 0 {
-			continue
-		}
-		info.seqs = append(info.seqs, seqs...)
-		for _, s := range missing {
-			from[s] = true
-		}
-	}
-	for s := range from {
-		info.missing = append(info.missing, s)
-	}
-	sort.Ints(info.seqs)
-	sort.Ints(info.missing)
-	return info
-}
 
 // DeadlineError reports a Wait that exceeded its limit: which collectives
 // (by sequence number) are incomplete and which source ranks' blocks are

@@ -13,6 +13,7 @@ import (
 	"offt/internal/fft"
 	"offt/internal/layout"
 	"offt/internal/mpi"
+	"offt/internal/mpi/envelope"
 	"offt/internal/mpi/fault"
 	"offt/internal/mpi/mem"
 	"offt/internal/pencil"
@@ -350,6 +351,45 @@ func TestPeerLossFailsSurvivors(t *testing.T) {
 	// "Prompt" means the EOF propagated, not the 5s hang timeout.
 	if elapsed > 3*time.Second {
 		t.Errorf("survivors took %v to fail; the conn-loss path did not fire", elapsed)
+	}
+}
+
+// TestCorruptFrameWithoutPlanFailsWorld: with no fault plan a sender writes
+// a frame once and keeps no copy, so a frame that fails its checksum can
+// never be recovered; the receiving rank must fail its world at once with
+// a *PeerError naming the link, not sit out the hang timeout.
+func TestCorruptFrameWithoutPlanFailsWorld(t *testing.T) {
+	const p = 2
+	counts := testCounts(p)
+	var detected atomic.Int64
+	failed := make(chan struct{})
+	start := time.Now()
+	errs := launch(t, p, nil, func(c *Comm) {
+		rank := c.Rank()
+		if rank == 0 {
+			env := envelope.Envelope{ID: 1 << 40, Seq: 1 << 40, Src: 0, Dst: 1, Tag: 1 << 30, Data: []complex128{1, 2, 3}}
+			env.Seal()
+			c.w.peers[1].enqueue(outFrame{b: corruptFrame(envelope.AppendData(nil, &env), 1)})
+			<-failed // rank 1 waits on this rank's block: it cannot finish, only fail
+		} else {
+			defer func() {
+				detected.Store(c.TransportHealth().CorruptionsDetected)
+				close(failed)
+			}()
+		}
+		send, sc := buildSend(rank, counts)
+		want, rc := wantRecv(rank, counts)
+		c.Alltoallv(send, sc, make([]complex128, len(want)), rc)
+	})
+	var pe *PeerError
+	if !errors.As(errs[1], &pe) || pe.Peer != 0 || !errors.Is(errs[1], ErrCorruptFrame) {
+		t.Fatalf("rank 1: error %v (%T), want a *PeerError blaming rank 0 with ErrCorruptFrame", errs[1], errs[1])
+	}
+	if n := detected.Load(); n != 1 {
+		t.Errorf("rank 1 counted %d corrupted deliveries, want 1", n)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("rank 1 took %v to fail; the checksum path did not fire", elapsed)
 	}
 }
 

@@ -1,11 +1,12 @@
 package net
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"offt/internal/mpi"
+	"offt/internal/arena"
 	"offt/internal/mpi/envelope"
 	"offt/internal/mpi/fault"
 )
@@ -15,41 +16,22 @@ import (
 // produce with a wide margin.
 const maxFrameBytes = 1 << 30
 
-// maxBackoff caps the exponential retransmission backoff at rto << maxBackoff.
-const maxBackoff = 4
-
-// counters aggregates transport-recovery activity world-wide, mirroring
-// the mem engine's counter set so mpi.Health means the same thing on both
-// engines. All fields are updated atomically.
-type counters struct {
-	sent, delivered                    atomic.Int64
-	dropsInjected, corruptionsInjected atomic.Int64
-	duplicatesInjected, retransmits    atomic.Int64
-	dedups, corruptionsDetected        atomic.Int64
-	acks, backoffs                     atomic.Int64
-}
-
-func (s *counters) snapshot() mpi.Health {
-	return mpi.Health{
-		Sent:                s.sent.Load(),
-		Delivered:           s.delivered.Load(),
-		DropsInjected:       s.dropsInjected.Load(),
-		CorruptionsInjected: s.corruptionsInjected.Load(),
-		DuplicatesInjected:  s.duplicatesInjected.Load(),
-		Retransmits:         s.retransmits.Load(),
-		Dedups:              s.dedups.Load(),
-		CorruptionsDetected: s.corruptionsDetected.Load(),
-		Acks:                s.acks.Load(),
-		Backoffs:            s.backoffs.Load(),
-	}
-}
-
-// outMsg tracks an unacknowledged envelope on the sender side. frame
-// caches the clean encoding for retransmission.
+// outMsg tracks an unacknowledged envelope on the sender side: what names
+// it to the fault plan and the ack, and — under an active fault plan only —
+// frame, the one encoding every (re)transmission puts on the wire.
 type outMsg struct {
-	env   *envelope.Envelope
-	frame []byte
-	timer *time.Timer
+	id       int64
+	dst, tag int
+	frame    []byte
+	timer    *time.Timer
+}
+
+// outFrame is one encoded frame queued for a peer's writer. own, when set,
+// is the arena buffer behind b: this is its only copy in flight, and the
+// writer returns it once it is on the wire.
+type outFrame struct {
+	b   []byte
+	own *arena.Bytes
 }
 
 // peer is one TCP connection to another rank: a reader goroutine (owned by
@@ -64,7 +46,7 @@ type peer struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   [][]byte
+	queue   []outFrame
 	closing bool  // drain the queue, then exit the writer
 	dead    bool  // conn failed; enqueue becomes a no-op
 	werr    error // the write error that killed the conn, if any
@@ -93,7 +75,7 @@ func newPeer(rank int, conn connLike) *peer {
 }
 
 // enqueue hands one encoded frame to the writer. Never blocks.
-func (pe *peer) enqueue(frame []byte) {
+func (pe *peer) enqueue(frame outFrame) {
 	pe.mu.Lock()
 	if pe.closing || pe.dead {
 		pe.mu.Unlock()
@@ -121,6 +103,7 @@ func (pe *peer) beginClose() {
 // error, and knows whether the peer departed gracefully).
 func (w *World) writer(pe *peer) {
 	defer close(pe.done)
+	var batch []outFrame // the writer and the queue swap two backing arrays
 	for {
 		pe.mu.Lock()
 		for len(pe.queue) == 0 && !pe.closing {
@@ -133,11 +116,13 @@ func (w *World) writer(pe *peer) {
 			}
 			return
 		}
-		batch := pe.queue
-		pe.queue = nil
+		batch, pe.queue = pe.queue, batch[:0]
 		pe.mu.Unlock()
-		for _, frame := range batch {
-			if _, err := pe.conn.Write(frame); err != nil {
+		for i, frame := range batch {
+			_, err := pe.conn.Write(frame.b)
+			frame.own.Release()
+			batch[i] = outFrame{}
+			if err != nil {
 				pe.mu.Lock()
 				pe.dead = true
 				pe.queue = nil
@@ -171,7 +156,7 @@ func (w *World) reader(pe *peer) {
 		}
 		switch fr.Kind {
 		case envelope.KindData:
-			w.deliverData(&fr.Env)
+			w.deliverData(pe.rank, &fr.Env, fr.Payload)
 		case envelope.KindAck:
 			w.ack(fr.AckID)
 		case envelope.KindFin:
@@ -180,130 +165,156 @@ func (w *World) reader(pe *peer) {
 	}
 }
 
-// send routes one block from this rank to dst, copying the payload at call
-// time (eager-buffered semantics). Every message rides the self-healing
-// envelope protocol: sequence id, checksum, receiver dedup, ack/retransmit
-// with capped backoff. With an inactive fault plan the protocol is pure
-// bookkeeping on top of TCP; with an active one, injected drops,
-// corruptions, duplicates and stalls are applied above the socket exactly
-// like the mem engine applies them above its mailbox.
+// send routes one block from this rank to dst. The block is copied once —
+// encoded into an arena frame sized for it up front — and is the caller's
+// again when send returns. Every message rides the envelope protocol:
+// sequence id, checksum, receiver dedup, ack. Without an active fault plan
+// nothing above the socket can lose the frame: it is written once and the
+// writer returns it to the arena. With one, faults are injected above the
+// socket as the mem engine injects them above its mailbox and the message
+// is retransmitted with capped backoff until acknowledged; the outstanding
+// set, queued copies and the retransmit timer alias the frame then, so its
+// handle is dropped. Called only by the rank's own goroutine.
 func (w *World) send(dst, tag int, data []complex128) {
 	if dst == w.rank {
 		panic("net: schedule sent to self")
 	}
-	cp := make([]complex128, len(data))
-	copy(cp, data)
-	w.stats.sent.Add(1)
-	env := &envelope.Envelope{Src: w.rank, Dst: dst, Tag: tag, Data: cp}
+	w.stats.Sent.Add(1)
+	w.nextID++
+	w.linkSeq[dst]++
+	env := envelope.Envelope{ID: w.nextID, Seq: w.linkSeq[dst], Src: w.rank, Dst: dst, Tag: tag, Data: data}
 	env.Seal()
-	om := &outMsg{env: env}
+	buf := arena.GetBytes(envelope.DataFrameLen(len(data)))
+	frame := envelope.AppendData(buf.Data[:0], &env)
+	om := &outMsg{id: env.ID, dst: dst, tag: tag}
+	active := w.plan.Active()
+	if active {
+		om.frame = frame
+	}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return
 	}
-	w.nextID++
-	env.ID = w.nextID
-	w.outstanding[env.ID] = om
+	w.outstanding[om.id] = om
 	w.mu.Unlock()
-	w.transmit(om, 0)
+	if active {
+		w.transmit(om, 0)
+	} else {
+		w.peers[dst].enqueue(outFrame{b: frame, own: buf})
+	}
 }
 
-// transmit performs one delivery attempt of an outstanding envelope,
-// rolling the fault plan for this attempt, and arms the retransmission
-// timer with capped exponential backoff. Acknowledged (or dead-world)
-// messages are left alone.
+// transmit performs one delivery attempt of an envelope outstanding under
+// an active fault plan, rolling the plan for this attempt, and arms the
+// retransmission timer with capped exponential backoff. Acknowledged (or
+// dead-world) messages are left alone.
 func (w *World) transmit(om *outMsg, attempt int) {
-	env := om.env
 	w.mu.Lock()
-	if w.closed || w.failed != nil || w.outstanding[env.ID] != om {
+	if w.closed || w.failed != nil || w.outstanding[om.id] != om {
 		w.mu.Unlock()
 		return
 	}
 	w.mu.Unlock()
 	if attempt > 0 {
-		w.stats.retransmits.Add(1)
+		w.stats.Retransmits.Add(1)
 	}
-	d := w.plan.Decide(env.Src, env.Dst, env.Tag, env.ID, attempt)
+	d := w.plan.Decide(w.rank, om.dst, om.tag, om.id, attempt)
 	now := time.Since(w.epoch).Nanoseconds()
 	// Per-rank degradation: a stalled NIC holds the frame until the window
 	// closes; link-factor delay emulation is left to TCP itself here.
-	delay := w.plan.StallEnd(env.Src, now) - now + d.DelayNs
+	delay := w.plan.StallEnd(w.rank, now) - now + d.DelayNs
 	if d.Drop {
-		w.stats.dropsInjected.Add(1)
+		w.stats.DropsInjected.Add(1)
 	} else {
-		if om.frame == nil {
-			om.frame = envelope.AppendData(nil, env)
-		}
 		frame := om.frame
 		if d.Corrupt {
-			w.stats.corruptionsInjected.Add(1)
-			ce := *env // keep the clean checksum: the receiver must detect
-			ce.Data = fault.CorruptCopy(env.Data, uint64(env.ID)<<8^uint64(attempt))
-			frame = envelope.AppendData(nil, &ce)
+			w.stats.CorruptionsInjected.Add(1)
+			frame = corruptFrame(om.frame, uint64(om.id)<<8^uint64(attempt))
 		}
-		pe := w.peers[env.Dst]
+		pe := w.peers[om.dst]
 		w.enqueueAfter(pe, frame, delay)
 		if d.Duplicate {
-			w.stats.duplicatesInjected.Add(1)
+			w.stats.DuplicatesInjected.Add(1)
 			w.enqueueAfter(pe, om.frame, delay)
 		}
 	}
-	rto := w.rto
-	for i := 0; i < attempt && i < maxBackoff; i++ {
-		rto *= 2
-	}
+	rto := envelope.Backoff(w.rto, attempt)
 	next := attempt + 1
 	w.mu.Lock()
-	if w.outstanding[env.ID] == om && !w.closed && w.failed == nil {
+	if w.outstanding[om.id] == om && !w.closed && w.failed == nil {
 		if attempt > 0 {
-			w.stats.backoffs.Add(1)
+			w.stats.Backoffs.Add(1)
 		}
 		om.timer = time.AfterFunc(time.Duration(delay)+rto, func() { w.transmit(om, next) })
 	}
 	w.mu.Unlock()
 }
 
+// corruptFrame re-encodes a clean data frame with one payload bit flipped
+// and the clean checksum kept, so the receiver must detect it.
+func corruptFrame(clean []byte, salt uint64) []byte {
+	fr, err := envelope.Decode(clean[envelope.PrefixBytes:])
+	if err != nil {
+		panic("net: own frame does not decode: " + err.Error())
+	}
+	fr.Env.Data = fault.CorruptCopy(fr.Env.Data, salt)
+	fr.Payload.Release()
+	return envelope.AppendData(nil, &fr.Env)
+}
+
 // enqueueAfter hands a frame to the peer's writer, optionally after an
 // injected delay.
 func (w *World) enqueueAfter(pe *peer, frame []byte, delayNs int64) {
 	if delayNs <= 0 {
-		pe.enqueue(frame)
+		pe.enqueue(outFrame{b: frame})
 		return
 	}
-	time.AfterFunc(time.Duration(delayNs), func() { pe.enqueue(frame) })
+	time.AfterFunc(time.Duration(delayNs), func() { pe.enqueue(outFrame{b: frame}) })
 }
 
+// ErrCorruptFrame is the cause of the world failure a frame that fails its
+// checksum raises on a world without an active fault plan: its sender
+// wrote it once and keeps no copy to send again.
+var ErrCorruptFrame = errors.New("frame failed its checksum and no fault plan is attached to resend it")
+
 // deliverData is the receiver side of the self-healing transport: verify
-// the checksum (corrupted deliveries are dropped and recovered by the
-// sender's retransmission), discard duplicates, acknowledge, then deposit
-// into the mailbox. Acks ride the peer's outbox like any frame — they are
-// never fault-injected (the reliable control plane).
-func (w *World) deliverData(env *envelope.Envelope) {
+// the checksum, discard duplicates, acknowledge, then deposit into the
+// mailbox. A corrupted delivery is dropped unacknowledged: under an active
+// fault plan the sender's retransmission recovers it; without one nothing
+// will, so the world fails at once instead of hanging to the timeout. Acks
+// ride the peer's outbox like any frame and are never fault-injected.
+// payload, the arena slab holding env.Data, moves into the mailbox with an
+// accepted message and back to the arena with a rejected one; from is the
+// rank whose connection carried the frame.
+func (w *World) deliverData(from int, env *envelope.Envelope, payload *arena.Slab) {
 	if !env.Verify() {
-		w.stats.corruptionsDetected.Add(1)
+		w.stats.CorruptionsDetected.Add(1)
+		payload.Release()
+		if !w.plan.Active() {
+			w.fail(&PeerError{Rank: w.rank, Peer: from, Err: ErrCorruptFrame})
+		}
 		return
 	}
-	ackFrame := envelope.AppendAck(nil, env.ID, w.rank)
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return
 	}
-	key := seenKey{src: env.Src, id: env.ID}
-	if _, dup := w.seen[key]; dup {
-		w.stats.dedups.Add(1)
-		w.mu.Unlock()
-		w.peers[env.Src].enqueue(ackFrame)
-		return
+	dup := w.dedup[env.Src].Duplicate(env.Seq)
+	if dup {
+		w.stats.Dedups.Add(1)
+	} else {
+		w.stats.Delivered.Add(1)
+		w.box.Put(env.Src, env.Tag, payload)
+		w.cond.Broadcast()
 	}
-	w.seen[key] = struct{}{}
-	w.stats.delivered.Add(1)
-	k := mkey{src: env.Src, tag: env.Tag}
-	w.box[k] = append(w.box[k], message{data: env.Data})
-	w.cond.Broadcast()
 	w.mu.Unlock()
-	w.peers[env.Src].enqueue(ackFrame)
+	if dup {
+		payload.Release()
+	}
+	ack := arena.GetBytes(envelope.AckFrameLen)
+	w.peers[env.Src].enqueue(outFrame{b: envelope.AppendAck(ack.Data[:0], env.ID, w.rank), own: ack})
 }
 
 // ack retires an outstanding envelope and stops its retransmit timer.
@@ -315,7 +326,7 @@ func (w *World) ack(id int64) {
 			om.timer.Stop()
 		}
 		delete(w.outstanding, id)
-		w.stats.acks.Add(1)
+		w.stats.Acks.Add(1)
 	}
 	w.mu.Unlock()
 }

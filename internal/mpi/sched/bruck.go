@@ -1,6 +1,10 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"offt/internal/arena"
+)
 
 // bruckRounds returns ⌈log2 p⌉, the round count of the Bruck schedule.
 func bruckRounds(p int) int {
@@ -13,7 +17,8 @@ func bruckRounds(p int) int {
 
 // bruckBlock is one block in flight through the Bruck store-and-forward
 // pipeline. data aliases either the caller's frozen send buffer (round 0)
-// or a claimed mailbox payload this rank owns.
+// or a claimed mailbox payload this rank owns (and keeps in held until the
+// request completes).
 type bruckBlock struct {
 	origin, dest int
 	data         []complex128
@@ -37,6 +42,7 @@ type bruckRequest struct {
 	offsets    []int
 	remaining  int // foreign blocks not yet placed into recv
 	hold       []bruckBlock
+	held       []*arena.Slab // claimed packets that hold blocks alias; released on completion
 }
 
 func postBruck(port Port, send []complex128, sendCounts, soff []int, recv []complex128, recvCounts, offsets []int) *bruckRequest {
@@ -44,7 +50,7 @@ func postBruck(port Port, send []complex128, sendCounts, soff []int, recv []comp
 	rounds := bruckRounds(p)
 	req := &bruckRequest{
 		port: port, baseTag: port.NextTags(rounds), rounds: rounds,
-		recv: recv, recvCounts: append([]int(nil), recvCounts...), offsets: offsets,
+		recv: recv, recvCounts: recvCounts, offsets: offsets,
 	}
 	for i := 1; i < p; i++ {
 		d := (rank + i) % p
@@ -94,10 +100,15 @@ func (r *bruckRequest) sendRound(k int) {
 }
 
 // processRound splits round k's inbound packet into blocks that arrived
-// (distance 0: copy into recv) and blocks to keep forwarding.
-func (r *bruckRequest) processRound(data []complex128) {
+// (distance 0: copy into recv) and blocks to keep forwarding. A packet
+// that leaves nothing to forward is released at once; the others are
+// released when the request completes, after the last round that could
+// forward a slice of them has been assembled.
+func (r *bruckRequest) processRound(payload *arena.Slab) {
 	port := r.port
 	p, rank := port.Size(), port.Rank()
+	data := payload.Data
+	forwarding := len(r.hold)
 	n := int(real(data[0]))
 	pos := 1
 	for i := 0; i < n; i++ {
@@ -105,20 +116,25 @@ func (r *bruckRequest) processRound(data []complex128) {
 		dest := int(imag(data[pos]))
 		ln := int(real(data[pos+1]))
 		pos += 2
-		payload := data[pos : pos+ln]
+		block := data[pos : pos+ln]
 		pos += ln
 		if dest == rank {
 			if ln != r.recvCounts[origin] {
 				panic(fmt.Sprintf("mpi/sched: bruck: rank %d got %d elements from %d, want %d", rank, ln, origin, r.recvCounts[origin]))
 			}
-			copy(r.recv[r.offsets[origin]:r.offsets[origin]+ln], payload)
+			copy(r.recv[r.offsets[origin]:r.offsets[origin]+ln], block)
 			r.remaining--
 		} else {
 			if (dest-rank+p)%p == 0 {
 				panic(fmt.Sprintf("mpi/sched: bruck: rank %d holding misrouted block %d→%d", rank, origin, dest))
 			}
-			r.hold = append(r.hold, bruckBlock{origin: origin, dest: dest, data: payload})
+			r.hold = append(r.hold, bruckBlock{origin: origin, dest: dest, data: block})
 		}
+	}
+	if len(r.hold) == forwarding {
+		port.Release(payload)
+	} else {
+		r.held = append(r.held, payload)
 	}
 }
 
@@ -127,16 +143,20 @@ func (r *bruckRequest) Drain() bool {
 	p := port.Size()
 	for r.round < r.rounds {
 		src := (port.Rank() - (1 << r.round) + p*2) % p
-		data, ok := port.TryClaim(src, r.baseTag+r.round)
-		if !ok {
+		payload := port.TryClaim(src, r.baseTag+r.round)
+		if payload == nil {
 			return false
 		}
-		r.processRound(data)
+		r.processRound(payload)
 		r.round++
 		if r.round < r.rounds {
 			r.sendRound(r.round)
 		}
 	}
+	for _, payload := range r.held {
+		port.Release(payload)
+	}
+	r.held = nil
 	if r.remaining != 0 || len(r.hold) != 0 {
 		panic(fmt.Sprintf("mpi/sched: bruck: rank %d finished rounds with %d blocks missing, %d undelivered", port.Rank(), r.remaining, len(r.hold)))
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"offt/internal/arena"
 	"offt/internal/mpi"
 )
 
@@ -15,7 +16,8 @@ const (
 	hierTags
 )
 
-// hierBlock is one inter-node block staged on a leader.
+// hierBlock is one inter-node block staged on a leader. data aliases the
+// caller's frozen send buffer or a claimed packet the leader keeps in held.
 type hierBlock struct {
 	origin, dest int
 	data         []complex128
@@ -38,14 +40,15 @@ type hierRequest struct {
 	nodeSize int
 	leader   int // first rank of this node
 
-	directPending map[int]bool // same-node peers whose direct block is missing
+	directPending pendSet // same-node peers whose direct block is missing
 
 	// Leader-only state.
 	isLeader        bool
-	stage           int          // 0 awaiting gathers, 1 awaiting exchanges, 2 all sends out
-	gatherPending   map[int]bool // members whose gather packet is missing
-	exchangePending map[int]bool // peer leaders whose packet is missing
-	pool            []hierBlock  // staged blocks (outbound in stage 0, scatter in stage 1)
+	stage           int           // 0 awaiting gathers, 1 awaiting exchanges, 2 all sends out
+	gatherPending   pendSet       // members whose gather packet is missing
+	exchangePending pendSet       // peer leaders whose packet is missing
+	pool            []hierBlock   // staged blocks (outbound in stage 0, scatter in stage 1)
+	held            []*arena.Slab // claimed packets pool aliases; released once the stage's sends are out
 
 	// Member-only state.
 	scatterDone bool
@@ -63,9 +66,9 @@ func postHier(port Port, ex mpi.Exchange, send []complex128, sendCounts, soff []
 	node := rank / ns
 	req := &hierRequest{
 		port: port, baseTag: port.NextTags(hierTags),
-		recv: recv, recvCounts: append([]int(nil), recvCounts...), offsets: offsets,
+		recv: recv, recvCounts: recvCounts, offsets: offsets,
 		nodeSize: ns, leader: node * ns, isLeader: rank == node*ns,
-		directPending: map[int]bool{},
+		directPending: newPendSet(p),
 	}
 	lo, hi := node*ns, (node+1)*ns
 	if hi > p {
@@ -77,7 +80,7 @@ func postHier(port Port, ex mpi.Exchange, send []complex128, sendCounts, soff []
 		}
 		req.remaining++
 		if s >= lo && s < hi {
-			req.directPending[s] = true
+			req.directPending.add(s)
 		}
 	}
 	// Direct intra-node blocks and the self copy.
@@ -88,14 +91,14 @@ func postHier(port Port, ex mpi.Exchange, send []complex128, sendCounts, soff []
 	}
 	copy(recv[offsets[rank]:offsets[rank]+sendCounts[rank]], send[soff[rank]:soff[rank]+sendCounts[rank]])
 	if req.isLeader {
-		req.gatherPending = map[int]bool{}
+		req.gatherPending = newPendSet(p)
 		for m := lo + 1; m < hi; m++ {
-			req.gatherPending[m] = true
+			req.gatherPending.add(m)
 		}
-		req.exchangePending = map[int]bool{}
+		req.exchangePending = newPendSet(p)
 		for n := 0; n < nodes; n++ {
 			if n != node {
-				req.exchangePending[n*ns] = true
+				req.exchangePending.add(n * ns)
 			}
 		}
 		// The leader's own inter-node blocks join the pool directly.
@@ -104,7 +107,7 @@ func postHier(port Port, ex mpi.Exchange, send []complex128, sendCounts, soff []
 				req.pool = append(req.pool, hierBlock{origin: rank, dest: d, data: send[soff[d] : soff[d]+sendCounts[d]]})
 			}
 		}
-		if len(req.gatherPending) == 0 {
+		if req.gatherPending.n == 0 {
 			req.sendExchange()
 		}
 	} else {
@@ -142,6 +145,16 @@ func (r *hierRequest) nodeBounds() (int, int) {
 		hi = p
 	}
 	return lo, hi
+}
+
+// releaseHeld returns the claimed packets the just-sent stage was staged
+// from: every pool block has been copied into an outbound packet.
+func (r *hierRequest) releaseHeld() {
+	for _, payload := range r.held {
+		r.port.Release(payload)
+	}
+	r.held = r.held[:0]
+	r.pool = r.pool[:0]
 }
 
 // place copies one arrived foreign block into the receive buffer.
@@ -187,7 +200,7 @@ func (r *hierRequest) sendExchange() {
 		}
 		port.Send(n*ns, r.baseTag+hierExchange, pkt)
 	}
-	r.pool = r.pool[:0]
+	r.releaseHeld()
 	r.stage = 1
 }
 
@@ -218,25 +231,27 @@ func (r *hierRequest) sendScatter() {
 		}
 		port.Send(m, r.baseTag+hierScatter, pkt)
 	}
-	r.pool = r.pool[:0]
+	r.releaseHeld()
 	r.stage = 2
 }
 
 func (r *hierRequest) Drain() bool {
 	port := r.port
-	for q := range r.directPending {
-		if data, ok := port.TryClaim(q, r.baseTag+hierDirect); ok {
-			r.place(q, data)
-			delete(r.directPending, q)
+	for q := r.directPending.next(0); q >= 0; q = r.directPending.next(q + 1) {
+		if payload := port.TryClaim(q, r.baseTag+hierDirect); payload != nil {
+			r.place(q, payload.Data)
+			port.Release(payload)
+			r.directPending.remove(q)
 		}
 	}
 	if r.isLeader {
 		if r.stage == 0 {
-			for m := range r.gatherPending {
-				data, ok := port.TryClaim(m, r.baseTag+hierGather)
-				if !ok {
+			for m := r.gatherPending.next(0); m >= 0; m = r.gatherPending.next(m + 1) {
+				payload := port.TryClaim(m, r.baseTag+hierGather)
+				if payload == nil {
 					continue
 				}
+				data := payload.Data
 				n := int(real(data[0]))
 				pos := 1
 				for i := 0; i < n; i++ {
@@ -246,18 +261,20 @@ func (r *hierRequest) Drain() bool {
 					r.pool = append(r.pool, hierBlock{origin: m, dest: dest, data: data[pos : pos+ln]})
 					pos += ln
 				}
-				delete(r.gatherPending, m)
+				r.held = append(r.held, payload)
+				r.gatherPending.remove(m)
 			}
-			if len(r.gatherPending) == 0 {
+			if r.gatherPending.n == 0 {
 				r.sendExchange()
 			}
 		}
 		if r.stage == 1 {
-			for l := range r.exchangePending {
-				data, ok := port.TryClaim(l, r.baseTag+hierExchange)
-				if !ok {
+			for l := r.exchangePending.next(0); l >= 0; l = r.exchangePending.next(l + 1) {
+				payload := port.TryClaim(l, r.baseTag+hierExchange)
+				if payload == nil {
 					continue
 				}
+				data := payload.Data
 				n := int(real(data[0]))
 				pos := 1
 				for i := 0; i < n; i++ {
@@ -265,28 +282,30 @@ func (r *hierRequest) Drain() bool {
 					dest := int(imag(data[pos]))
 					ln := int(real(data[pos+1]))
 					pos += 2
-					payload := data[pos : pos+ln]
+					block := data[pos : pos+ln]
 					pos += ln
 					if dest == port.Rank() {
-						r.place(origin, payload)
+						r.place(origin, block)
 					} else {
-						r.pool = append(r.pool, hierBlock{origin: origin, dest: dest, data: payload})
+						r.pool = append(r.pool, hierBlock{origin: origin, dest: dest, data: block})
 					}
 				}
-				delete(r.exchangePending, l)
+				r.held = append(r.held, payload)
+				r.exchangePending.remove(l)
 			}
-			if len(r.exchangePending) == 0 {
+			if r.exchangePending.n == 0 {
 				r.sendScatter()
 			}
 		}
-		done := r.stage == 2 && len(r.directPending) == 0
+		done := r.stage == 2 && r.directPending.n == 0
 		if done && r.remaining != 0 {
 			panic(fmt.Sprintf("mpi/sched: hier: leader %d finished protocol with %d blocks missing", port.Rank(), r.remaining))
 		}
 		return done
 	}
 	if !r.scatterDone {
-		if data, ok := port.TryClaim(r.leader, r.baseTag+hierScatter); ok {
+		if payload := port.TryClaim(r.leader, r.baseTag+hierScatter); payload != nil {
+			data := payload.Data
 			n := int(real(data[0]))
 			pos := 1
 			for i := 0; i < n; i++ {
@@ -296,10 +315,11 @@ func (r *hierRequest) Drain() bool {
 				r.place(origin, data[pos:pos+ln])
 				pos += ln
 			}
+			port.Release(payload)
 			r.scatterDone = true
 		}
 	}
-	done := r.scatterDone && len(r.directPending) == 0
+	done := r.scatterDone && r.directPending.n == 0
 	if done && r.remaining != 0 {
 		panic(fmt.Sprintf("mpi/sched: hier: rank %d finished protocol with %d blocks missing", port.Rank(), r.remaining))
 	}
@@ -308,21 +328,21 @@ func (r *hierRequest) Drain() bool {
 
 func (r *hierRequest) Queued() bool {
 	port := r.port
-	for q := range r.directPending {
+	for q := r.directPending.next(0); q >= 0; q = r.directPending.next(q + 1) {
 		if port.Queued(q, r.baseTag+hierDirect) {
 			return true
 		}
 	}
 	if r.isLeader {
 		if r.stage == 0 {
-			for m := range r.gatherPending {
+			for m := r.gatherPending.next(0); m >= 0; m = r.gatherPending.next(m + 1) {
 				if port.Queued(m, r.baseTag+hierGather) {
 					return true
 				}
 			}
 		}
 		if r.stage == 1 {
-			for l := range r.exchangePending {
+			for l := r.exchangePending.next(0); l >= 0; l = r.exchangePending.next(l + 1) {
 				if port.Queued(l, r.baseTag+hierExchange) {
 					return true
 				}
@@ -334,24 +354,18 @@ func (r *hierRequest) Queued() bool {
 }
 
 func (r *hierRequest) Missing() (seqs, from []int) {
-	if len(r.directPending) > 0 {
+	if r.directPending.n > 0 {
 		seqs = append(seqs, r.baseTag+hierDirect)
-		for q := range r.directPending {
-			from = append(from, q)
-		}
+		from = r.directPending.members(from)
 	}
 	if r.isLeader {
-		if r.stage == 0 && len(r.gatherPending) > 0 {
+		if r.stage == 0 && r.gatherPending.n > 0 {
 			seqs = append(seqs, r.baseTag+hierGather)
-			for m := range r.gatherPending {
-				from = append(from, m)
-			}
+			from = r.gatherPending.members(from)
 		}
-		if r.stage == 1 && len(r.exchangePending) > 0 {
+		if r.stage == 1 && r.exchangePending.n > 0 {
 			seqs = append(seqs, r.baseTag+hierExchange)
-			for l := range r.exchangePending {
-				from = append(from, l)
-			}
+			from = r.exchangePending.members(from)
 		}
 	} else if !r.scatterDone {
 		seqs = append(seqs, r.baseTag+hierScatter)

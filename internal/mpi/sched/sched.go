@@ -21,7 +21,9 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
+	"offt/internal/arena"
 	"offt/internal/mpi"
 )
 
@@ -36,12 +38,17 @@ type Port interface {
 	// returns the first (the SPMD tag-alignment contract: every rank
 	// reserves the same tags for the same collective).
 	NextTags(n int) int
-	// Send hands one block to the transport. The payload is copied at call
-	// time (eager-buffered semantics).
+	// Send hands one block to the transport, which copies it into a buffer
+	// of its own before returning: data is the caller's again at once.
 	Send(dst, tag int, data []complex128)
-	// TryClaim removes and returns the first mailbox message from (src,
-	// tag), if one has arrived.
-	TryClaim(src, tag int) ([]complex128, bool)
+	// TryClaim removes the first mailbox message from (src, tag) and
+	// returns its payload handle, or nil if none has arrived. The caller
+	// owns the payload until it hands it back with Release.
+	TryClaim(src, tag int) *arena.Slab
+	// Release ends the caller's ownership of a claimed payload. Every
+	// handle TryClaim returned is released exactly once, and its Data is
+	// not read afterwards: the engine reuses the buffer for a later message.
+	Release(payload *arena.Slab)
 	// Queued reports whether a message from (src, tag) is in the mailbox.
 	// Called with the engine's park lock held (the wait predicate).
 	Queued(src, tag int) bool
@@ -69,6 +76,30 @@ type Request interface {
 	Missing() (seqs []int, from []int)
 }
 
+// DrainAll drains every (non-nil) request and reports whether all are
+// complete: an engine's Test.
+func DrainAll(reqs []mpi.Request) bool {
+	all := true
+	for _, r := range reqs {
+		if r != nil && !r.(Request).Drain() {
+			all = false
+		}
+	}
+	return all
+}
+
+// AnyQueued reports whether the mailbox holds something one of the
+// requests can consume: an engine's park predicate, called with its park
+// lock held.
+func AnyQueued(reqs []mpi.Request) bool {
+	for _, r := range reqs {
+		if r != nil && r.(Request).Queued() {
+			return true
+		}
+	}
+	return false
+}
+
 // Post validates the counts, computes both offset vectors, and starts a
 // non-blocking all-to-all under the given exchange schedule (pairwise by
 // default). The send buffer is consumed as messages are handed to the
@@ -80,7 +111,14 @@ func Post(port Port, ex mpi.Exchange, send []complex128, sendCounts []int, recv 
 	if len(sendCounts) != p || len(recvCounts) != p {
 		panic(fmt.Sprintf("mpi/sched: counts length %d/%d, want %d", len(sendCounts), len(recvCounts), p))
 	}
-	offsets := make([]int, p)
+	// One backing slice for the request's three per-rank vectors. The
+	// receive counts are copied: callers may reuse their counts arrays for
+	// the next collective while this request is still in flight (the
+	// Ialltoallv counts-aliasing contract).
+	ints := make([]int, 3*p)
+	rc, offsets, soff := ints[:p:p], ints[p:2*p:2*p], ints[2*p:]
+	copy(rc, recvCounts)
+	recvCounts = rc
 	off := 0
 	for s := 0; s < p; s++ {
 		offsets[s] = off
@@ -89,7 +127,6 @@ func Post(port Port, ex mpi.Exchange, send []complex128, sendCounts []int, recv 
 	if off > len(recv) {
 		panic(fmt.Sprintf("mpi/sched: recv buffer %d too small for counts (%d)", len(recv), off))
 	}
-	soff := make([]int, p)
 	o := 0
 	for r := 0; r < p; r++ {
 		soff[r] = o
@@ -133,6 +170,52 @@ func nodeSize(port Port, ex mpi.Exchange) int {
 	return ns
 }
 
+// ---- pending sets -----------------------------------------------------------
+
+// pendSet is a set of ranks still owed something, as a bitset plus a live
+// count: no per-collective map, and iteration in rank order.
+type pendSet struct {
+	words []uint
+	n     int
+}
+
+func newPendSet(p int) pendSet {
+	return pendSet{words: make([]uint, (p+bits.UintSize-1)/bits.UintSize)}
+}
+
+func (s *pendSet) add(i int) {
+	s.words[i/bits.UintSize] |= 1 << (i % bits.UintSize)
+	s.n++
+}
+
+func (s *pendSet) remove(i int) {
+	s.words[i/bits.UintSize] &^= 1 << (i % bits.UintSize)
+	s.n--
+}
+
+// next returns the smallest member >= from, or -1. Removing the member
+// just returned is safe while iterating.
+func (s *pendSet) next(from int) int {
+	for w := from / bits.UintSize; w < len(s.words); w++ {
+		word := s.words[w]
+		if w == from/bits.UintSize {
+			word &^= 1<<(from%bits.UintSize) - 1
+		}
+		if word != 0 {
+			return w*bits.UintSize + bits.TrailingZeros(word)
+		}
+	}
+	return -1
+}
+
+// members appends the set's ranks to dst in ascending order.
+func (s *pendSet) members(dst []int) []int {
+	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+		dst = append(dst, i)
+	}
+	return dst
+}
+
 // ---- pairwise --------------------------------------------------------------
 
 // pairRequest tracks a pending pairwise all-to-all: which source blocks
@@ -144,7 +227,7 @@ type pairRequest struct {
 	recv       []complex128
 	recvCounts []int
 	offsets    []int
-	pending    map[int]bool // source ranks not yet copied in
+	pending    pendSet // source ranks not yet copied in
 }
 
 // postPairwise is the historical eager schedule: every peer's block is
@@ -166,16 +249,13 @@ func postPairwise(port Port, send []complex128, sendCounts, soff []int, recv []c
 }
 
 // newPairRequest builds the receive-tracking core shared by the pairwise
-// and windowed schedules. The counts are copied: callers may reuse the
-// backing arrays for the next collective while this request is still in
-// flight (the Ialltoallv counts-aliasing contract).
+// and windowed schedules. recvCounts and offsets are Post's own copies.
 func newPairRequest(port Port, tag int, recv []complex128, recvCounts, offsets []int) *pairRequest {
 	p := port.Size()
-	rc := append([]int(nil), recvCounts...)
-	req := &pairRequest{port: port, tag: tag, recv: recv, recvCounts: rc, offsets: offsets, pending: make(map[int]bool, p)}
+	req := &pairRequest{port: port, tag: tag, recv: recv, recvCounts: recvCounts, offsets: offsets, pending: newPendSet(p)}
 	for s := 0; s < p; s++ {
-		if s != port.Rank() && rc[s] > 0 {
-			req.pending[s] = true
+		if s != port.Rank() && recvCounts[s] > 0 {
+			req.pending.add(s)
 		}
 	}
 	return req
@@ -185,21 +265,23 @@ func newPairRequest(port Port, tag int, recv []complex128, recvCounts, offsets [
 // receive buffer. Returns true when the request is complete.
 func (req *pairRequest) Drain() bool {
 	port := req.port
-	for s := range req.pending {
-		if data, ok := port.TryClaim(s, req.tag); ok {
+	for s := req.pending.next(0); s >= 0; s = req.pending.next(s + 1) {
+		if payload := port.TryClaim(s, req.tag); payload != nil {
+			data := payload.Data
 			if len(data) != req.recvCounts[s] {
 				panic(fmt.Sprintf("mpi/sched: rank %d got %d elements from %d, want %d", port.Rank(), len(data), s, req.recvCounts[s]))
 			}
 			copy(req.recv[req.offsets[s]:req.offsets[s]+len(data)], data)
-			delete(req.pending, s)
+			port.Release(payload)
+			req.pending.remove(s)
 		}
 	}
-	return len(req.pending) == 0
+	return req.pending.n == 0
 }
 
 // Queued reports whether any pending source's block is in the mailbox.
 func (req *pairRequest) Queued() bool {
-	for s := range req.pending {
+	for s := req.pending.next(0); s >= 0; s = req.pending.next(s + 1) {
 		if req.port.Queued(s, req.tag) {
 			return true
 		}
@@ -209,14 +291,10 @@ func (req *pairRequest) Queued() bool {
 
 // Missing summarizes the incomplete sources for diagnostics.
 func (req *pairRequest) Missing() (seqs, from []int) {
-	if len(req.pending) == 0 {
+	if req.pending.n == 0 {
 		return nil, nil
 	}
-	seqs = []int{req.tag}
-	for s := range req.pending {
-		from = append(from, s)
-	}
-	return seqs, from
+	return []int{req.tag}, req.pending.members(nil)
 }
 
 // ---- windowed pairwise -----------------------------------------------------
@@ -248,7 +326,8 @@ func postWindowed(port Port, send []complex128, sendCounts, soff []int, recv []c
 	p, rank := port.Size(), port.Rank()
 	tag := port.NextTags(1)
 	req := &winRequest{pairRequest: *newPairRequest(port, tag, recv, recvCounts, offsets), window: window}
-	req.recvInit = len(req.pending)
+	req.recvInit = req.pending.n
+	req.deferred = make([]winSend, 0, p-1)
 	for i := 1; i < p; i++ {
 		dst := (rank + i) % p
 		if sendCounts[dst] > 0 {
@@ -264,9 +343,9 @@ func postWindowed(port Port, send []complex128, sendCounts, soff []int, recv []c
 // receives are in, the remaining sends are flushed unconditionally so the
 // request can complete even under asymmetric count shapes.
 func (r *winRequest) release() {
-	completed := r.recvInit - len(r.pending)
+	completed := r.recvInit - r.pending.n
 	allow := r.window + completed
-	if len(r.pending) == 0 {
+	if r.pending.n == 0 {
 		allow = len(r.deferred)
 	}
 	for r.released < len(r.deferred) && r.released < allow {

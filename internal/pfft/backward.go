@@ -3,6 +3,7 @@ package pfft
 import (
 	"fmt"
 
+	"offt/internal/arena"
 	"offt/internal/fft"
 	"offt/internal/layout"
 	"offt/internal/mpi"
@@ -43,12 +44,13 @@ type backEngine struct {
 	comm mpi.Comm
 
 	out  []complex128 // input y-slab (forward output), consumed by FFTx⁻¹
-	work []complex128 // post-scatter z-x-y (or x-z-y) slab
+	work []complex128 // post-scatter z-x-y (or x-z-y) slab; workBuf's data
 	in   []complex128 // final x-y-z slab; owned by the engine, reused per run
 
 	planZ, planY, planX *fft.Plan
 
-	sendBufs, recvBufs [][]complex128
+	workBuf            *arena.Slab
+	sendBufs, recvBufs []*arena.Slab
 	sendCounts         []int
 	recvCounts         []int
 
@@ -81,11 +83,8 @@ func newBackEngine(c mpi.Comm, g layout.Grid, flag fft.Flag, opts ...EngineOpt) 
 		// communication side of the timeline is captured too.
 		e.comm = &traceComm{Comm: c, rec: cfg.trace}
 	}
-	if cfg.pooled {
-		e.work = getSlab(g.InSize())
-	} else {
-		e.work = make([]complex128, g.InSize())
-	}
+	e.workBuf = newSlab(g.InSize(), cfg.pooled)
+	e.work = e.workBuf.Data
 	e.sendCounts = make([]int, g.P)
 	e.recvCounts = make([]int, g.P)
 	return e, nil
@@ -106,20 +105,10 @@ func (e *backEngine) presizeSlots(prm Params) {
 // Close returns arena-backed buffers. The result slab (in) is never
 // pooled: callers may still reference it.
 func (e *backEngine) Close() {
-	if !e.pooled {
-		return
-	}
-	putSlab(e.work)
-	e.work = nil
-	for i, b := range e.sendBufs {
-		putSlab(b)
-		e.sendBufs[i] = nil
-	}
-	for i, b := range e.recvBufs {
-		putSlab(b)
-		e.recvBufs[i] = nil
-	}
-	e.pooled = false
+	e.workBuf.Release()
+	e.workBuf, e.work = nil, nil
+	releaseSlots(&e.sendBufs)
+	releaseSlots(&e.recvBufs)
 }
 
 // run executes one inverse transform on slab (this rank's y-slab in the
@@ -369,34 +358,11 @@ func (e *backEngine) runBlocking(prm Params, fast bool, b *Breakdown) {
 	}
 }
 
+// Reverse direction: recv-format buffers go out, send-format ones come in.
 func (e *backEngine) sendBuf(slot, ztl int) []complex128 {
-	for len(e.sendBufs) <= slot {
-		e.sendBufs = append(e.sendBufs, nil)
-	}
-	n := e.g.RecvBufLen(ztl) // reverse direction: recv-format on the way out
-	if cap(e.sendBufs[slot]) < n {
-		if e.pooled {
-			putSlab(e.sendBufs[slot])
-			e.sendBufs[slot] = getSlab(n)
-		} else {
-			e.sendBufs[slot] = make([]complex128, n)
-		}
-	}
-	return e.sendBufs[slot][:n]
+	return slotBuf(&e.sendBufs, slot, e.g.RecvBufLen(ztl), e.pooled)
 }
 
 func (e *backEngine) recvBuf(slot, ztl int) []complex128 {
-	for len(e.recvBufs) <= slot {
-		e.recvBufs = append(e.recvBufs, nil)
-	}
-	n := e.g.SendBufLen(ztl)
-	if cap(e.recvBufs[slot]) < n {
-		if e.pooled {
-			putSlab(e.recvBufs[slot])
-			e.recvBufs[slot] = getSlab(n)
-		} else {
-			e.recvBufs[slot] = make([]complex128, n)
-		}
-	}
-	return e.recvBufs[slot][:n]
+	return slotBuf(&e.recvBufs, slot, e.g.SendBufLen(ztl), e.pooled)
 }

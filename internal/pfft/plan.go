@@ -3,6 +3,7 @@ package pfft
 import (
 	"fmt"
 
+	"offt/internal/arena"
 	"offt/internal/fft"
 	"offt/internal/layout"
 	"offt/internal/mpi"
@@ -97,9 +98,9 @@ func NewPlan(c mpi.Comm, g layout.Grid, v Variant, prm Params, flag fft.Flag, op
 	// The engine needs an input slab at construction; hand it a throwaway
 	// of the right length — Forward rebinds per call via Reset, and the
 	// engine never touches the slab in between.
-	init := getSlab(g.InSize())
-	p.fwd, err = NewRealEngine(g, c, init, fft.Forward, flag, eopts...)
-	putSlab(init)
+	init := arena.Get(g.InSize())
+	p.fwd, err = NewRealEngine(g, c, init.Data, fft.Forward, flag, eopts...)
+	init.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -1,39 +1,43 @@
 package pfft
 
 import (
-	"math/bits"
 	"sync"
+
+	"offt/internal/arena"
 )
 
-// slabPools is a size-classed arena for complex128 slabs: class c holds
-// slices with cap exactly 1<<c. Engines on the many-transform path borrow
-// their work and slot buffers here so repeated plan construction stops
-// hitting the allocator; a long-lived Plan holds its buffers for its whole
-// lifetime and only returns them on Close.
-var slabPools [48]sync.Pool
-
-// getSlab returns a zero-filled-or-dirty slab of length n (callers must
-// treat the contents as undefined) backed by the arena.
-func getSlab(n int) []complex128 {
-	if n <= 0 {
-		return nil
+// newSlab returns a handle on an n-element slab with undefined contents:
+// borrowed from the shared arena for pooled engines (the many-transform
+// path, where repeated plan construction must not hit the allocator),
+// plainly allocated — Release is then a no-op — otherwise.
+func newSlab(n int, pooled bool) *arena.Slab {
+	if pooled {
+		return arena.Get(n)
 	}
-	c := bits.Len(uint(n - 1))
-	if v := slabPools[c].Get(); v != nil {
-		return (*(v.(*[]complex128)))[:n]
-	}
-	return make([]complex128, n, 1<<c)
+	return &arena.Slab{Data: make([]complex128, n)}
 }
 
-// putSlab returns a slab obtained from getSlab to the arena. Slabs whose
-// capacity is not an exact power of two (not arena-born) are dropped.
-func putSlab(s []complex128) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
+// slotBuf returns communication slot i of bufs sized to n elements,
+// growing the slot list lazily and replacing a slab that is too small.
+func slotBuf(bufs *[]*arena.Slab, i, n int, pooled bool) []complex128 {
+	for len(*bufs) <= i {
+		*bufs = append(*bufs, nil)
 	}
-	s = s[:c]
-	slabPools[bits.Len(uint(c))-1].Put(&s)
+	b := (*bufs)[i]
+	if b == nil || cap(b.Data) < n {
+		b.Release()
+		b = newSlab(n, pooled)
+		(*bufs)[i] = b
+	}
+	return b.Data[:n]
+}
+
+// releaseSlots returns every slot slab and empties the list.
+func releaseSlots(bufs *[]*arena.Slab) {
+	for _, b := range *bufs {
+		b.Release()
+	}
+	*bufs = nil
 }
 
 // span is one contiguous chunk of a parallel kernel call: run fn(w, lo, hi)

@@ -3,6 +3,7 @@ package pfft
 import (
 	"fmt"
 
+	"offt/internal/arena"
 	"offt/internal/fft"
 	"offt/internal/layout"
 	"offt/internal/mpi"
@@ -48,7 +49,7 @@ type RealEngine struct {
 	comm mpi.Comm
 
 	in   []complex128 // input x-slab, x-y-z layout; clobbered by FFTz
-	work []complex128 // post-transpose slab (z-x-y or x-z-y)
+	work []complex128 // post-transpose slab (z-x-y or x-z-y); workBuf's data
 	out  []complex128 // output y-slab (z-y-x or y-z-x)
 
 	planZ, planY, planX *fft.Plan
@@ -59,11 +60,12 @@ type RealEngine struct {
 	pool                   *kernelPool
 	planZs, planYs, planXs []*fft.Plan // per-chunk clones, len = workers
 
-	sendBufs, recvBufs [][]complex128
+	workBuf            *arena.Slab
+	sendBufs, recvBufs []*arena.Slab
 	sendCounts         []int
 	recvCounts         []int
 
-	pooled bool // work + slot buffers came from the arena
+	pooled bool // work + slot slabs come from the arena
 }
 
 var _ Engine = (*RealEngine)(nil)
@@ -94,11 +96,8 @@ func NewRealEngine(g layout.Grid, comm mpi.Comm, slab []complex128, dir fft.Dire
 		planX:  fft.Plan1DCached(g.Nx, dir, flag).Clone(),
 		pooled: cfg.pooled,
 	}
-	if cfg.pooled {
-		e.work = getSlab(g.InSize())
-	} else {
-		e.work = make([]complex128, g.InSize())
-	}
+	e.workBuf = newSlab(g.InSize(), cfg.pooled)
+	e.work = e.workBuf.Data
 	if cfg.workers > 1 {
 		e.pool = newKernelPool(cfg.workers)
 		e.planZs = fft.Plan1DClones(g.Nz, dir, flag, cfg.workers)
@@ -142,20 +141,10 @@ func (e *RealEngine) Close() {
 		e.pool.Close()
 		e.pool = nil
 	}
-	if !e.pooled {
-		return
-	}
-	putSlab(e.work)
-	e.work = nil
-	for i, b := range e.sendBufs {
-		putSlab(b)
-		e.sendBufs[i] = nil
-	}
-	for i, b := range e.recvBufs {
-		putSlab(b)
-		e.recvBufs[i] = nil
-	}
-	e.pooled = false
+	e.workBuf.Release()
+	e.workBuf, e.work = nil, nil
+	releaseSlots(&e.sendBufs)
+	releaseSlots(&e.recvBufs)
 }
 
 // Grid returns the rank's geometry.
@@ -343,33 +332,9 @@ func (e *RealEngine) FFTxSub(fast bool, zt0, z0, z1, y0, y1 int) {
 // sendBuf returns slot's send buffer sized for a tile of z-length ztl,
 // growing the slot lazily.
 func (e *RealEngine) sendBuf(slot, ztl int) []complex128 {
-	for len(e.sendBufs) <= slot {
-		e.sendBufs = append(e.sendBufs, nil)
-	}
-	n := e.g.SendBufLen(ztl)
-	if cap(e.sendBufs[slot]) < n {
-		if e.pooled {
-			putSlab(e.sendBufs[slot])
-			e.sendBufs[slot] = getSlab(n)
-		} else {
-			e.sendBufs[slot] = make([]complex128, n)
-		}
-	}
-	return e.sendBufs[slot][:n]
+	return slotBuf(&e.sendBufs, slot, e.g.SendBufLen(ztl), e.pooled)
 }
 
 func (e *RealEngine) recvBuf(slot, ztl int) []complex128 {
-	for len(e.recvBufs) <= slot {
-		e.recvBufs = append(e.recvBufs, nil)
-	}
-	n := e.g.RecvBufLen(ztl)
-	if cap(e.recvBufs[slot]) < n {
-		if e.pooled {
-			putSlab(e.recvBufs[slot])
-			e.recvBufs[slot] = getSlab(n)
-		} else {
-			e.recvBufs[slot] = make([]complex128, n)
-		}
-	}
-	return e.recvBufs[slot][:n]
+	return slotBuf(&e.recvBufs, slot, e.g.RecvBufLen(ztl), e.pooled)
 }

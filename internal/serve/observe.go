@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -11,10 +12,17 @@ import (
 )
 
 // statusRecorder captures the status code a handler wrote so the request
-// observer can classify the outcome after the fact.
+// observer can classify the outcome, and files the request (beforeLast,
+// idempotent) ahead of the write that completes a response of declared
+// length: a client that has read its whole response may ask
+// /debug/requests/{id} at once. A response without a Content-Length is
+// small enough that net/http holds it back until the handler — and with
+// it the deferred finish — has returned.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	status     int
+	written    int
+	beforeLast func()
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -28,6 +36,10 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	if r.status == 0 {
 		r.status = http.StatusOK
 	}
+	r.written += len(b)
+	if n, err := strconv.Atoi(r.Header().Get("Content-Length")); err == nil && r.written >= n {
+		r.beforeLast()
+	}
 	return r.ResponseWriter.Write(b)
 }
 
@@ -38,7 +50,9 @@ var reqSeq atomic.Uint64
 // reqObs is the per-request observability context: the request ID, the
 // trace (nil when tracing is off), and the stage latencies the handler
 // fills in as it goes. finish() files the completed request with the
-// flight recorder, the SLO, and the structured log exactly once.
+// flight recorder, the SLO, and the structured log exactly once: ahead of
+// the response's last write when its length was declared (see
+// statusRecorder), from the handler's defer otherwise.
 type reqObs struct {
 	s        *Server
 	w        *statusRecorder
@@ -72,12 +86,12 @@ func (s *Server) newReqObs(w http.ResponseWriter, r *http.Request, endpoint stri
 	w.Header().Set("X-Request-Id", id)
 	o := &reqObs{
 		s:        s,
-		w:        &statusRecorder{ResponseWriter: w},
 		id:       id,
 		endpoint: endpoint,
 		start:    time.Now(),
 		overlap:  -1,
 	}
+	o.w = &statusRecorder{ResponseWriter: w, beforeLast: o.finish}
 	if s.cfg.Trace {
 		o.tc = telemetry.NewTraceContext(id)
 		o.rootID = o.tc.Begin("request")

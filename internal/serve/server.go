@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"offt"
+	"offt/internal/arena"
 	"offt/internal/telemetry"
 	"offt/internal/tuned"
 )
@@ -155,8 +156,6 @@ type Server struct {
 	slo       *telemetry.SLO
 	log       *telemetry.Logger
 	reqPrefix string
-
-	bufPool sync.Pool // *[]complex128 payload/result scratch
 }
 
 // New builds a Server from cfg.
@@ -507,16 +506,6 @@ func (s *Server) execDeadline(e *planEntry) time.Duration {
 	return d
 }
 
-// getBuf returns a pooled complex128 scratch slice of length n.
-func (s *Server) getBuf(n int) []complex128 {
-	if p, ok := s.bufPool.Get().(*[]complex128); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]complex128, n)
-}
-
-func (s *Server) putBuf(b []complex128) { s.bufPool.Put(&b) }
-
 func (s *Server) handleTransform(hw http.ResponseWriter, r *http.Request) {
 	// Every transform is observed: request ID, span tree (when tracing),
 	// SLO accounting, flight-recorder capture and one structured log line.
@@ -695,27 +684,29 @@ func (s *Server) executeTransform(obs *reqObs, r *http.Request, spec transformSp
 	}
 
 	// Mem engine: read the payload, execute, stream the result back.
-	// Buffers go back to the pool only when the transform goroutine is
+	// Buffers go back to the arena only when the transform goroutine is
 	// known to be done with them — the abandon paths below set abandoned
-	// and delegate the putBuf to a reaper that waits out the straggler.
+	// and delegate the release to a reaper that waits out the straggler.
 	n := spec.key.Nx * spec.key.Ny * spec.key.Nz
 	abandoned := false
-	in := s.getBuf(n)
+	inBuf := arena.Get(n)
 	defer func() {
 		if !abandoned {
-			s.putBuf(in)
+			inBuf.Release()
 		}
 	}()
+	in := inBuf.Data
 	if err := ReadPayloadInto(payload, in); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := s.getBuf(n)
+	outBuf := arena.Get(n)
 	defer func() {
 		if !abandoned {
-			s.putBuf(out)
+			outBuf.Release()
 		}
 	}()
+	out := outBuf.Data
 
 	// Execute under a per-request watchdog: the deadline is the plan's
 	// measured steady-state time × a safety factor, so a hung rank can
@@ -754,8 +745,8 @@ func (s *Server) executeTransform(obs *reqObs, r *http.Request, spec transformSp
 		abandoned = true
 		go func() {
 			<-done
-			s.putBuf(in)
-			s.putBuf(out)
+			inBuf.Release()
+			outBuf.Release()
 			releaseRef()
 			releaseAdmission()
 		}()

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo verification: tier-1 build+test, vet, the race detector over the
 # concurrency-heavy packages (mem router, fault-injected transport, pfft
-# chaos suite, pooled plan reuse), and the steady-state allocation gate.
+# chaos suite, pooled plan reuse), and the steady-state allocation gates.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -51,6 +51,19 @@ go test -count=1 -run 'NetWorld' ./cmd/offt-run/
 # schedule plumbing cannot add per-run allocations. -count=1 defeats the
 # test cache so the gate re-measures every run.
 go test -run 'SteadyStateAllocs' -count=1 ./internal/pfft/
+
+# Exchange allocation gate (PR 14): the same plan reuse on the engines
+# that move data — mem worlds of 2 and 4 ranks and a 4-rank net world over
+# loopback, slab and pencil, forward and backward, at 64-cubed — must cost
+# O(1) objects per rank and collective and under 1% of the grid's bytes
+# per transform (steady_test.go); the arena's own round trip must cost
+# nothing. Not under -race: the instrumented runtime allocates on its own.
+go test -run 'SteadyState' -count=1 . ./internal/arena/
+
+# Flight-record ordering (PR 14): a client that has read its whole
+# response must find the request in the flight recorder at once. The race
+# used to lose about one run in ten.
+go test -run 'TestObserveRequestIDEcho' -count=50 ./internal/serve/
 
 # Observability smoke run: a real experiment with telemetry attached must
 # succeed and leave a non-empty metrics snapshot carrying the tuner's and
@@ -120,22 +133,57 @@ grep -q '"spans_pencil": "ok' BENCH_PR8.json
 # offt-serve binary smoke: boot the real server with tracing and
 # structured logs on, push 64-cubed p=4 transforms through the HTTP path
 # with offt-load, scrape /metrics and the flight recorder, and shut the
-# process down with SIGTERM to exercise the drain path.
-go build -o /tmp/offt-serve-smoke ./cmd/offt-serve
-/tmp/offt-serve-smoke -addr 127.0.0.1:18089 -trace -log-level info \
-    -log-out /tmp/offt-serve-smoke.log &
+# process down with SIGTERM to exercise the drain path. Everything the
+# smoke legs write lives in a fresh temp dir and every server listens on
+# a port the kernel picks, so two verify runs cannot collide.
+SMOKE=$(mktemp -d)
+PIDS=
+trap 'kill $PIDS 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
+go build -o "$SMOKE/offt-serve" ./cmd/offt-serve
+
+# wait_addr FILE: block until the offt-serve writing FILE has announced
+# its listener, then print that host:port.
+wait_addr() {
+    tries=0
+    until grep -q 'listening on http://' "$1" 2>/dev/null; do
+        tries=$((tries + 1))
+        if [ "$tries" -gt 100 ]; then
+            echo "offt-serve did not start:" >&2
+            cat "$1" >&2
+            return 1
+        fi
+        sleep 0.1
+    done
+    sed -n 's#.*listening on http://\([^ ]*\).*#\1#p' "$1" | head -n 1
+}
+
+# free_addr: a loopback host:port the kernel has just handed out — boot
+# the server on port 0, read the address back, stop it. The fleet below
+# needs its replicas' addresses before either starts.
+free_addr() {
+    "$SMOKE/offt-serve" -addr 127.0.0.1:0 > "$SMOKE/probe.out" 2>&1 &
+    probe=$!
+    probed=$(wait_addr "$SMOKE/probe.out")
+    kill -TERM "$probe"
+    wait "$probe"
+    echo "$probed"
+}
+
+"$SMOKE/offt-serve" -addr 127.0.0.1:0 -trace -log-level info \
+    -log-out "$SMOKE/serve.log" > "$SMOKE/serve.out" 2>&1 &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-go run ./cmd/offt-load -addr 127.0.0.1:18089 -conc 1 -duration 1s -warmup 2 \
-    -gate auto -out BENCH_PR5_smoke.json -wait-ready 10s
-curl -sf http://127.0.0.1:18089/metrics | grep -q 'serve_plan_cache_hits'
-curl -sf http://127.0.0.1:18089/metrics | grep -q 'serve_slo_transform_total'
-curl -sf http://127.0.0.1:18089/healthz | grep -q '"slo"'
-curl -sf http://127.0.0.1:18089/debug/requests | grep -q '"total_ns"'
+PIDS="$PIDS $SERVE_PID"
+ADDR=$(wait_addr "$SMOKE/serve.out")
+go run ./cmd/offt-load -addr "$ADDR" -conc 1 -duration 1s -warmup 2 \
+    -gate auto -out "$SMOKE/load.json" -wait-ready 10s
+curl -sf "http://$ADDR/metrics" | grep -q 'serve_plan_cache_hits'
+curl -sf "http://$ADDR/metrics" | grep -q 'serve_slo_transform_total'
+curl -sf "http://$ADDR/healthz" | grep -q '"slo"'
+curl -sf "http://$ADDR/debug/requests" | grep -q '"total_ns"'
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
-grep -q '"pass": true' BENCH_PR5_smoke.json
-grep -q '"event":"request.done"' /tmp/offt-serve-smoke.log
+grep -q '"pass": true' "$SMOKE/load.json"
+grep -q '"event":"request.done"' "$SMOKE/serve.log"
 
 # 2-shard fleet smoke (PR 10): two offt-serve replicas with the
 # consistent-hash router between them, driven round-robin by offt-load's
@@ -143,20 +191,33 @@ grep -q '"event":"request.done"' /tmp/offt-serve-smoke.log
 # replica owns it and the other must forward — the healthz shard section
 # of at least one replica must show a nonzero forward count. Both
 # replicas then drain cleanly on SIGTERM.
-/tmp/offt-serve-smoke -addr 127.0.0.1:18091 \
-    -shard-of http://127.0.0.1:18091 \
-    -peers http://127.0.0.1:18091,http://127.0.0.1:18092 &
+SHARD1=$(free_addr)
+SHARD2=$(free_addr)
+"$SMOKE/offt-serve" -addr "$SHARD1" -shard-of "http://$SHARD1" \
+    -peers "http://$SHARD1,http://$SHARD2" &
 SHARD1_PID=$!
-/tmp/offt-serve-smoke -addr 127.0.0.1:18092 \
-    -shard-of http://127.0.0.1:18092 \
-    -peers http://127.0.0.1:18091,http://127.0.0.1:18092 &
+"$SMOKE/offt-serve" -addr "$SHARD2" -shard-of "http://$SHARD2" \
+    -peers "http://$SHARD1,http://$SHARD2" &
 SHARD2_PID=$!
-trap 'kill "$SERVE_PID" "$SHARD1_PID" "$SHARD2_PID" 2>/dev/null || true' EXIT
-go run ./cmd/offt-load -addr 127.0.0.1:18091,127.0.0.1:18092 -conc 1 \
-    -duration 1s -warmup 2 -gate auto -out BENCH_PR10_smoke.json -wait-ready 10s
-grep -q '"pass": true' BENCH_PR10_smoke.json
-{ curl -sf http://127.0.0.1:18091/healthz || true; \
-  curl -sf http://127.0.0.1:18092/healthz || true; } \
+PIDS="$PIDS $SHARD1_PID $SHARD2_PID"
+# A replica probes its peers at boot and then every 2 s: the one that came
+# up first holds the other for down until its next round, and would serve
+# the owner's key itself instead of forwarding. Load once both see a
+# whole ring.
+for shard in "$SHARD1" "$SHARD2"; do
+    tries=0
+    until curl -sf "http://$shard/healthz" | grep -q '"up":true' &&
+        ! curl -sf "http://$shard/healthz" | grep -q '"up":false'; do
+        tries=$((tries + 1))
+        [ "$tries" -le 100 ]
+        sleep 0.1
+    done
+done
+go run ./cmd/offt-load -addr "$SHARD1,$SHARD2" -conc 1 \
+    -duration 1s -warmup 2 -gate auto -out "$SMOKE/fleet.json" -wait-ready 10s
+grep -q '"pass": true' "$SMOKE/fleet.json"
+{ curl -sf "http://$SHARD1/healthz" || true; \
+  curl -sf "http://$SHARD2/healthz" || true; } \
     | grep -q '"forwarded":[1-9]'
 kill -TERM "$SHARD1_PID" "$SHARD2_PID"
 wait "$SHARD1_PID"
@@ -170,5 +231,3 @@ go run ./cmd/offt-netbench -out BENCH_PR10.json
 grep -q '"pass": true' BENCH_PR10.json
 grep -q '"bit_identical": true' BENCH_PR10.json
 grep -q '"trace_ok": true' BENCH_PR10.json
-
-rm -f BENCH_PR5_smoke.json BENCH_PR10_smoke.json /tmp/offt-serve-smoke /tmp/offt-serve-smoke.log
