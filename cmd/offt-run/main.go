@@ -340,26 +340,20 @@ func runMem(p, n int, variant pfft.Variant, prm pfft.Params, verify, timeline bo
 		if err != nil {
 			panic(err)
 		}
-		slab := layout.ScatterX(full, g)
+		var popts []pfft.PlanOpt
 		if tracing {
-			e, err := pfft.NewForwardEngine(g, c, slab)
-			if err != nil {
-				panic(err)
-			}
-			te := pfft.NewTraceEngine(e, prm)
-			b, err := pfft.Run(te, variant, prm)
-			if err != nil {
-				panic(err)
-			}
-			outs[c.Rank()], bs[c.Rank()], traces[c.Rank()] = e.Output(), b, te.Events()
-			return
+			popts = append(popts, pfft.WithTrace())
 		}
-		out, b, err := pfft.Forward3D(c, g, slab, variant, prm, fft.Estimate)
+		pl, err := pfft.NewPlan(c, g, variant, prm, fft.Estimate, popts...)
 		if err != nil {
 			panic(err)
 		}
-		outs[c.Rank()] = out
-		bs[c.Rank()] = b
+		defer pl.Close()
+		out, b, err := pl.Forward(layout.ScatterX(full, g))
+		if err != nil {
+			panic(err)
+		}
+		outs[c.Rank()], bs[c.Rank()], traces[c.Rank()] = out, b, pl.Trace()
 	})
 	if err != nil {
 		fatal(err)

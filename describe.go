@@ -59,8 +59,9 @@ func ParseDecomp(s string) (Decomp, error) {
 // WithDecomp selects the domain decomposition (default Slab). Pencil
 // plans accept any rank count that factors into a feasible Py×Pz grid
 // (auto-factored, or pinned via Params.Pr), support the Baseline, NEW and
-// NEW0 variants on both engines, and reject the slab-only machinery
-// (TH/TH0, WithWorkers > 1, WithTrace) with a *ConfigError.
+// NEW0 variants on both engines, record WithTrace timelines like slab
+// plans, and reject the slab-only machinery (TH/TH0, WithWorkers > 1)
+// with a *ConfigError.
 func WithDecomp(d Decomp) Option { return func(c *config) { c.decomp = d } }
 
 // ErrBadConfig is the sentinel every plan-configuration error wraps: any

@@ -1,6 +1,6 @@
 // Package arena is the repository's one size-classed buffer pool: the
-// transports borrow message payloads and wire frames from it, pfft its
-// work and slot slabs, serve its request and response scratch.
+// transports borrow message payloads and wire frames from it, serve its
+// request and response scratch.
 //
 // Buffers travel as handles (*Buf), which are what the pool stores, so
 // taking one back allocates nothing. Class c holds buffers of capacity

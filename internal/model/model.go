@@ -126,13 +126,6 @@ func (e *Engine) PostTile(slot int, ztl int) mpi.Request {
 	return e.c.Ialltoallv(nil, e.cnts.send, nil, e.cnts.recv)
 }
 
-// AlltoallTile performs the simulated blocking all-to-all for one tile.
-func (e *Engine) AlltoallTile(slot int, ztl int) {
-	e.g.SendCounts(ztl, e.cnts.send)
-	e.g.RecvCounts(ztl, e.cnts.recv)
-	e.c.Alltoallv(nil, e.cnts.send, nil, e.cnts.recv)
-}
-
 // UnpackSub charges the loop-tiled unpack cost of one sub-tile.
 func (e *Engine) UnpackSub(slot int, fast bool, zt0, ztl, z0, z1, y0, y1 int) {
 	elems := (z1 - z0) * (y1 - y0) * e.g.Nx

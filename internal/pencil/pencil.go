@@ -16,9 +16,12 @@
 //
 // The output distribution therefore differs from the input's (y is split
 // over rows, z over columns), which is standard for pencil transforms.
-// This package provides the blocking implementation (like the comparison
-// libraries); combining it with the paper's overlap machinery remains
-// future work here as in the paper.
+// Forward3D is the one-shot blocking implementation (like the comparison
+// libraries) and the oracle the tests compare against. Plan is the
+// reusable transform: it describes the two exchanges as pfft.Phases and
+// runs them on the same pfft.Pipeline as the slab transform, which is the
+// paper's overlap machinery applied to the 2-D decomposition (its §7).
+// SimulateOverlappedGrid runs the same phases with cost functions.
 package pencil
 
 import (

@@ -232,28 +232,6 @@ func TestSimulateRejectsBadGrid(t *testing.T) {
 	}
 }
 
-func runPencilOverlapped(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, prm Params2D) []complex128 {
-	t.Helper()
-	p := pr * pc
-	w := mem.NewWorld(p)
-	outs := make([][]complex128, p)
-	err := w.Run(func(c *mem.Comm) {
-		g, err := NewGrid2D(nx, ny, nz, pr, pc, c.Rank())
-		if err != nil {
-			panic(err)
-		}
-		out, err := ForwardOverlapped3D(c, g, ScatterPencil(full, g), prm, fft.Estimate)
-		if err != nil {
-			panic(err)
-		}
-		outs[c.Rank()] = out
-	})
-	if err != nil {
-		t.Fatalf("world failed: %v", err)
-	}
-	return GatherPencil(outs, nx, ny, nz, pr, pc)
-}
-
 func TestOverlappedPencilMatchesSerial(t *testing.T) {
 	cases := []struct {
 		nx, ny, nz, pr, pc int
@@ -271,7 +249,7 @@ func TestOverlappedPencilMatchesSerial(t *testing.T) {
 			full := randCube(c.nx*c.ny*c.nz, 55)
 			want := append([]complex128(nil), full...)
 			fft.NewPlan3D(c.nx, c.ny, c.nz, fft.Forward).Transform(want)
-			got := runPencilOverlapped(t, full, c.nx, c.ny, c.nz, c.pr, c.pc, c.prm)
+			got, _ := runPlan(t, full, c.nx, c.ny, c.nz, c.pr, c.pc, pfft.NEW, c.prm, 1)
 			if e := maxErr(got, want); e > 1e-9 {
 				t.Errorf("error %g", e)
 			}
@@ -289,7 +267,7 @@ func TestOverlappedPencilDefaultParams(t *testing.T) {
 	if err := prm.Validate(g0); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
-	got := runPencilOverlapped(t, full, nx, nx, nx, 2, 3, prm)
+	got, _ := runPlan(t, full, nx, nx, nx, 2, 3, pfft.NEW, prm, 1)
 	if e := maxErr(got, want); e > 1e-9 {
 		t.Errorf("error %g", e)
 	}

@@ -10,28 +10,31 @@ import (
 
 // Plan is the create-once / execute-many pencil transform for one rank —
 // the 2-D counterpart of pfft.Plan. Construction clones the 1-D FFT plans,
-// sizes every communication slot and scratch buffer, and arms the fault
-// monitor; Forward and Backward then run allocation-free in steady state.
+// sizes every communication slot and scratch buffer, and binds the tile
+// functions of its exchange phases to one pfft.Pipeline; Forward and
+// Backward then run allocation-free in steady state.
 //
-// Both all-to-all phases run through the Algorithm-1 pipeline skeleton
-// (pack tile i, wait tile i−W, post tile i, unpack tile i−W) with the same
-// downgrade machinery as the slab pipeline: a tile wait missing its soft
-// deadline, or persistent transport retransmission pressure, degrades the
-// remainder of that phase to the blocking per-tile path. The degraded path
-// issues exactly one all-to-all per tile in tile order, so collective
-// sequence numbers stay aligned with ranks that did not degrade.
+// A forward transform is two phases (pfft.Phase): phase A is FFTz + pack,
+// the row-group exchange (y↔z splits), unpack + FFTy, tiled along the local
+// x extent; phase B is pack, the column-group exchange (x↔y splits),
+// unpack + FFTx, tiled along the local z extent. The pipeline runs each as
+// Algorithm 1 with the same downgrade machinery as the slab transform.
+// Backward is the two inverse phases, each one whole-extent blocking tile.
 //
-// The Baseline and NEW0 variants run the same pipeline with a single
-// whole-extent tile per phase and no Test calls — one big exchange per
-// phase, like Forward3D.
+// The Baseline and NEW0 variants run the forward phases with a single
+// whole-extent tile each and no Test calls — one big exchange per phase,
+// like Forward3D.
 type Plan struct {
-	c   mpi.Comm
-	g   Grid2D
-	prm Params2D
+	c      mpi.Comm
+	g      Grid2D
+	prm    Params2D
+	pl     *pfft.Pipeline
+	kA, kB int // forward tile counts
 
 	fz, fy, fx *fft.Plan // forward 1-D plans
 	bz, by, bx *fft.Plan // backward 1-D plans (lazy)
 
+	src []complex128 // input of the execution in progress
 	mid []complex128 // phase-1 pencil [xc][zc][Ny], y contiguous
 	out []complex128 // output x-pencil [y2c][zc][Nx], x contiguous
 	in  []complex128 // backward result z-pencil [xc][yc][Nz] (lazy)
@@ -39,25 +42,19 @@ type Plan struct {
 	sendCounts, recvCounts []int
 	sendA, recvA           [][]complex128 // phase-A slot buffers
 	sendB, recvB           [][]complex128 // phase-B slot buffers
-	reqsA, reqsB           []mpi.Request
-	bsend, brecv           []complex128 // backward whole-phase buffers (lazy)
+	bsend, brecv           []complex128   // backward whole-phase buffers (lazy)
 
-	mon  pfft.FaultMonitor
+	fwdA, fwdB pfft.Phase
+	bwdB, bwdA pfft.Phase // lazy
+
 	flag fft.Flag
 	last pfft.Breakdown
-
-	// Step-event tracing (EnableTrace): events accumulates one execution's
-	// timeline; trcBase offsets tile indices so phase-B tiles number after
-	// phase-A tiles and post/wait pairs stay unique plan-wide.
-	traced  bool
-	events  []pfft.StepEvent
-	trcBase int
 }
 
 // NewPlan builds a reusable pencil plan for this rank. Supported variants:
 // NEW (overlapped pipeline in both exchange phases, tiling from prm),
-// Baseline and NEW0 (blocking: one whole-extent tile per phase). A zero
-// Params2D means DefaultParams2D.
+// Baseline and NEW0 (one whole-extent tile per phase). A zero Params2D
+// means DefaultParams2D.
 func NewPlan(c mpi.Comm, g Grid2D, v pfft.Variant, prm Params2D, flag fft.Flag) (*Plan, error) {
 	if c.Size() != g.P() || c.Rank() != g.Rank {
 		return nil, fmt.Errorf("pencil: comm rank/size %d/%d does not match grid %d/%d", c.Rank(), c.Size(), g.Rank, g.P())
@@ -70,8 +67,8 @@ func NewPlan(c mpi.Comm, g Grid2D, v pfft.Variant, prm Params2D, flag fft.Flag) 
 		// keep prm as given
 	case pfft.Baseline, pfft.NEW0:
 		// Blocking variants override the tiling but keep the caller's
-		// exchange schedule: blocking is just post+wait in both engines.
-		prm = Params2D{TA: g.XD.MaxCount(), WA: 1, TB: g.ZD.MaxCount(), WB: 1, F: 0, Comm: prm.Comm}
+		// exchange schedule.
+		prm = wholeExtent(g, prm.Comm)
 	default:
 		return nil, fmt.Errorf("pencil: variant %v is not supported by the pencil decomposition (use baseline, new, or new0)", v)
 	}
@@ -79,7 +76,9 @@ func NewPlan(c mpi.Comm, g Grid2D, v pfft.Variant, prm Params2D, flag fft.Flag) 
 		return nil, err
 	}
 	p := &Plan{
-		c: c, g: g, prm: prm, flag: flag,
+		c: c, g: g, prm: prm, flag: flag, pl: pfft.NewPipeline(c),
+		kA: g.tilesA(prm.TA), kB: g.tilesB(prm.TB),
+
 		fz:  fft.Plan1DCached(g.Nz, fft.Forward, flag).Clone(),
 		fy:  fft.Plan1DCached(g.Ny, fft.Forward, flag).Clone(),
 		fx:  fft.Plan1DCached(g.Nx, fft.Forward, flag).Clone(),
@@ -91,14 +90,12 @@ func NewPlan(c mpi.Comm, g Grid2D, v pfft.Variant, prm Params2D, flag fft.Flag) 
 	}
 	yc, zc, y2c := g.YC(), g.ZC(), g.Y2C()
 	xc := g.XC()
-	kA := (g.XD.MaxCount() + prm.TA - 1) / prm.TA
-	kB := (g.ZD.MaxCount() + prm.TB - 1) / prm.TB
-	p.reqsA = make([]mpi.Request, kA)
-	p.reqsB = make([]mpi.Request, kB)
 	p.sendA = slotBuffers(prm.WA+1, prm.TA*yc*g.Nz)
 	p.recvA = slotBuffers(prm.WA+1, prm.TA*g.Ny*zc)
 	p.sendB = slotBuffers(prm.WB+1, xc*g.Ny*prm.TB)
 	p.recvB = slotBuffers(prm.WB+1, g.Nx*y2c*prm.TB)
+	p.fwdA = pfft.Phase{Front: p.fftzPackA, Post: p.postA, Back: p.unpackFFTyA}
+	p.fwdB = pfft.Phase{Front: p.packB, Post: p.postB, Back: p.unpackFFTxB}
 	return p, nil
 }
 
@@ -119,328 +116,163 @@ func (p *Plan) Params() Params2D { return p.prm }
 // Breakdown returns the per-step breakdown of the most recent execution.
 func (p *Plan) Breakdown() pfft.Breakdown { return p.last }
 
-// EnableTrace turns on step-event recording: every subsequent execution
-// rebuilds the timeline returned by Trace. Tracing wraps the already-
-// timed sites with event appends — use it for timeline capture, not
-// steady-state benchmarking (the appends allocate on first growth).
-func (p *Plan) EnableTrace() { p.traced = true }
+// EnableTrace turns on step-event recording (see pfft.Pipeline.EnableTrace):
+// every subsequent execution rebuilds the timeline returned by Trace, in
+// which phase-B tiles number after phase-A tiles.
+func (p *Plan) EnableTrace() { p.pl.EnableTrace() }
 
 // Trace reports the step-event timeline of the most recent execution
 // (nil unless EnableTrace was called). The slice aliases plan-owned
 // storage and is valid until the next execution.
-func (p *Plan) Trace() []pfft.StepEvent { return p.events }
-
-// rec appends one step event when tracing is enabled.
-func (p *Plan) rec(name string, start, end int64, tile int) {
-	if !p.traced {
-		return
-	}
-	p.events = append(p.events, pfft.StepEvent{Name: name, Start: start, End: end, Tile: tile})
-}
+func (p *Plan) Trace() []pfft.StepEvent { return p.pl.Events() }
 
 // Close releases nothing today but completes the create/execute/close
 // lifecycle shared with pfft.Plan.
 func (p *Plan) Close() {}
-
-// phaseFuncs bundles one exchange phase's tile operations for the shared
-// pipeline loop. front computes and packs tile i into its slot, post
-// starts the tile's all-to-all, back unpacks and transforms tile i.
-type phaseFuncs struct {
-	front func(i int, win []mpi.Request)
-	post  func(i int) mpi.Request
-	back  func(i int, win []mpi.Request)
-}
-
-// runPhase is the Algorithm-1 pipeline with the downgrade monitor wired
-// into the wait step: iteration i packs tile i, waits for tile i−w, posts
-// tile i, and unpacks tile i−w. When the monitor gives up on a wait the
-// remainder of the phase drains on the blocking per-tile path.
-func (p *Plan) runPhase(k, w int, reqs []mpi.Request, f phaseFuncs, b *pfft.Breakdown) {
-	c := p.c
-	for i := 0; i < k+w; i++ {
-		if i < k {
-			lo := i - w
-			if lo < 0 {
-				lo = 0
-			}
-			f.front(i, reqs[lo:i])
-		}
-		if i >= w {
-			t := c.Now()
-			ok := p.mon.WaitTile(c, reqs[i-w])
-			now := c.Now()
-			b.Wait += now - t
-			p.rec("Wait", t, now, p.trcBase+i-w)
-			if !ok {
-				b.Downgrades++
-				p.rec("Downgrade", now, now, p.trcBase+i-w)
-				p.degradePhase(k, w, reqs, i, f, b)
-				return
-			}
-		}
-		if i < k {
-			t := c.Now()
-			reqs[i] = f.post(i)
-			now := c.Now()
-			b.Ialltoall += now - t
-			p.rec("Ialltoall", t, now, p.trcBase+i)
-		}
-		if i >= w {
-			j := i - w
-			hi := j + w + 1
-			if hi > k {
-				hi = k
-			}
-			if i+1 < hi {
-				hi = i + 1
-			}
-			f.back(j, reqs[j+1:hi])
-		}
-	}
-}
-
-// degradePhase finishes one exchange phase on the blocking path after the
-// pipeline gave up at iteration i (waiting on tile i−w). Tiles < i−w are
-// done, tiles i−w..min(i,k)−1 are posted but not unpacked, tile i (when
-// i < k) is packed but not posted, later tiles are untouched. Plain Wait
-// is safe: soft deadlines leave requests valid and the self-healing
-// transport still converges.
-func (p *Plan) degradePhase(k, w int, reqs []mpi.Request, i int, f phaseFuncs, b *pfft.Breakdown) {
-	c := p.c
-	hi := i
-	if hi > k {
-		hi = k
-	}
-	for j := i - w; j < hi; j++ {
-		t := c.Now()
-		c.Wait(reqs[j])
-		now := c.Now()
-		b.Wait += now - t
-		p.rec("Wait", t, now, p.trcBase+j)
-		f.back(j, nil)
-	}
-	for j := i; j < k; j++ {
-		if j > i {
-			f.front(j, nil)
-		}
-		t := c.Now()
-		req := f.post(j)
-		c.Wait(req)
-		now := c.Now()
-		b.Wait += now - t
-		p.rec("Wait", t, now, p.trcBase+j)
-		f.back(j, nil)
-	}
-}
-
-func (p *Plan) doTests(win []mpi.Request, b *pfft.Breakdown) {
-	if len(win) == 0 || p.prm.F <= 0 {
-		return
-	}
-	t := p.c.Now()
-	for j := 0; j < p.prm.F; j++ {
-		p.c.Test(win...)
-	}
-	now := p.c.Now()
-	b.Test += now - t
-	p.rec("Test", t, now, -1)
-}
 
 // Forward executes one forward transform. slab is this rank's input
 // z-pencil in x-y-z layout (length InSize(), consumed); the returned
 // x-pencil in y-z-x layout is plan-owned and valid until the next
 // execution.
 func (p *Plan) Forward(slab []complex128) ([]complex128, pfft.Breakdown, error) {
-	g, c := p.g, p.c
-	if len(slab) != g.InSize() {
-		return nil, pfft.Breakdown{}, fmt.Errorf("pencil: slab length %d, want %d", len(slab), g.InSize())
+	if len(slab) != p.g.InSize() {
+		return nil, pfft.Breakdown{}, fmt.Errorf("pencil: slab length %d, want %d", len(slab), p.g.InSize())
 	}
-	var b pfft.Breakdown
-	start := c.Now()
-	// Re-select the tuned exchange schedule every run: the communicator may
-	// be shared with plans tuned to a different schedule.
-	mpi.SetExchange(c, mpi.Exchange{Alg: p.prm.Comm})
-	p.mon.Init(c)
-	p.events = p.events[:0]
-	p.trcBase = 0
-	xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
-
-	// ---- Phase A: FFTz + row-group exchange (y↔z splits) + FFTy ----
-	// Tile count uses the GLOBAL maximum x extent so every rank runs the
-	// same number of collectives; ranks with a smaller extent run trailing
-	// zero-count tiles.
-	kA := (g.XD.MaxCount() + p.prm.TA - 1) / p.prm.TA
-	slotsA := p.prm.WA + 1
-	boundsA := func(i int) (int, int) {
-		lo, hi := i*p.prm.TA, i*p.prm.TA+p.prm.TA
-		if lo > xc {
-			lo = xc
-		}
-		if hi > xc {
-			hi = xc
-		}
-		return lo, hi
-	}
-	p.runPhase(kA, p.prm.WA, p.reqsA, phaseFuncs{
-		front: func(i int, win []mpi.Request) {
-			x0, x1 := boundsA(i)
-			t := c.Now()
-			p.fz.Batch(slab[x0*yc*g.Nz:], (x1-x0)*yc, g.Nz)
-			now := c.Now()
-			b.FFTz += now - t
-			p.rec("FFTz", t, now, i)
-			p.doTests(win, &b)
-			t = c.Now()
-			buf := p.sendA[i%slotsA][:(x1-x0)*yc*g.Nz]
-			off := 0
-			for cj := 0; cj < g.PC; cj++ {
-				zs, zcnt := g.ZD.Start(cj), g.ZD.Count(cj)
-				for lx := x0; lx < x1; lx++ {
-					for ly := 0; ly < yc; ly++ {
-						row := slab[(lx*yc+ly)*g.Nz:]
-						copy(buf[off:off+zcnt], row[zs:zs+zcnt])
-						off += zcnt
-					}
-				}
-			}
-			now = c.Now()
-			b.Pack += now - t
-			p.rec("Pack", t, now, i)
-			p.doTests(win, &b)
-		},
-		post: func(i int) mpi.Request {
-			x0, x1 := boundsA(i)
-			for j := range p.sendCounts {
-				p.sendCounts[j], p.recvCounts[j] = 0, 0
-			}
-			for cj := 0; cj < g.PC; cj++ {
-				p.sendCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * yc * g.ZD.Count(cj)
-				p.recvCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * g.YD.Count(cj) * zc
-			}
-			slot := i % slotsA
-			return c.Ialltoallv(p.sendA[slot][:(x1-x0)*yc*g.Nz], p.sendCounts,
-				p.recvA[slot][:(x1-x0)*g.Ny*zc], p.recvCounts)
-		},
-		back: func(i int, win []mpi.Request) {
-			x0, x1 := boundsA(i)
-			t := c.Now()
-			buf := p.recvA[i%slotsA][:(x1-x0)*g.Ny*zc]
-			roff := 0
-			for cj := 0; cj < g.PC; cj++ {
-				ys, ycnt := g.YD.Start(cj), g.YD.Count(cj)
-				for lx := x0; lx < x1; lx++ {
-					for ly := 0; ly < ycnt; ly++ {
-						for lz := 0; lz < zc; lz++ {
-							p.mid[(lx*zc+lz)*g.Ny+ys+ly] = buf[roff]
-							roff++
-						}
-					}
-				}
-			}
-			now := c.Now()
-			b.Unpack += now - t
-			p.rec("Unpack", t, now, i)
-			p.doTests(win, &b)
-			t = c.Now()
-			p.fy.Batch(p.mid[x0*zc*g.Ny:], (x1-x0)*zc, g.Ny)
-			now = c.Now()
-			b.FFTy += now - t
-			p.rec("FFTy", t, now, i)
-			p.doTests(win, &b)
-		},
-	}, &b)
-
-	// ---- Phase B: column-group exchange (x↔y splits) + FFTx ----
-	p.trcBase = kA
-	kB := (g.ZD.MaxCount() + p.prm.TB - 1) / p.prm.TB
-	slotsB := p.prm.WB + 1
-	boundsB := func(i int) (int, int) {
-		lo, hi := i*p.prm.TB, i*p.prm.TB+p.prm.TB
-		if lo > zc {
-			lo = zc
-		}
-		if hi > zc {
-			hi = zc
-		}
-		return lo, hi
-	}
-	p.runPhase(kB, p.prm.WB, p.reqsB, phaseFuncs{
-		front: func(i int, win []mpi.Request) {
-			z0, z1 := boundsB(i)
-			t := c.Now()
-			buf := p.sendB[i%slotsB][:xc*g.Ny*(z1-z0)]
-			off := 0
-			for ri := 0; ri < g.PR; ri++ {
-				ys, ycnt := g.YD2.Start(ri), g.YD2.Count(ri)
-				for lx := 0; lx < xc; lx++ {
-					for lz := z0; lz < z1; lz++ {
-						row := p.mid[(lx*zc+lz)*g.Ny:]
-						copy(buf[off:off+ycnt], row[ys:ys+ycnt])
-						off += ycnt
-					}
-				}
-			}
-			now := c.Now()
-			b.Pack += now - t
-			p.rec("Pack", t, now, kA+i)
-			p.doTests(win, &b)
-		},
-		post: func(i int) mpi.Request {
-			z0, z1 := boundsB(i)
-			for j := range p.sendCounts {
-				p.sendCounts[j], p.recvCounts[j] = 0, 0
-			}
-			for ri := 0; ri < g.PR; ri++ {
-				p.sendCounts[g.GlobalRank(ri, g.CI)] = xc * g.YD2.Count(ri) * (z1 - z0)
-				p.recvCounts[g.GlobalRank(ri, g.CI)] = g.XD.Count(ri) * y2c * (z1 - z0)
-			}
-			slot := i % slotsB
-			return c.Ialltoallv(p.sendB[slot][:xc*g.Ny*(z1-z0)], p.sendCounts,
-				p.recvB[slot][:g.Nx*y2c*(z1-z0)], p.recvCounts)
-		},
-		back: func(i int, win []mpi.Request) {
-			z0, z1 := boundsB(i)
-			t := c.Now()
-			buf := p.recvB[i%slotsB][:g.Nx*y2c*(z1-z0)]
-			roff := 0
-			for ri := 0; ri < g.PR; ri++ {
-				xs, xcnt := g.XD.Start(ri), g.XD.Count(ri)
-				for lx := 0; lx < xcnt; lx++ {
-					for lz := z0; lz < z1; lz++ {
-						for ly := 0; ly < y2c; ly++ {
-							p.out[(ly*zc+lz)*g.Nx+xs+lx] = buf[roff]
-							roff++
-						}
-					}
-				}
-			}
-			now := c.Now()
-			b.Unpack += now - t
-			p.rec("Unpack", t, now, kA+i)
-			p.doTests(win, &b)
-			t = c.Now()
-			for ly := 0; ly < y2c; ly++ {
-				for lz := z0; lz < z1; lz++ {
-					base := (ly*zc + lz) * g.Nx
-					row := p.out[base : base+g.Nx]
-					p.fx.Transform(row, row)
-				}
-			}
-			now = c.Now()
-			b.FFTx += now - t
-			p.rec("FFTx", t, now, kA+i)
-			p.doTests(win, &b)
-		},
-	}, &b)
-
-	b.Total = c.Now() - start
-	p.last = b
-	return p.out, b, nil
+	p.src = slab
+	p.pl.Begin(p.prm.Comm)
+	p.pl.Run(p.kA, p.prm.WA, &p.fwdA)
+	p.pl.Run(p.kB, p.prm.WB, &p.fwdB)
+	p.last = p.pl.End()
+	return p.out, p.last, nil
 }
 
-// ensureBackward lazily builds the inverse 1-D plans and the backward
-// exchange buffers on the first Backward call, so forward-only plans pay
-// nothing for them.
+// ---- Forward phase A: tiles along x, exchange within the row group ----
+
+func (p *Plan) fftzPackA(i, slot int, win []mpi.Request) {
+	g, pl := p.g, p.pl
+	x0, x1 := tileRange(i, p.prm.TA, g.XC())
+	yc := g.YC()
+	t := p.c.Now()
+	p.fz.Batch(p.src[x0*yc*g.Nz:], (x1-x0)*yc, g.Nz)
+	pl.Step(&pl.B.FFTz, "FFTz", t, i)
+	pl.Tests(win, p.prm.F)
+	t = p.c.Now()
+	buf := p.sendA[slot][:(x1-x0)*yc*g.Nz]
+	off := 0
+	for cj := 0; cj < g.PC; cj++ {
+		zs, zcnt := g.ZD.Start(cj), g.ZD.Count(cj)
+		for lx := x0; lx < x1; lx++ {
+			for ly := 0; ly < yc; ly++ {
+				row := p.src[(lx*yc+ly)*g.Nz:]
+				copy(buf[off:off+zcnt], row[zs:zs+zcnt])
+				off += zcnt
+			}
+		}
+	}
+	pl.Step(&pl.B.Pack, "Pack", t, i)
+	pl.Tests(win, p.prm.F)
+}
+
+func (p *Plan) postA(i, slot int) mpi.Request {
+	g := p.g
+	x0, x1 := tileRange(i, p.prm.TA, g.XC())
+	g.countsA(x1-x0, p.sendCounts, p.recvCounts)
+	return p.c.Ialltoallv(p.sendA[slot][:(x1-x0)*g.YC()*g.Nz], p.sendCounts,
+		p.recvA[slot][:(x1-x0)*g.Ny*g.ZC()], p.recvCounts)
+}
+
+func (p *Plan) unpackFFTyA(i, slot int, win []mpi.Request) {
+	g, pl := p.g, p.pl
+	x0, x1 := tileRange(i, p.prm.TA, g.XC())
+	zc := g.ZC()
+	t := p.c.Now()
+	buf := p.recvA[slot][:(x1-x0)*g.Ny*zc]
+	roff := 0
+	for cj := 0; cj < g.PC; cj++ {
+		ys, ycnt := g.YD.Start(cj), g.YD.Count(cj)
+		for lx := x0; lx < x1; lx++ {
+			for ly := 0; ly < ycnt; ly++ {
+				for lz := 0; lz < zc; lz++ {
+					p.mid[(lx*zc+lz)*g.Ny+ys+ly] = buf[roff]
+					roff++
+				}
+			}
+		}
+	}
+	pl.Step(&pl.B.Unpack, "Unpack", t, i)
+	pl.Tests(win, p.prm.F)
+	t = p.c.Now()
+	p.fy.Batch(p.mid[x0*zc*g.Ny:], (x1-x0)*zc, g.Ny)
+	pl.Step(&pl.B.FFTy, "FFTy", t, i)
+	pl.Tests(win, p.prm.F)
+}
+
+// ---- Forward phase B: tiles along z, exchange within the column group ----
+
+func (p *Plan) packB(i, slot int, win []mpi.Request) {
+	g, pl := p.g, p.pl
+	z0, z1 := tileRange(i, p.prm.TB, g.ZC())
+	xc, zc := g.XC(), g.ZC()
+	t := p.c.Now()
+	buf := p.sendB[slot][:xc*g.Ny*(z1-z0)]
+	off := 0
+	for ri := 0; ri < g.PR; ri++ {
+		ys, ycnt := g.YD2.Start(ri), g.YD2.Count(ri)
+		for lx := 0; lx < xc; lx++ {
+			for lz := z0; lz < z1; lz++ {
+				row := p.mid[(lx*zc+lz)*g.Ny:]
+				copy(buf[off:off+ycnt], row[ys:ys+ycnt])
+				off += ycnt
+			}
+		}
+	}
+	pl.Step(&pl.B.Pack, "Pack", t, i)
+	pl.Tests(win, p.prm.F)
+}
+
+func (p *Plan) postB(i, slot int) mpi.Request {
+	g := p.g
+	z0, z1 := tileRange(i, p.prm.TB, g.ZC())
+	g.countsB(z1-z0, p.sendCounts, p.recvCounts)
+	return p.c.Ialltoallv(p.sendB[slot][:g.XC()*g.Ny*(z1-z0)], p.sendCounts,
+		p.recvB[slot][:g.Nx*g.Y2C()*(z1-z0)], p.recvCounts)
+}
+
+func (p *Plan) unpackFFTxB(i, slot int, win []mpi.Request) {
+	g, pl := p.g, p.pl
+	z0, z1 := tileRange(i, p.prm.TB, g.ZC())
+	zc, y2c := g.ZC(), g.Y2C()
+	t := p.c.Now()
+	buf := p.recvB[slot][:g.Nx*y2c*(z1-z0)]
+	roff := 0
+	for ri := 0; ri < g.PR; ri++ {
+		xs, xcnt := g.XD.Start(ri), g.XD.Count(ri)
+		for lx := 0; lx < xcnt; lx++ {
+			for lz := z0; lz < z1; lz++ {
+				for ly := 0; ly < y2c; ly++ {
+					p.out[(ly*zc+lz)*g.Nx+xs+lx] = buf[roff]
+					roff++
+				}
+			}
+		}
+	}
+	pl.Step(&pl.B.Unpack, "Unpack", t, i)
+	pl.Tests(win, p.prm.F)
+	t = p.c.Now()
+	for ly := 0; ly < y2c; ly++ {
+		for lz := z0; lz < z1; lz++ {
+			base := (ly*zc + lz) * g.Nx
+			row := p.out[base : base+g.Nx]
+			p.fx.Transform(row, row)
+		}
+	}
+	pl.Step(&pl.B.FFTx, "FFTx", t, i)
+	pl.Tests(win, p.prm.F)
+}
+
+// ensureBackward lazily builds the inverse 1-D plans, the backward
+// exchange buffers and the inverse phases on the first Backward call, so
+// forward-only plans pay nothing for them.
 func (p *Plan) ensureBackward() {
 	if p.bz != nil {
 		return
@@ -460,46 +292,45 @@ func (p *Plan) ensureBackward() {
 	}
 	p.bsend = make([]complex128, sendMax)
 	p.brecv = make([]complex128, recvMax)
+	p.bwdB = pfft.Phase{Front: p.ifftxPackB, Post: p.ipostB, Back: p.iunpackFFTyB}
+	p.bwdA = pfft.Phase{Front: p.ipackA, Post: p.ipostA, Back: p.iunpackFFTzA}
 }
 
 // Backward executes one inverse transform: xp is this rank's spectrum
 // x-pencil in y-z-x layout (length OutSize(), consumed — i.e. the forward
 // output distribution), and the returned z-pencil in x-y-z layout matches
 // the forward input distribution. Like the slab path the round trip is
-// unnormalized: Forward then Backward multiplies by Nx·Ny·Nz. Both
-// exchange phases run blocking (one whole-extent collective each, on
-// every variant), which keeps collective sequence numbers aligned across
-// ranks.
+// unnormalized: Forward then Backward multiplies by Nx·Ny·Nz. Both inverse
+// phases run blocking (one whole-extent collective each, on every
+// variant), which keeps collective sequence numbers aligned across ranks.
 func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
-	g, c := p.g, p.c
-	if len(xp) != g.OutSize() {
-		return nil, pfft.Breakdown{}, fmt.Errorf("pencil: spectrum pencil length %d, want %d", len(xp), g.OutSize())
+	if len(xp) != p.g.OutSize() {
+		return nil, pfft.Breakdown{}, fmt.Errorf("pencil: spectrum pencil length %d, want %d", len(xp), p.g.OutSize())
 	}
 	p.ensureBackward()
-	var b pfft.Breakdown
-	start := c.Now()
-	mpi.SetExchange(c, mpi.Exchange{Alg: p.prm.Comm})
-	p.events = p.events[:0]
-	xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
+	p.src = xp
+	p.pl.Begin(p.prm.Comm)
+	p.pl.Run(1, 0, &p.bwdB)
+	p.pl.Run(1, 0, &p.bwdA)
+	p.last = p.pl.End()
+	return p.in, p.last, nil
+}
 
-	// FFTx⁻¹ on the contiguous x rows.
-	t := c.Now()
+// ---- Inverse phase B: return x-ranges within the column group, regather y ----
+
+// ifftxPackB runs FFTx⁻¹ on the contiguous x rows and packs. The pack order
+// to each destination mirrors the forward unpack read order exactly, so the
+// exchange is a strict inverse permutation.
+func (p *Plan) ifftxPackB(i, _ int, _ []mpi.Request) {
+	g, pl, xp := p.g, p.pl, p.src
+	zc, y2c := g.ZC(), g.Y2C()
+	t := p.c.Now()
 	p.bx.Batch(xp, y2c*zc, g.Nx)
-	now := c.Now()
-	b.FFTx += now - t
-	p.rec("FFTx", t, now, -1)
-
-	// Inverse transpose B within the column group: return x-ranges, regather
-	// y. The pack order to each destination mirrors the forward unpack read
-	// order exactly, so the exchange is a strict inverse permutation.
-	t = c.Now()
-	for i := range p.sendCounts {
-		p.sendCounts[i], p.recvCounts[i] = 0, 0
-	}
+	pl.Step(&pl.B.FFTx, "FFTx", t, i)
+	t = p.c.Now()
 	off := 0
 	for ri := 0; ri < g.PR; ri++ {
 		xs, xcnt := g.XD.Start(ri), g.XD.Count(ri)
-		p.sendCounts[g.GlobalRank(ri, g.CI)] = xcnt * zc * y2c
 		for lx := 0; lx < xcnt; lx++ {
 			for lz := 0; lz < zc; lz++ {
 				for ly := 0; ly < y2c; ly++ {
@@ -509,18 +340,19 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 			}
 		}
 	}
-	for ri := 0; ri < g.PR; ri++ {
-		p.recvCounts[g.GlobalRank(ri, g.CI)] = xc * zc * g.YD2.Count(ri)
-	}
-	now = c.Now()
-	b.Pack += now - t
-	p.rec("Pack", t, now, -1)
-	t = c.Now()
-	c.Alltoallv(p.bsend[:g.OutSize()], p.sendCounts, p.brecv[:g.MidSize()], p.recvCounts)
-	now = c.Now()
-	b.Wait += now - t
-	p.rec("Alltoall", t, now, -1)
-	t = c.Now()
+	pl.Step(&pl.B.Pack, "Pack", t, i)
+}
+
+func (p *Plan) ipostB(_, _ int) mpi.Request {
+	g := p.g
+	g.countsB(g.ZC(), p.recvCounts, p.sendCounts) // reverse direction
+	return p.c.Ialltoallv(p.bsend[:g.OutSize()], p.sendCounts, p.brecv[:g.MidSize()], p.recvCounts)
+}
+
+func (p *Plan) iunpackFFTyB(i, _ int, _ []mpi.Request) {
+	g, pl := p.g, p.pl
+	xc, zc := g.XC(), g.ZC()
+	t := p.c.Now()
 	roff := 0
 	for ri := 0; ri < g.PR; ri++ {
 		ys, ycnt := g.YD2.Start(ri), g.YD2.Count(ri)
@@ -532,26 +364,21 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 			}
 		}
 	}
-	now = c.Now()
-	b.Unpack += now - t
-	p.rec("Unpack", t, now, -1)
-
-	// FFTy⁻¹.
-	t = c.Now()
+	pl.Step(&pl.B.Unpack, "Unpack", t, i)
+	t = p.c.Now()
 	p.by.Batch(p.mid, xc*zc, g.Ny)
-	now = c.Now()
-	b.FFTy += now - t
-	p.rec("FFTy", t, now, -1)
+	pl.Step(&pl.B.FFTy, "FFTy", t, i)
+}
 
-	// Inverse transpose A within the row group: return y-ranges, regather z.
-	t = c.Now()
-	for i := range p.sendCounts {
-		p.sendCounts[i], p.recvCounts[i] = 0, 0
-	}
-	off = 0
+// ---- Inverse phase A: return y-ranges within the row group, regather z ----
+
+func (p *Plan) ipackA(i, _ int, _ []mpi.Request) {
+	g, pl := p.g, p.pl
+	xc, zc := g.XC(), g.ZC()
+	t := p.c.Now()
+	off := 0
 	for cj := 0; cj < g.PC; cj++ {
 		ys, ycnt := g.YD.Start(cj), g.YD.Count(cj)
-		p.sendCounts[g.GlobalRank(g.RI, cj)] = xc * ycnt * zc
 		for lx := 0; lx < xc; lx++ {
 			for ly := 0; ly < ycnt; ly++ {
 				for lz := 0; lz < zc; lz++ {
@@ -561,19 +388,20 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 			}
 		}
 	}
-	for cj := 0; cj < g.PC; cj++ {
-		p.recvCounts[g.GlobalRank(g.RI, cj)] = xc * yc * g.ZD.Count(cj)
-	}
-	now = c.Now()
-	b.Pack += now - t
-	p.rec("Pack", t, now, -1)
-	t = c.Now()
-	c.Alltoallv(p.bsend[:g.MidSize()], p.sendCounts, p.brecv[:g.InSize()], p.recvCounts)
-	now = c.Now()
-	b.Wait += now - t
-	p.rec("Alltoall", t, now, -1)
-	t = c.Now()
-	roff = 0
+	pl.Step(&pl.B.Pack, "Pack", t, i)
+}
+
+func (p *Plan) ipostA(_, _ int) mpi.Request {
+	g := p.g
+	g.countsA(g.XC(), p.recvCounts, p.sendCounts) // reverse direction
+	return p.c.Ialltoallv(p.bsend[:g.MidSize()], p.sendCounts, p.brecv[:g.InSize()], p.recvCounts)
+}
+
+func (p *Plan) iunpackFFTzA(i, _ int, _ []mpi.Request) {
+	g, pl := p.g, p.pl
+	xc, yc := g.XC(), g.YC()
+	t := p.c.Now()
+	roff := 0
 	for cj := 0; cj < g.PC; cj++ {
 		zs, zcnt := g.ZD.Start(cj), g.ZD.Count(cj)
 		for lx := 0; lx < xc; lx++ {
@@ -584,20 +412,10 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 			}
 		}
 	}
-	now = c.Now()
-	b.Unpack += now - t
-	p.rec("Unpack", t, now, -1)
-
-	// FFTz⁻¹.
-	t = c.Now()
+	pl.Step(&pl.B.Unpack, "Unpack", t, i)
+	t = p.c.Now()
 	p.bz.Batch(p.in, xc*yc, g.Nz)
-	now = c.Now()
-	b.FFTz += now - t
-	p.rec("FFTz", t, now, -1)
-
-	b.Total = c.Now() - start
-	p.last = b
-	return p.in, b, nil
+	pl.Step(&pl.B.FFTz, "FFTz", t, i)
 }
 
 // Backward3D executes the blocking pencil-decomposed inverse 3-D FFT on

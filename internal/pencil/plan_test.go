@@ -12,8 +12,9 @@ import (
 )
 
 // runPlan scatters full, runs one (or more) Forward executions through a
-// reusable Plan on every rank, and gathers the result.
-func runPlan(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, v pfft.Variant, execs int, wopts ...mem.Option) ([]complex128, []pfft.Breakdown) {
+// reusable Plan on every rank, and gathers the result. A zero prm means the
+// default parameters.
+func runPlan(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, v pfft.Variant, prm Params2D, execs int, wopts ...mem.Option) ([]complex128, []pfft.Breakdown) {
 	t.Helper()
 	p := pr * pc
 	w := mem.NewWorld(p, wopts...)
@@ -24,7 +25,7 @@ func runPlan(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, v pfft.Var
 		if err != nil {
 			panic(err)
 		}
-		pl, err := NewPlan(c, g, v, Params2D{}, fft.Estimate)
+		pl, err := NewPlan(c, g, v, prm, fft.Estimate)
 		if err != nil {
 			panic(err)
 		}
@@ -67,7 +68,7 @@ func TestPlanMatchesForward3D(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				full := randCube(tc.nx*tc.ny*tc.nz, 11)
 				want := runPencil(t, full, tc.nx, tc.ny, tc.nz, tc.pr, tc.pc)
-				got, _ := runPlan(t, full, tc.nx, tc.ny, tc.nz, tc.pr, tc.pc, v, 2)
+				got, _ := runPlan(t, full, tc.nx, tc.ny, tc.nz, tc.pr, tc.pc, v, Params2D{}, 2)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("element %d: plan %v != Forward3D %v", i, got[i], want[i])
@@ -147,7 +148,7 @@ func TestPlanDegradesUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, bds := runPlan(t, full, nx, ny, nz, pr, pc, pfft.NEW, 1,
+	got, bds := runPlan(t, full, nx, ny, nz, pr, pc, pfft.NEW, Params2D{}, 1,
 		mem.WithFaults(fp), mem.WithDeadline(time.Nanosecond))
 	var dg int64
 	for _, b := range bds {

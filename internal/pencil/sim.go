@@ -6,6 +6,7 @@ import (
 	"offt/internal/machine"
 	"offt/internal/mpi"
 	"offt/internal/mpi/sim"
+	"offt/internal/pfft"
 )
 
 // Simulate runs the blocking pencil-decomposed 3-D FFT of an n³ array on a
@@ -18,76 +19,14 @@ func Simulate(m machine.Machine, pr, pc, n int) (int64, error) {
 	return SimulateGrid(m, pr, pc, n, n, n)
 }
 
-// SimulateGrid is Simulate for a general Nx×Ny×Nz grid.
+// SimulateGrid is Simulate for a general Nx×Ny×Nz grid: the whole-extent
+// case of SimulateOverlappedGrid on the pairwise schedule.
 func SimulateGrid(m machine.Machine, pr, pc, nx, ny, nz int) (int64, error) {
-	if _, err := NewGrid2D(nx, ny, nz, pr, pc, 0); err != nil {
-		return 0, err
-	}
-	p := pr * pc
-	w := sim.NewWorld(m, p)
-	ends := make([]int64, p)
-	err := w.Run(func(c *sim.Comm) {
-		g, err := NewGrid2D(nx, ny, nz, pr, pc, c.Rank())
-		if err != nil {
-			panic(err)
-		}
-		cmp := m.Cmp
-		fftCost := func(rows, length int) int64 {
-			if length < 2 {
-				return int64(cmp.FFTNsPerUnit * float64(rows))
-			}
-			return int64(cmp.FFTNsPerUnit * float64(rows) * float64(length) * math.Log2(float64(length)))
-		}
-		// Pack/unpack of a whole pencil: streaming copies with a modest
-		// cache penalty (the copies stride through the pencil).
-		copyCost := func(elems int) int64 {
-			return int64(cmp.MemNsPerElem * 1.5 * float64(elems))
-		}
-		xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
-
-		// FFTz.
-		c.Advance(fftCost(xc*yc, g.Nz))
-
-		// Transpose A within the row group.
-		sendCounts := make([]int, p)
-		recvCounts := make([]int, p)
-		for cj := 0; cj < g.PC; cj++ {
-			sendCounts[g.GlobalRank(g.RI, cj)] = xc * yc * g.ZD.Count(cj)
-			recvCounts[g.GlobalRank(g.RI, cj)] = xc * g.YD.Count(cj) * zc
-		}
-		c.Advance(copyCost(g.InSize())) // pack
-		c.Alltoallv(nil, sendCounts, nil, recvCounts)
-		c.Advance(copyCost(g.MidSize())) // unpack
-
-		// FFTy.
-		c.Advance(fftCost(xc*zc, g.Ny))
-
-		// Transpose B within the column group.
-		for i := range sendCounts {
-			sendCounts[i], recvCounts[i] = 0, 0
-		}
-		for ri := 0; ri < g.PR; ri++ {
-			sendCounts[g.GlobalRank(ri, g.CI)] = xc * zc * g.YD2.Count(ri)
-			recvCounts[g.GlobalRank(ri, g.CI)] = g.XD.Count(ri) * zc * y2c
-		}
-		c.Advance(copyCost(g.MidSize()))
-		c.Alltoallv(nil, sendCounts, nil, recvCounts)
-		c.Advance(copyCost(g.OutSize()))
-
-		// FFTx.
-		c.Advance(fftCost(y2c*zc, g.Nx))
-		ends[c.Rank()] = c.Now()
-	})
+	g, err := NewGrid2D(nx, ny, nz, pr, pc, 0)
 	if err != nil {
 		return 0, err
 	}
-	var max int64
-	for _, e := range ends {
-		if e > max {
-			max = e
-		}
-	}
-	return max, nil
+	return SimulateOverlappedGrid(m, pr, pc, nx, ny, nz, wholeExtent(g, mpi.CommPairwise))
 }
 
 // SimulateOverlapped runs the overlapped pencil transform (the paper's §7
@@ -100,6 +39,9 @@ func SimulateOverlapped(m machine.Machine, pr, pc, n int, prm Params2D) (int64, 
 }
 
 // SimulateOverlappedGrid is SimulateOverlapped for a general Nx×Ny×Nz grid.
+// Each rank runs the forward transform's two phases through a
+// pfft.Pipeline exactly as Plan.Forward does, with tile functions that
+// charge the cost model instead of computing.
 func SimulateOverlappedGrid(m machine.Machine, pr, pc, nx, ny, nz int, prm Params2D) (int64, error) {
 	g0, err := NewGrid2D(nx, ny, nz, pr, pc, 0)
 	if err != nil {
@@ -116,111 +58,11 @@ func SimulateOverlappedGrid(m machine.Machine, pr, pc, nx, ny, nz int, prm Param
 		if err != nil {
 			panic(err)
 		}
-		// Same schedule selection as the real overlapped path; SimulateGrid
-		// stays pairwise (the pre-tunable baseline).
-		mpi.SetExchange(c, mpi.Exchange{Alg: prm.Comm})
-		cmp := m.Cmp
-		fftCost := func(rows, length int) int64 {
-			if rows <= 0 {
-				return 0
-			}
-			if length < 2 {
-				return int64(cmp.FFTNsPerUnit * float64(rows))
-			}
-			return int64(cmp.FFTNsPerUnit * float64(rows) * float64(length) * math.Log2(float64(length)))
-		}
-		copyCost := func(elems int) int64 {
-			return int64(cmp.MemNsPerElem * 1.5 * float64(elems))
-		}
-		xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
-		sendCounts := make([]int, p)
-		recvCounts := make([]int, p)
-		doTests := func(window []mpi.Request) {
-			if len(window) == 0 {
-				return
-			}
-			for j := 0; j < prm.F; j++ {
-				c.Test(window...)
-			}
-		}
-
-		// Phase A: tiles along x.
-		kA := (g.XD.MaxCount() + prm.TA - 1) / prm.TA
-		boundsA := func(i int) (int, int) {
-			lo, hi := i*prm.TA, i*prm.TA+prm.TA
-			if lo > xc {
-				lo = xc
-			}
-			if hi > xc {
-				hi = xc
-			}
-			return lo, hi
-		}
-		reqsA := make([]mpi.Request, kA)
-		runPhase(kA, prm.WA, reqsA, c,
-			func(i int, window []mpi.Request) {
-				x0, x1 := boundsA(i)
-				c.Advance(fftCost((x1-x0)*yc, g.Nz))
-				doTests(window)
-				c.Advance(copyCost((x1 - x0) * yc * g.Nz))
-				doTests(window)
-			},
-			func(i int) mpi.Request {
-				x0, x1 := boundsA(i)
-				for j := range sendCounts {
-					sendCounts[j], recvCounts[j] = 0, 0
-				}
-				for cj := 0; cj < g.PC; cj++ {
-					sendCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * yc * g.ZD.Count(cj)
-					recvCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * g.YD.Count(cj) * zc
-				}
-				return c.Ialltoallv(nil, sendCounts, nil, recvCounts)
-			},
-			func(i int, window []mpi.Request) {
-				x0, x1 := boundsA(i)
-				c.Advance(copyCost((x1 - x0) * g.Ny * zc))
-				doTests(window)
-				c.Advance(fftCost((x1-x0)*zc, g.Ny))
-				doTests(window)
-			})
-
-		// Phase B: tiles along z.
-		kB := (g.ZD.MaxCount() + prm.TB - 1) / prm.TB
-		boundsB := func(i int) (int, int) {
-			lo, hi := i*prm.TB, i*prm.TB+prm.TB
-			if lo > zc {
-				lo = zc
-			}
-			if hi > zc {
-				hi = zc
-			}
-			return lo, hi
-		}
-		reqsB := make([]mpi.Request, kB)
-		runPhase(kB, prm.WB, reqsB, c,
-			func(i int, window []mpi.Request) {
-				z0, z1 := boundsB(i)
-				c.Advance(copyCost(xc * g.Ny * (z1 - z0)))
-				doTests(window)
-			},
-			func(i int) mpi.Request {
-				z0, z1 := boundsB(i)
-				for j := range sendCounts {
-					sendCounts[j], recvCounts[j] = 0, 0
-				}
-				for ri := 0; ri < g.PR; ri++ {
-					sendCounts[g.GlobalRank(ri, g.CI)] = xc * g.YD2.Count(ri) * (z1 - z0)
-					recvCounts[g.GlobalRank(ri, g.CI)] = g.XD.Count(ri) * y2c * (z1 - z0)
-				}
-				return c.Ialltoallv(nil, sendCounts, nil, recvCounts)
-			},
-			func(i int, window []mpi.Request) {
-				z0, z1 := boundsB(i)
-				c.Advance(copyCost(g.Nx * y2c * (z1 - z0)))
-				doTests(window)
-				c.Advance(fftCost(y2c*(z1-z0), g.Nx))
-				doTests(window)
-			})
+		pl := pfft.NewPipeline(c)
+		pl.Begin(prm.Comm)
+		phA, phB := costPhases(pl, c, m.Cmp, g, prm)
+		pl.Run(g.tilesA(prm.TA), prm.WA, &phA)
+		pl.Run(g.tilesB(prm.TB), prm.WB, &phB)
 		ends[c.Rank()] = c.Now()
 	})
 	if err != nil {
@@ -233,4 +75,67 @@ func SimulateOverlappedGrid(m machine.Machine, pr, pc, nx, ny, nz int, prm Param
 		}
 	}
 	return max, nil
+}
+
+// costPhases returns the forward transform's two phases for one simulated
+// rank: the tile bounds and all-to-all counts are Plan's, the kernels
+// advance the rank's virtual clock.
+func costPhases(pl *pfft.Pipeline, c *sim.Comm, cmp machine.Compute, g Grid2D, prm Params2D) (phA, phB pfft.Phase) {
+	fft := func(rows, length int) {
+		if length < 2 {
+			c.Advance(int64(cmp.FFTNsPerUnit * float64(rows)))
+			return
+		}
+		c.Advance(int64(cmp.FFTNsPerUnit * float64(rows) * float64(length) * math.Log2(float64(length))))
+	}
+	// Pack/unpack: streaming copies with a modest cache penalty (the copies
+	// stride through the pencil).
+	copyElems := func(elems int) {
+		c.Advance(int64(cmp.MemNsPerElem * 1.5 * float64(elems)))
+	}
+	xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
+	send := make([]int, g.P())
+	recv := make([]int, g.P())
+
+	phA = pfft.Phase{
+		Front: func(i, _ int, win []mpi.Request) {
+			x0, x1 := tileRange(i, prm.TA, xc)
+			fft((x1-x0)*yc, g.Nz)
+			pl.Tests(win, prm.F)
+			copyElems((x1 - x0) * yc * g.Nz)
+			pl.Tests(win, prm.F)
+		},
+		Post: func(i, _ int) mpi.Request {
+			x0, x1 := tileRange(i, prm.TA, xc)
+			g.countsA(x1-x0, send, recv)
+			return c.Ialltoallv(nil, send, nil, recv)
+		},
+		Back: func(i, _ int, win []mpi.Request) {
+			x0, x1 := tileRange(i, prm.TA, xc)
+			copyElems((x1 - x0) * g.Ny * zc)
+			pl.Tests(win, prm.F)
+			fft((x1-x0)*zc, g.Ny)
+			pl.Tests(win, prm.F)
+		},
+	}
+	phB = pfft.Phase{
+		Front: func(i, _ int, win []mpi.Request) {
+			z0, z1 := tileRange(i, prm.TB, zc)
+			copyElems(xc * g.Ny * (z1 - z0))
+			pl.Tests(win, prm.F)
+		},
+		Post: func(i, _ int) mpi.Request {
+			z0, z1 := tileRange(i, prm.TB, zc)
+			g.countsB(z1-z0, send, recv)
+			return c.Ialltoallv(nil, send, nil, recv)
+		},
+		Back: func(i, _ int, win []mpi.Request) {
+			z0, z1 := tileRange(i, prm.TB, zc)
+			copyElems(g.Nx * y2c * (z1 - z0))
+			pl.Tests(win, prm.F)
+			fft(y2c*(z1-z0), g.Nx)
+			pl.Tests(win, prm.F)
+		},
+	}
+	return phA, phB
 }

@@ -73,23 +73,23 @@ func TestDoTests(t *testing.T) {
 
 	// Empty window: no Test calls regardless of n.
 	c := &countComm{}
-	doTests(c, nil, 4, &b)
-	doTests(c, []mpi.Request{}, 4, &b)
+	doTests(c, nil, 4, &b, nil)
+	doTests(c, []mpi.Request{}, 4, &b, nil)
 	if c.tests != 0 {
 		t.Errorf("doTests with empty window issued %d Test calls, want 0", c.tests)
 	}
 
 	// n ≤ 0: no-op.
 	c = &countComm{}
-	doTests(c, window, 0, &b)
-	doTests(c, window, -2, &b)
+	doTests(c, window, 0, &b, nil)
+	doTests(c, window, -2, &b, nil)
 	if c.tests != 0 {
 		t.Errorf("doTests with n ≤ 0 issued %d Test calls, want 0", c.tests)
 	}
 
 	// Otherwise exactly n Test calls over the window.
 	c = &countComm{}
-	doTests(c, window, 5, &b)
+	doTests(c, window, 5, &b, nil)
 	if c.tests != 5 {
 		t.Errorf("doTests(n=5) issued %d Test calls, want 5", c.tests)
 	}

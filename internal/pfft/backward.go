@@ -3,7 +3,6 @@ package pfft
 import (
 	"fmt"
 
-	"offt/internal/arena"
 	"offt/internal/fft"
 	"offt/internal/layout"
 	"offt/internal/mpi"
@@ -21,148 +20,115 @@ import (
 // ten parameters; Baseline and NEW-0 run the blocking pipeline. The TH
 // variants are forward-only comparison models and are rejected.
 func Backward3D(c mpi.Comm, g layout.Grid, slab []complex128, v Variant, prm Params, flag fft.Flag) ([]complex128, Breakdown, error) {
-	e, err := newBackEngine(c, g, flag)
+	prm, err := ExpandParams(v, g, prm)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	var rs runState
-	b, err := e.run(&rs, slab, v, prm)
+	e, err := newBackEngine(NewPipeline(c), g, v, prm, flag)
+	if err != nil {
+		return nil, Breakdown{}, err
+	}
+	b, err := e.run(slab)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
 	return e.in, b, nil
 }
 
-// backEngine holds the backward pipeline's state for one rank. In the
-// breakdown, Repack time is accounted under Pack and Scatter under Unpack
-// (they are the corresponding copy steps of the reverse direction). A
-// backEngine is reusable: run may be called many times with fresh slabs,
-// which is how a Plan serves repeated inverse transforms without
-// allocating.
+// backEngine is the slab backward transform of one rank bound to one
+// pipeline: a single exchange phase whose Front is FFTx⁻¹+Repack, whose
+// Post is the reverse all-to-all and whose Back is Scatter+FFTy⁻¹, then
+// the inverse transpose and FFTz⁻¹. In the breakdown, Repack time is
+// accounted under Pack and Scatter under Unpack (they are the
+// corresponding copy steps of the reverse direction). A backEngine is
+// reusable: run may be called many times with fresh slabs, which is how a
+// Plan serves repeated inverse transforms without allocating.
 type backEngine struct {
-	g    layout.Grid
-	comm mpi.Comm
+	pl    *Pipeline
+	g     layout.Grid
+	v     Variant
+	prm   Params // expanded (see ExpandParams)
+	tl    layout.Tiling
+	fast  bool
+	phase Phase
 
 	out  []complex128 // input y-slab (forward output), consumed by FFTx⁻¹
-	work []complex128 // post-scatter z-x-y (or x-z-y) slab; workBuf's data
+	work []complex128 // post-scatter z-x-y (or x-z-y) slab
 	in   []complex128 // final x-y-z slab; owned by the engine, reused per run
 
 	planZ, planY, planX *fft.Plan
 
-	workBuf            *arena.Slab
-	sendBufs, recvBufs []*arena.Slab
+	sendBufs, recvBufs [][]complex128
 	sendCounts         []int
 	recvCounts         []int
-
-	pooled bool
-	trc    *traceRec // nil unless the plan runs in trace mode
 }
 
-// newBackEngine prepares a reusable backward engine for one rank.
-func newBackEngine(c mpi.Comm, g layout.Grid, flag fft.Flag, opts ...EngineOpt) (*backEngine, error) {
+// newBackEngine binds the backward transform of variant v with expanded
+// parameters prm to pipeline pl and pre-sizes its communication slots (one
+// more than the window, each for the largest tile) so steady-state
+// execution never allocates.
+func newBackEngine(pl *Pipeline, g layout.Grid, v Variant, prm Params, flag fft.Flag) (*backEngine, error) {
+	if v == TH || v == TH0 {
+		return nil, fmt.Errorf("pfft: backward transform does not support the %v comparison model", v)
+	}
+	c := pl.c
 	if c.Rank() != g.Rank || c.Size() != g.P {
 		return nil, fmt.Errorf("pfft: comm rank/size %d/%d does not match grid %d/%d", c.Rank(), c.Size(), g.Rank, g.P)
 	}
-	var cfg engineConfig
-	for _, o := range opts {
-		o(&cfg)
+	tl, err := layout.NewTiling(g.Nz, prm.T)
+	if err != nil {
+		return nil, err
 	}
 	e := &backEngine{
-		g:     g,
-		comm:  c,
+		pl: pl, g: g, v: v, prm: prm, tl: tl, fast: OutputFast(v, g),
+		work:  make([]complex128, g.InSize()),
 		in:    make([]complex128, g.InSize()),
 		planZ: fft.Plan1DCached(g.Nz, fft.Backward, flag).Clone(),
 		planY: fft.Plan1DCached(g.Ny, fft.Backward, flag).Clone(),
 		planX: fft.Plan1DCached(g.Nx, fft.Backward, flag).Clone(),
 
-		pooled: cfg.pooled,
-		trc:    cfg.trace,
+		sendCounts: make([]int, g.P),
+		recvCounts: make([]int, g.P),
 	}
-	if cfg.trace != nil {
-		// Route Wait/Test through the recording communicator so the
-		// communication side of the timeline is captured too.
-		e.comm = &traceComm{Comm: c, rec: cfg.trace}
+	e.phase = Phase{Front: e.fftxRepack, Post: e.postTile, Back: e.scatterFFTy}
+	for s := 0; s <= window(v, prm); s++ {
+		e.sendBuf(s, tl.TileLen(0))
+		e.recvBuf(s, tl.TileLen(0))
 	}
-	e.workBuf = newSlab(g.InSize(), cfg.pooled)
-	e.work = e.workBuf.Data
-	e.sendCounts = make([]int, g.P)
-	e.recvCounts = make([]int, g.P)
 	return e, nil
-}
-
-// presizeSlots mirrors RealEngine.PresizeSlots for the reverse direction.
-func (e *backEngine) presizeSlots(prm Params) {
-	ztl := prm.T
-	if ztl > e.g.Nz {
-		ztl = e.g.Nz
-	}
-	for s := 0; s <= prm.W; s++ {
-		e.sendBuf(s, ztl)
-		e.recvBuf(s, ztl)
-	}
-}
-
-// Close returns arena-backed buffers. The result slab (in) is never
-// pooled: callers may still reference it.
-func (e *backEngine) Close() {
-	e.workBuf.Release()
-	e.workBuf, e.work = nil, nil
-	releaseSlots(&e.sendBufs)
-	releaseSlots(&e.recvBufs)
 }
 
 // run executes one inverse transform on slab (this rank's y-slab in the
 // forward output layout; consumed) and leaves the x-y-z result in e.in.
-func (e *backEngine) run(rs *runState, slab []complex128, v Variant, prm Params) (Breakdown, error) {
-	if v == TH || v == TH0 {
-		return Breakdown{}, fmt.Errorf("pfft: backward transform does not support the %v comparison model", v)
-	}
-	prm, err := ExpandParams(v, e.g, prm)
-	if err != nil {
-		return Breakdown{}, err
-	}
+func (e *backEngine) run(slab []complex128) (Breakdown, error) {
 	if len(slab) != e.g.OutSize() {
 		return Breakdown{}, fmt.Errorf("pfft: backward slab length %d, want %d", len(slab), e.g.OutSize())
 	}
 	e.out = slab
-
-	c, g := e.comm, e.g
-	mpi.SetExchange(c, mpi.Exchange{Alg: prm.Comm})
-	var b Breakdown
-	start := c.Now()
-	fast := OutputFast(v, g)
-	if v == NEW {
-		e.runOverlapped(rs, prm, fast, &b)
-	} else {
-		e.runBlocking(prm, fast, &b)
-	}
+	pl, c, g := e.pl, e.pl.c, e.g
+	pl.Begin(e.prm.Comm)
+	pl.Run(e.tl.NumTiles(), window(e.v, e.prm), &e.phase)
 
 	// Inverse transpose back to x-y-z, then inverse FFTz.
 	t := c.Now()
-	if fast {
+	if e.fast {
 		layout.TransposeXZYInv(e.in, e.work, g.XC(), g.Ny, g.Nz)
 	} else {
 		layout.TransposeZXYInv(e.in, e.work, g.XC(), g.Ny, g.Nz)
 	}
-	now := c.Now()
-	b.Transpose += now - t
-	e.trc.add("Transpose", t, now, -1)
+	pl.Step(&pl.B.Transpose, "Transpose", t, -1)
 
 	t = c.Now()
 	e.planZ.TransformRows(e.in, g.XC()*g.Ny, g.Nz)
-	now = c.Now()
-	b.FFTz = now - t
-	e.trc.add("FFTz", t, now, -1)
-
-	b.Total = c.Now() - start
-	return b, nil
+	pl.Step(&pl.B.FFTz, "FFTz", t, -1)
+	return pl.End(), nil
 }
 
 // fftxRepack runs FFTx⁻¹ and Repack over one tile with Uy/Uz loop tiling,
 // interleaving Fx and Fu Test calls over the window.
-func (e *backEngine) fftxRepack(prm Params, tl layout.Tiling, tile, slot int, fast bool, window []mpi.Request, b *Breakdown) {
-	c, g := e.comm, e.g
-	zt0, ztl := tl.TileStart(tile), tl.TileLen(tile)
+func (e *backEngine) fftxRepack(tile, slot int, win []mpi.Request) {
+	pl, c, g, prm, fast := e.pl, e.pl.c, e.g, e.prm, e.fast
+	zt0, ztl := e.tl.TileStart(tile), e.tl.TileLen(tile)
 	nSub := layout.NumSubTiles(ztl, prm.Uz) * layout.NumSubTiles(g.YC(), prm.Uy)
 	u := 0
 	buf := e.sendBuf(slot, ztl)
@@ -181,16 +147,12 @@ func (e *backEngine) fftxRepack(prm Params, tl layout.Tiling, tile, slot int, fa
 					e.planX.TransformRows(e.out[base:], y1-y0, g.Nx)
 				}
 			}
-			now := c.Now()
-			b.FFTx += now - t
-			e.trc.add("FFTx", t, now, tile)
-			doTests(c, window, testsDue(prm.Fx, u, nSub), b)
+			pl.Step(&pl.B.FFTx, "FFTx", t, tile)
+			pl.Tests(win, testsDue(prm.Fx, u, nSub))
 			t = c.Now()
 			g.RepackSubtile(buf, e.out, fast, zt0, ztl, y0, y1, z0, z1)
-			now = c.Now()
-			b.Pack += now - t
-			e.trc.add("Pack", t, now, tile)
-			doTests(c, window, testsDue(prm.Fu, u, nSub), b)
+			pl.Step(&pl.B.Pack, "Pack", t, tile)
+			pl.Tests(win, testsDue(prm.Fu, u, nSub))
 			u++
 		})
 	})
@@ -198,9 +160,9 @@ func (e *backEngine) fftxRepack(prm Params, tl layout.Tiling, tile, slot int, fa
 
 // scatterFFTy runs Scatter and FFTy⁻¹ over one tile with Px/Pz loop
 // tiling, interleaving Fp and Fy Test calls over the window.
-func (e *backEngine) scatterFFTy(prm Params, tl layout.Tiling, tile, slot int, fast bool, window []mpi.Request, b *Breakdown) {
-	c, g := e.comm, e.g
-	zt0, ztl := tl.TileStart(tile), tl.TileLen(tile)
+func (e *backEngine) scatterFFTy(tile, slot int, win []mpi.Request) {
+	pl, c, g, prm, fast := e.pl, e.pl.c, e.g, e.prm, e.fast
+	zt0, ztl := e.tl.TileStart(tile), e.tl.TileLen(tile)
 	nSub := layout.NumSubTiles(ztl, prm.Pz) * layout.NumSubTiles(g.XC(), prm.Px)
 	u := 0
 	buf := e.recvBuf(slot, ztl)
@@ -208,10 +170,8 @@ func (e *backEngine) scatterFFTy(prm Params, tl layout.Tiling, tile, slot int, f
 		layout.SubTiles(g.XC(), prm.Px, func(x0, x1 int) {
 			t := c.Now()
 			g.ScatterSubtile(e.work, buf, fast, zt0, ztl, z0, z1, x0, x1)
-			now := c.Now()
-			b.Unpack += now - t
-			e.trc.add("Unpack", t, now, tile)
-			doTests(c, window, testsDue(prm.Fp, u, nSub), b)
+			pl.Step(&pl.B.Unpack, "Unpack", t, tile)
+			pl.Tests(win, testsDue(prm.Fp, u, nSub))
 			t = c.Now()
 			// Batched over the layout's contiguous runs (see FFTySub).
 			if fast {
@@ -225,10 +185,8 @@ func (e *backEngine) scatterFFTy(prm Params, tl layout.Tiling, tile, slot int, f
 					e.planY.TransformRows(e.work[base:], x1-x0, g.Ny)
 				}
 			}
-			now = c.Now()
-			b.FFTy += now - t
-			e.trc.add("FFTy", t, now, tile)
-			doTests(c, window, testsDue(prm.Fy, u, nSub), b)
+			pl.Step(&pl.B.FFTy, "FFTy", t, tile)
+			pl.Tests(win, testsDue(prm.Fy, u, nSub))
 			u++
 		})
 	})
@@ -236,133 +194,18 @@ func (e *backEngine) scatterFFTy(prm Params, tl layout.Tiling, tile, slot int, f
 
 // postTile starts the reverse non-blocking all-to-all for one tile: the
 // send side carries the forward transform's receive-format blocks.
-func (e *backEngine) postTile(slot, ztl int) mpi.Request {
+func (e *backEngine) postTile(tile, slot int) mpi.Request {
+	ztl := e.tl.TileLen(tile)
 	e.g.RecvCounts(ztl, e.sendCounts) // reverse direction
 	e.g.SendCounts(ztl, e.recvCounts)
-	return e.comm.Ialltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
-}
-
-func (e *backEngine) alltoallTile(slot, ztl int) {
-	e.g.RecvCounts(ztl, e.sendCounts)
-	e.g.SendCounts(ztl, e.recvCounts)
-	e.comm.Alltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
-}
-
-func (e *backEngine) runOverlapped(rs *runState, prm Params, fast bool, b *Breakdown) {
-	c := e.comm
-	tl, err := layout.NewTiling(e.g.Nz, prm.T)
-	if err != nil {
-		panic(err)
-	}
-	k := tl.NumTiles()
-	w := prm.W
-	slots := w + 1
-	rs.reset(c, k)
-	reqs := rs.reqs
-	mon := &rs.mon
-	for i := 0; i < k+w; i++ {
-		if i < k {
-			lo := i - w
-			if lo < 0 {
-				lo = 0
-			}
-			e.fftxRepack(prm, tl, i, i%slots, fast, reqs[lo:i], b)
-		}
-		if i >= w {
-			t := c.Now()
-			ok := mon.WaitTile(c, reqs[i-w])
-			now := c.Now()
-			b.Wait += now - t
-			e.trc.add("Wait", t, now, i-w)
-			if !ok {
-				e.downgrade(prm, fast, tl, reqs, i, b)
-				return
-			}
-		}
-		if i < k {
-			t := c.Now()
-			reqs[i] = e.postTile(i%slots, tl.TileLen(i))
-			now := c.Now()
-			b.Ialltoall += now - t
-			e.trc.add("Ialltoall", t, now, i)
-		}
-		if i >= w {
-			j := i - w
-			hi := j + w + 1
-			if hi > k {
-				hi = k
-			}
-			e.scatterFFTy(prm, tl, j, j%slots, fast, reqs[j+1:hi], b)
-		}
-	}
-}
-
-// downgrade finishes the backward transform on the blocking path after the
-// overlapped loop gave up at iteration i, mirroring downgradeForward: the
-// posted window is drained with plain Waits, the already-repacked tile i
-// goes through a blocking all-to-all, and the remaining tiles run the
-// per-tile blocking pipeline — one collective per tile in tile order, so
-// sequence numbers stay aligned with ranks still running overlapped.
-func (e *backEngine) downgrade(prm Params, fast bool, tl layout.Tiling, reqs []mpi.Request, i int, b *Breakdown) {
-	c := e.comm
-	k := tl.NumTiles()
-	w := prm.W
-	slots := w + 1
-	b.Downgrades++
-	e.trc.instant("Downgrade", c.Now(), i-w)
-	hi := i
-	if hi > k {
-		hi = k
-	}
-	for j := i - w; j < hi; j++ {
-		t := c.Now()
-		c.Wait(reqs[j])
-		now := c.Now()
-		b.Wait += now - t
-		e.trc.add("Wait", t, now, j)
-		e.scatterFFTy(prm, tl, j, j%slots, fast, nil, b)
-	}
-	if i < k {
-		t := c.Now()
-		e.alltoallTile(i%slots, tl.TileLen(i))
-		now := c.Now()
-		b.Wait += now - t
-		e.trc.add("Alltoall", t, now, i)
-		e.scatterFFTy(prm, tl, i, i%slots, fast, nil, b)
-	}
-	for j := i + 1; j < k; j++ {
-		e.fftxRepack(prm, tl, j, j%slots, fast, nil, b)
-		t := c.Now()
-		e.alltoallTile(j%slots, tl.TileLen(j))
-		now := c.Now()
-		b.Wait += now - t
-		e.trc.add("Alltoall", t, now, j)
-		e.scatterFFTy(prm, tl, j, j%slots, fast, nil, b)
-	}
-}
-
-func (e *backEngine) runBlocking(prm Params, fast bool, b *Breakdown) {
-	c := e.comm
-	tl, err := layout.NewTiling(e.g.Nz, prm.T)
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < tl.NumTiles(); i++ {
-		e.fftxRepack(prm, tl, i, 0, fast, nil, b)
-		t := c.Now()
-		e.alltoallTile(0, tl.TileLen(i))
-		now := c.Now()
-		b.Wait += now - t
-		e.trc.add("Alltoall", t, now, i)
-		e.scatterFFTy(prm, tl, i, 0, fast, nil, b)
-	}
+	return e.pl.c.Ialltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
 }
 
 // Reverse direction: recv-format buffers go out, send-format ones come in.
 func (e *backEngine) sendBuf(slot, ztl int) []complex128 {
-	return slotBuf(&e.sendBufs, slot, e.g.RecvBufLen(ztl), e.pooled)
+	return slotBuf(&e.sendBufs, slot, e.g.RecvBufLen(ztl))
 }
 
 func (e *backEngine) recvBuf(slot, ztl int) []complex128 {
-	return slotBuf(&e.recvBufs, slot, e.g.SendBufLen(ztl), e.pooled)
+	return slotBuf(&e.recvBufs, slot, e.g.SendBufLen(ztl))
 }

@@ -217,16 +217,15 @@ func TestTraceRecordsDowngrade(t *testing.T) {
 		if gerr != nil {
 			panic(gerr)
 		}
-		prm := DefaultParams(g)
-		inner, ierr := NewRealEngine(g, c, layout.ScatterX(full, g), fft.Forward, fft.Estimate)
-		if ierr != nil {
-			panic(ierr)
+		pl, perr := NewPlan(c, g, NEW, DefaultParams(g), fft.Estimate, WithTrace())
+		if perr != nil {
+			panic(perr)
 		}
-		te := NewTraceEngine(inner, prm)
-		if _, rerr := Run(te, NEW, prm); rerr != nil {
+		defer pl.Close()
+		if _, _, rerr := pl.Forward(layout.ScatterX(full, g)); rerr != nil {
 			panic(rerr)
 		}
-		traces[c.Rank()] = te.Events()
+		traces[c.Rank()] = pl.Trace()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ type FaultMonitor struct {
 }
 
 // Init (re-)arms the monitor for one pipeline execution. It is a value
-// method target so a reusable runState re-arms without allocating.
+// method target so a reusable Pipeline re-arms without allocating.
 func (m *FaultMonitor) Init(c mpi.Comm) {
 	m.dw, _ = c.(mpi.DeadlineWaiter)
 	m.hr, _ = c.(mpi.HealthReporter)
@@ -48,22 +48,16 @@ func (m *FaultMonitor) WaitTile(c mpi.Comm, req mpi.Request) bool {
 		return false
 	}
 	if m.dw == nil {
-		m.one[0] = req
-		c.Wait(m.one[:]...)
-		m.one[0] = nil
+		m.Wait(c, req)
 		return true
 	}
 	return m.dw.WaitDeadline(req) == nil
 }
 
-// downgradeNoter is optionally implemented by engine wrappers (see
-// TraceEngine) to record an overlapped→blocking downgrade on the timeline.
-type downgradeNoter interface {
-	NoteDowngrade(tile int)
-}
-
-func noteDowngrade(e Engine, tile int) {
-	if n, ok := e.(downgradeNoter); ok {
-		n.NoteDowngrade(tile)
-	}
+// Wait is plain Wait on one request, without the per-call allocation of
+// spreading it into the variadic.
+func (m *FaultMonitor) Wait(c mpi.Comm, req mpi.Request) {
+	m.one[0] = req
+	c.Wait(m.one[:]...)
+	m.one[0] = nil
 }

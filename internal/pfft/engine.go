@@ -11,9 +11,8 @@ import (
 // zt0/ztl identify the communication tile (absolute start and length on z),
 // z ranges are tile-local [z0, z1) ⊆ [0, ztl), x/y ranges are rank-local.
 //
-// Communication buffers are managed per slot: the algorithm assigns slot
-// i mod (W+1) to tile i, guaranteeing a slot's previous tile has been
-// waited for and unpacked before reuse.
+// Communication buffers are managed per slot; the pipeline assigns them
+// (see Pipeline.Run).
 type Engine interface {
 	// Grid returns the rank's geometry.
 	Grid() layout.Grid
@@ -33,34 +32,11 @@ type Engine interface {
 	PackSub(slot int, fast bool, zt0, ztl, z0, z1, x0, x1 int)
 	// PostTile starts the non-blocking all-to-all for the tile in slot.
 	PostTile(slot int, ztl int) mpi.Request
-	// AlltoallTile performs the blocking all-to-all for the tile in slot.
-	AlltoallTile(slot int, ztl int)
 	// UnpackSub unpacks sub-tile y∈[y0,y1), tile-local z∈[z0,z1) from
 	// slot's receive buffer into the output slab.
 	UnpackSub(slot int, fast bool, zt0, ztl, z0, z1, y0, y1 int)
 	// FFTxSub computes the 1-D FFTs along x for the same sub-tile.
 	FFTxSub(fast bool, zt0, z0, z1, y0, y1 int)
-}
-
-// runState is the per-execution scratch of the pipelined loop: the tile
-// request window and the fault monitor. A Plan owns one and reuses it
-// across executions so the steady state allocates nothing; the one-shot
-// entry points stack-allocate a fresh one per call.
-type runState struct {
-	reqs []mpi.Request
-	mon  FaultMonitor
-}
-
-// reset prepares the state for a run over k tiles on communicator c.
-func (rs *runState) reset(c mpi.Comm, k int) {
-	if cap(rs.reqs) < k {
-		rs.reqs = make([]mpi.Request, k)
-	}
-	rs.reqs = rs.reqs[:k]
-	for i := range rs.reqs {
-		rs.reqs[i] = nil
-	}
-	rs.mon.Init(c)
 }
 
 // ExpandParams performs the variant-specific parameter expansion that Run
@@ -106,50 +82,9 @@ func ExpandParams(v Variant, g layout.Grid, prm Params) (Params, error) {
 // ten-parameter set, TH/TH-0 read only T, W and Fy, Baseline ignores prm.
 // Every rank of the world must call Run with the same arguments (SPMD).
 func Run(e Engine, v Variant, prm Params) (Breakdown, error) {
-	var rs runState
-	return runWith(&rs, e, v, prm)
-}
-
-// runWith is Run on a caller-owned runState, letting a Plan reuse the
-// request window and fault monitor across executions.
-func runWith(rs *runState, e Engine, v Variant, prm Params) (Breakdown, error) {
-	g := e.Grid()
-	prm, err := ExpandParams(v, g, prm)
+	prm, err := ExpandParams(v, e.Grid(), prm)
 	if err != nil {
 		return Breakdown{}, err
 	}
-	var b Breakdown
-	c := e.Comm()
-	// Select the tuned all-to-all schedule for every exchange this run
-	// posts. Engines without an ExchangeSetter (the single-rank self
-	// communicator) are pairwise-equivalent, so the no-op is fine.
-	mpi.SetExchange(c, mpi.Exchange{Alg: prm.Comm})
-	rec := recOf(c)
-	start := c.Now()
-
-	// The §3.5 fast transpose applies only to NEW (and its ablation) when
-	// Nx == Ny; TH and the FFTW baseline always use the standard layout.
-	fast := g.FastPathOK() && (v == NEW || v == NEW0)
-	optimizedTranspose := v != TH && v != TH0
-
-	t := c.Now()
-	e.FFTz()
-	now := c.Now()
-	b.FFTz = now - t
-	rec.add("FFTz", t, now, -1)
-
-	t = c.Now()
-	e.Transpose(fast, optimizedTranspose)
-	now = c.Now()
-	b.Transpose += now - t
-	rec.add("Transpose", t, now, -1)
-
-	switch v {
-	case Baseline, NEW0, TH0:
-		runBlocking(e, prm, fast, &b)
-	case NEW, TH:
-		runOverlapped(rs, e, prm, fast, &b)
-	}
-	b.Total = c.Now() - start
-	return b, nil
+	return newForward(NewPipeline(e.Comm()), e, v, prm).run(), nil
 }

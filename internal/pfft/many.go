@@ -3,8 +3,6 @@ package pfft
 import (
 	"fmt"
 
-	"offt/internal/fft"
-	"offt/internal/layout"
 	"offt/internal/mpi"
 )
 
@@ -71,13 +69,13 @@ func RunMany(engines []Engine, window int) ([]Breakdown, error) {
 			e.Transpose(false, true)
 			b.Transpose = c.Now() - t
 
-			doTests(c, pending(i), 1, b)
+			doTests(c, pending(i), 1, b, nil)
 
 			t = c.Now()
 			e.FFTySub(false, 0, 0, g.Nz, 0, g.XC())
 			b.FFTy = c.Now() - t
 
-			doTests(c, pending(i), 1, b)
+			doTests(c, pending(i), 1, b, nil)
 
 			t = c.Now()
 			e.PackSub(0, false, 0, g.Nz, 0, g.Nz, 0, g.XC())
@@ -101,7 +99,7 @@ func RunMany(engines []Engine, window int) ([]Breakdown, error) {
 			e.UnpackSub(0, false, 0, g.Nz, 0, g.Nz, 0, g.YC())
 			b.Unpack = c.Now() - t
 
-			doTests(c, pending(min2(i+1, m)), 1, b)
+			doTests(c, pending(min2(i+1, m)), 1, b, nil)
 
 			t = c.Now()
 			e.FFTxSub(false, 0, 0, g.Nz, 0, g.YC())
@@ -118,44 +116,4 @@ func min2(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// ForwardMany3D runs m independent forward transforms with inter-array
-// overlap on the real engine: slabs[i] is array i's x-slab for this rank
-// (consumed). It returns the per-array output y-slabs (z-y-x layout) and
-// breakdowns. All arrays share the geometry g.
-func ForwardMany3D(c mpi.Comm, g layout.Grid, slabs [][]complex128, window int, flag fft.Flag) ([][]complex128, []Breakdown, error) {
-	engines := make([]Engine, len(slabs))
-	reals := make([]*RealEngine, len(slabs))
-	// Batch engines draw their work slab and communication slots from the
-	// package arena: after the batch, Close below recycles them, so the
-	// next ForwardMany3D call (the many-transform steady state) reuses the
-	// same slabs instead of re-allocating per array.
-	closeAll := func() {
-		for _, e := range reals {
-			if e != nil {
-				e.Close()
-			}
-		}
-	}
-	for i, slab := range slabs {
-		e, err := NewRealEngine(g, c, slab, fft.Forward, flag, WithPooledBuffers())
-		if err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("pfft: array %d: %w", i, err)
-		}
-		reals[i] = e
-		engines[i] = e
-	}
-	bs, err := RunMany(engines, window)
-	if err != nil {
-		closeAll()
-		return nil, nil, err
-	}
-	outs := make([][]complex128, len(slabs))
-	for i, e := range reals {
-		outs[i] = e.Output() // never pooled: survives Close
-	}
-	closeAll()
-	return outs, bs, nil
 }

@@ -25,11 +25,16 @@ func TestForwardManyMatchesSerial(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		slabs := make([][]complex128, m)
-		for i := range slabs {
-			slabs[i] = layout.ScatterX(fulls[i], g)
+		engines := make([]Engine, m)
+		o := make([][]complex128, m)
+		for i := range engines {
+			e, err := NewRealEngine(g, c, layout.ScatterX(fulls[i], g), fft.Forward, fft.Estimate)
+			if err != nil {
+				panic(err)
+			}
+			engines[i], o[i] = e, e.Output()
 		}
-		o, bs, err := ForwardMany3D(c, g, slabs, 2, fft.Estimate)
+		bs, err := RunMany(engines, 2)
 		if err != nil {
 			panic(err)
 		}

@@ -43,6 +43,9 @@ func maxErr(a, b []complex128) float64 {
 // x-y-z layout.
 func runDistributed(t *testing.T, full []complex128, nx, ny, nz, p int, v Variant, prm Params, th THParams) []complex128 {
 	t.Helper()
+	if v == TH || v == TH0 {
+		prm = Params{T: th.T, W: th.W, Fy: th.F}
+	}
 	w := mem.NewWorld(p)
 	outs := make([][]complex128, p)
 	var mu sync.Mutex
@@ -52,22 +55,7 @@ func runDistributed(t *testing.T, full []complex128, nx, ny, nz, p int, v Varian
 			panic(err)
 		}
 		slab := layout.ScatterX(full, g)
-		var out []complex128
-		switch v {
-		case TH:
-			out, _, err = ForwardTH3D(c, g, slab, th, fft.Estimate)
-		case TH0:
-			e, err2 := NewRealEngine(g, c, slab, fft.Forward, fft.Estimate)
-			if err2 != nil {
-				panic(err2)
-			}
-			if _, err2 = Run(e, TH0, Params{T: th.T, W: th.W}); err2 != nil {
-				panic(err2)
-			}
-			out = e.Output()
-		default:
-			out, _, err = Forward3D(c, g, slab, v, prm, fft.Estimate)
-		}
+		out, _, err := Forward3D(c, g, slab, v, prm, fft.Estimate)
 		if err != nil {
 			panic(err)
 		}

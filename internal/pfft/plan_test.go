@@ -2,7 +2,6 @@ package pfft
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"offt/internal/fft"
@@ -136,77 +135,6 @@ func TestPlanParallelWorkers(t *testing.T) {
 			t.Errorf("%dx%dx%d p=%d: parallel kernels drift from serial by %g", c.nx, c.ny, c.nz, c.p, e)
 		}
 	}
-}
-
-// TestForwardManyPooled: repeated ForwardMany3D batches recycle arena
-// slabs; results must stay correct and the returned outputs must remain
-// valid after the engines are closed (outputs are never pooled).
-func TestForwardManyPooled(t *testing.T) {
-	nx, p, arrays := 12, 2, 3
-	fulls := make([][]complex128, arrays)
-	wants := make([][]complex128, arrays)
-	for i := range fulls {
-		fulls[i] = randCube(nx, nx, nx, int64(40+i))
-		wants[i] = serialReference(fulls[i], nx, nx, nx)
-	}
-	for round := 0; round < 2; round++ {
-		w := mem.NewWorld(p)
-		outs := make([][][]complex128, p)
-		err := w.Run(func(c *mem.Comm) {
-			g, err := layout.NewGrid(nx, nx, nx, p, c.Rank())
-			if err != nil {
-				panic(err)
-			}
-			slabs := make([][]complex128, arrays)
-			for i := range slabs {
-				slabs[i] = layout.ScatterX(fulls[i], g)
-			}
-			o, _, err := ForwardMany3D(c, g, slabs, 2, fft.Estimate)
-			if err != nil {
-				panic(err)
-			}
-			outs[c.Rank()] = o
-		})
-		if err != nil {
-			t.Fatalf("round %d: world failed: %v", round, err)
-		}
-		for i := 0; i < arrays; i++ {
-			ranks := make([][]complex128, p)
-			for r := 0; r < p; r++ {
-				ranks[r] = outs[r][i]
-			}
-			got := layout.GatherY(ranks, nx, nx, nx, p, false)
-			if e := maxErr(got, wants[i]); e > tol {
-				t.Errorf("round %d array %d: error %g", round, i, e)
-			}
-		}
-	}
-}
-
-// TestForwardManyPooledRace runs two whole worlds concurrently so the
-// arena is hit from many goroutines at once (exercised under -race).
-func TestForwardManyPooledRace(t *testing.T) {
-	var wg sync.WaitGroup
-	for k := 0; k < 2; k++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			nx, p := 8, 2
-			full := randCube(nx, nx, nx, seed)
-			w := mem.NewWorld(p)
-			_ = w.Run(func(c *mem.Comm) {
-				g, err := layout.NewGrid(nx, nx, nx, p, c.Rank())
-				if err != nil {
-					panic(err)
-				}
-				slabs := [][]complex128{layout.ScatterX(full, g), layout.ScatterX(full, g)}
-				if _, _, err := ForwardMany3D(c, g, slabs, 2, fft.Estimate); err != nil {
-					panic(err)
-				}
-			})
-		}(int64(50 + k))
-	}
-	wg.Wait()
 }
 
 // selfComm is a zero-allocation single-rank communicator: the all-to-all

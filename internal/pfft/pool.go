@@ -1,43 +1,17 @@
 package pfft
 
-import (
-	"sync"
-
-	"offt/internal/arena"
-)
-
-// newSlab returns a handle on an n-element slab with undefined contents:
-// borrowed from the shared arena for pooled engines (the many-transform
-// path, where repeated plan construction must not hit the allocator),
-// plainly allocated — Release is then a no-op — otherwise.
-func newSlab(n int, pooled bool) *arena.Slab {
-	if pooled {
-		return arena.Get(n)
-	}
-	return &arena.Slab{Data: make([]complex128, n)}
-}
+import "sync"
 
 // slotBuf returns communication slot i of bufs sized to n elements,
-// growing the slot list lazily and replacing a slab that is too small.
-func slotBuf(bufs *[]*arena.Slab, i, n int, pooled bool) []complex128 {
+// growing the slot list lazily and replacing a buffer that is too small.
+func slotBuf(bufs *[][]complex128, i, n int) []complex128 {
 	for len(*bufs) <= i {
 		*bufs = append(*bufs, nil)
 	}
-	b := (*bufs)[i]
-	if b == nil || cap(b.Data) < n {
-		b.Release()
-		b = newSlab(n, pooled)
-		(*bufs)[i] = b
+	if cap((*bufs)[i]) < n {
+		(*bufs)[i] = make([]complex128, n)
 	}
-	return b.Data[:n]
-}
-
-// releaseSlots returns every slot slab and empties the list.
-func releaseSlots(bufs *[]*arena.Slab) {
-	for _, b := range *bufs {
-		b.Release()
-	}
-	*bufs = nil
+	return (*bufs)[i][:n]
 }
 
 // span is one contiguous chunk of a parallel kernel call: run fn(w, lo, hi)

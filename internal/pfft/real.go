@@ -3,7 +3,6 @@ package pfft
 import (
 	"fmt"
 
-	"offt/internal/arena"
 	"offt/internal/fft"
 	"offt/internal/layout"
 	"offt/internal/mpi"
@@ -14,16 +13,6 @@ type EngineOpt func(*engineConfig)
 
 type engineConfig struct {
 	workers int
-	pooled  bool
-	trace   *traceRec
-}
-
-// withTraceRec attaches a step recorder to the engine. The forward
-// pipeline traces by wrapping the whole Engine in a TraceEngine; the
-// backward engine implements no Engine interface, so it records into the
-// shared recorder directly at its breakdown timing points.
-func withTraceRec(rec *traceRec) EngineOpt {
-	return func(c *engineConfig) { c.trace = rec }
 }
 
 // WithEngineWorkers fans the intra-rank kernels (FFTz, Transpose, FFTy,
@@ -31,13 +20,6 @@ func withTraceRec(rec *traceRec) EngineOpt {
 // allocation-free path.
 func WithEngineWorkers(n int) EngineOpt {
 	return func(c *engineConfig) { c.workers = n }
-}
-
-// WithPooledBuffers sources the engine's work slab and communication slots
-// from the package slab arena; Close returns them. The output slab is never
-// pooled — Output() escapes to callers.
-func WithPooledBuffers() EngineOpt {
-	return func(c *engineConfig) { c.pooled = true }
 }
 
 // RealEngine executes the algorithm on actual complex128 data over any
@@ -49,7 +31,7 @@ type RealEngine struct {
 	comm mpi.Comm
 
 	in   []complex128 // input x-slab, x-y-z layout; clobbered by FFTz
-	work []complex128 // post-transpose slab (z-x-y or x-z-y); workBuf's data
+	work []complex128 // post-transpose slab (z-x-y or x-z-y)
 	out  []complex128 // output y-slab (z-y-x or y-z-x)
 
 	planZ, planY, planX *fft.Plan
@@ -60,12 +42,9 @@ type RealEngine struct {
 	pool                   *kernelPool
 	planZs, planYs, planXs []*fft.Plan // per-chunk clones, len = workers
 
-	workBuf            *arena.Slab
-	sendBufs, recvBufs []*arena.Slab
+	sendBufs, recvBufs [][]complex128 // communication slots
 	sendCounts         []int
 	recvCounts         []int
-
-	pooled bool // work + slot slabs come from the arena
 }
 
 var _ Engine = (*RealEngine)(nil)
@@ -87,17 +66,15 @@ func NewRealEngine(g layout.Grid, comm mpi.Comm, slab []complex128, dir fft.Dire
 		o(&cfg)
 	}
 	e := &RealEngine{
-		g:      g,
-		comm:   comm,
-		in:     slab,
-		out:    make([]complex128, g.OutSize()),
-		planZ:  fft.Plan1DCached(g.Nz, dir, flag).Clone(),
-		planY:  fft.Plan1DCached(g.Ny, dir, flag).Clone(),
-		planX:  fft.Plan1DCached(g.Nx, dir, flag).Clone(),
-		pooled: cfg.pooled,
+		g:     g,
+		comm:  comm,
+		in:    slab,
+		work:  make([]complex128, g.InSize()),
+		out:   make([]complex128, g.OutSize()),
+		planZ: fft.Plan1DCached(g.Nz, dir, flag).Clone(),
+		planY: fft.Plan1DCached(g.Ny, dir, flag).Clone(),
+		planX: fft.Plan1DCached(g.Nx, dir, flag).Clone(),
 	}
-	e.workBuf = newSlab(g.InSize(), cfg.pooled)
-	e.work = e.workBuf.Data
 	if cfg.workers > 1 {
 		e.pool = newKernelPool(cfg.workers)
 		e.planZs = fft.Plan1DClones(g.Nz, dir, flag, cfg.workers)
@@ -119,32 +96,21 @@ func (e *RealEngine) Reset(slab []complex128) error {
 	return nil
 }
 
-// PresizeSlots grows the communication slot buffers for the expanded
-// parameter set so steady-state execution never allocates: W+1 slots, each
-// sized for the largest tile (z-length min(T, Nz)).
-func (e *RealEngine) PresizeSlots(prm Params) {
-	ztl := prm.T
-	if ztl > e.g.Nz {
-		ztl = e.g.Nz
-	}
-	for s := 0; s <= prm.W; s++ {
+// PresizeSlots grows the given number of communication slot buffers to
+// hold a tile of z-length ztl, so steady-state execution never allocates.
+func (e *RealEngine) PresizeSlots(slots, ztl int) {
+	for s := 0; s < slots; s++ {
 		e.sendBuf(s, ztl)
 		e.recvBuf(s, ztl)
 	}
 }
 
-// Close releases the engine's worker pool and, for arena-backed engines,
-// returns the work slab and communication slots to the arena. The output
-// slab is untouched: it may still be referenced by the caller.
+// Close stops the engine's worker pool.
 func (e *RealEngine) Close() {
 	if e.pool != nil {
 		e.pool.Close()
 		e.pool = nil
 	}
-	e.workBuf.Release()
-	e.workBuf, e.work = nil, nil
-	releaseSlots(&e.sendBufs)
-	releaseSlots(&e.recvBufs)
 }
 
 // Grid returns the rank's geometry.
@@ -269,13 +235,6 @@ func (e *RealEngine) PostTile(slot int, ztl int) mpi.Request {
 	return e.comm.Ialltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
 }
 
-// AlltoallTile performs the blocking all-to-all for the slot's tile.
-func (e *RealEngine) AlltoallTile(slot int, ztl int) {
-	e.g.SendCounts(ztl, e.sendCounts)
-	e.g.RecvCounts(ztl, e.recvCounts)
-	e.comm.Alltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
-}
-
 // UnpackSub unpacks one sub-tile from the slot's receive buffer into the
 // output slab.
 func (e *RealEngine) UnpackSub(slot int, fast bool, zt0, ztl, z0, z1, y0, y1 int) {
@@ -332,9 +291,9 @@ func (e *RealEngine) FFTxSub(fast bool, zt0, z0, z1, y0, y1 int) {
 // sendBuf returns slot's send buffer sized for a tile of z-length ztl,
 // growing the slot lazily.
 func (e *RealEngine) sendBuf(slot, ztl int) []complex128 {
-	return slotBuf(&e.sendBufs, slot, e.g.SendBufLen(ztl), e.pooled)
+	return slotBuf(&e.sendBufs, slot, e.g.SendBufLen(ztl))
 }
 
 func (e *RealEngine) recvBuf(slot, ztl int) []complex128 {
-	return slotBuf(&e.recvBufs, slot, e.g.RecvBufLen(ztl), e.pooled)
+	return slotBuf(&e.recvBufs, slot, e.g.RecvBufLen(ztl))
 }

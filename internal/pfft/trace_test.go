@@ -3,45 +3,14 @@ package pfft
 import (
 	"strings"
 	"testing"
-
-	"offt/internal/fft"
-	"offt/internal/layout"
-	"offt/internal/mpi/mem"
 )
 
-func TestTraceEngineRecordsAndPreservesResult(t *testing.T) {
-	nx, p := 12, 3
-	full := randCube(nx, nx, nx, 31)
-	want := serialReference(full, nx, nx, nx)
-
-	w := mem.NewWorld(p)
-	outs := make([][]complex128, p)
-	traces := make([][]StepEvent, p)
-	err := w.Run(func(c *mem.Comm) {
-		g, err := layout.NewGrid(nx, nx, nx, p, c.Rank())
-		if err != nil {
-			panic(err)
-		}
-		prm := DefaultParams(g)
-		inner, err := NewRealEngine(g, c, layout.ScatterX(full, g), fft.Forward, fft.Estimate)
-		if err != nil {
-			panic(err)
-		}
-		te := NewTraceEngine(inner, prm)
-		if _, err := Run(te, NEW, prm); err != nil {
-			panic(err)
-		}
-		outs[c.Rank()] = inner.Output()
-		traces[c.Rank()] = te.Events()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g0, _ := layout.NewGrid(nx, nx, nx, p, 0)
-	got := layout.GatherY(outs, nx, nx, nx, p, OutputFast(NEW, g0))
-	if e := maxErr(got, want); e > tol {
-		t.Fatalf("traced run changed the result: %g", e)
-	}
+// TestPlanTraceForward covers the trace recorder on the forward overlapped
+// path: tracing must not change the result (planTraces checks it against
+// the serial transform) and every pipeline step must appear as a
+// well-formed interval.
+func TestPlanTraceForward(t *testing.T) {
+	traces := planTraces(t, 12, 3, NEW, false)
 
 	ev := traces[0]
 	if len(ev) == 0 {

@@ -28,26 +28,3 @@ func Forward3D(c mpi.Comm, g layout.Grid, slab []complex128, v Variant, prm Para
 	}
 	return e.Output(), b, nil
 }
-
-// ForwardTH3D is Forward3D for the TH comparison model.
-func ForwardTH3D(c mpi.Comm, g layout.Grid, slab []complex128, prm THParams, flag fft.Flag) ([]complex128, Breakdown, error) {
-	if err := prm.Validate(g); err != nil {
-		return nil, Breakdown{}, err
-	}
-	e, err := NewRealEngine(g, c, slab, fft.Forward, flag)
-	if err != nil {
-		return nil, Breakdown{}, err
-	}
-	b, err := Run(e, TH, Params{T: prm.T, W: prm.W, Fy: prm.F})
-	if err != nil {
-		return nil, Breakdown{}, err
-	}
-	return e.Output(), b, nil
-}
-
-// NewForwardEngine builds a real engine for a forward run with Estimate
-// planning — a convenience for tools that wrap the engine (e.g. with
-// NewTraceEngine) before calling Run themselves.
-func NewForwardEngine(g layout.Grid, c mpi.Comm, slab []complex128) (*RealEngine, error) {
-	return NewRealEngine(g, c, slab, fft.Forward, fft.Estimate)
-}

@@ -124,22 +124,18 @@ func TestObserveRequestSpanTree(t *testing.T) {
 				t.Errorf("queue span [%d,%d) overlaps exec [%d,%d)", q.Start, q.End, e.Start, e.End)
 			}
 
-			// Per-phase durations must sum to the exec latency within the
-			// same tolerance band the obs-bench gates on (the phases are
-			// engine-clock time; exec is wall time around the dispatch).
-			var phaseSum int64
-			for _, sp := range rec.Spans {
-				if sp.Kind == "phase" {
-					phaseSum += sp.Dur()
+			// Phase spans exist on the first request; how much of exec they
+			// explain is measured below, where it is stable.
+			phaseSum := func(rec telemetry.RequestRecord) (sum int64) {
+				for _, sp := range rec.Spans {
+					if sp.Kind == "phase" {
+						sum += sp.Dur()
+					}
 				}
+				return sum
 			}
-			if phaseSum == 0 {
+			if phaseSum(rec) == 0 {
 				t.Fatal("no phase spans in the tree")
-			}
-			ratio := float64(phaseSum) / float64(rec.ExecNs)
-			if ratio < 0.3 || ratio > 1.7 {
-				t.Errorf("phase sum %d vs exec %d: ratio %.2f outside [0.3, 1.7]",
-					phaseSum, rec.ExecNs, ratio)
 			}
 
 			// Step spans: every rank contributes, with tile attribution.
@@ -156,6 +152,33 @@ func TestObserveRequestSpanTree(t *testing.T) {
 			}
 			if !tiled {
 				t.Error("no step span carries a tile index")
+			}
+
+			// Span closure: the per-phase durations (engine-clock time,
+			// averaged over ranks) against the exec latency (wall time
+			// around scatter, dispatch and gather). Taken from the second
+			// request of a 64³ plan: the first request of any plan builds
+			// it and runs cold, and at 16³ exec is mostly fixed dispatch
+			// cost, so that ratio wanders with scheduling (it failed a
+			// [0.3, 1.7] band in 7 of 120 runs). Here it read 0.54–0.80 in
+			// 400 idle runs and no lower than 0.42 beside another test
+			// process; the phases are a part of exec, so it cannot pass 1.
+			const big = 64
+			bigReq := TransformRequest{Nx: big, Ny: big, Nz: big, Ranks: tc.ranks, Decomp: tc.decomp}
+			var second telemetry.RequestRecord
+			for i := 0; i < 2; i++ {
+				code, resp, _, emsg := postTransform(t, ts.URL, bigReq, randField(big*big*big, 8))
+				if code != http.StatusOK {
+					t.Fatalf("64³ transform %d: HTTP %d: %s", i, code, emsg)
+				}
+				if code := getJSON(t, ts.URL+"/debug/requests/"+resp.RequestID, &second); code != http.StatusOK {
+					t.Fatalf("64³ request %d not captured: HTTP %d", i, code)
+				}
+			}
+			ratio := float64(phaseSum(second)) / float64(second.ExecNs)
+			if ratio < 0.3 || ratio > 1.05 {
+				t.Errorf("64³ phase sum %d vs exec %d: ratio %.2f outside [0.3, 1.05]",
+					phaseSum(second), second.ExecNs, ratio)
 			}
 
 			// The listing view knows the request too.

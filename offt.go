@@ -415,8 +415,8 @@ type Plan struct {
 	bds     []Breakdown
 	errs    []error
 	traces  [][]StepEvent // per-rank timelines of the last execution (WithTrace)
-	fullFwd []complex128  // reusable gathered spectrum
-	fullBwd []complex128  // reusable gathered backward result
+	fullFwd []complex128  // reusable gathered spectrum (first copying Forward)
+	fullBwd []complex128  // reusable gathered backward result (first copying Backward)
 
 	// spanScratch is the reusable staging slice for emitExecSpans: the
 	// span batch is assembled here (under the execution lock) and copied
@@ -540,7 +540,6 @@ func (p *Plan) startWorld(prm Params) error {
 			p.slabs[r] = make([]complex128, p.grids[r].InSize())
 		}
 	}
-	p.fullFwd = make([]complex128, p.cfg.nx*p.cfg.ny*p.cfg.nz)
 	p.cfg.params = &prm
 
 	var popts []pfft.PlanOpt
@@ -944,6 +943,9 @@ func (p *Plan) forwardLockedInto(dst, data []complex128, obs *execObs) ([]comple
 	}
 	p.emitExecSpans(obs)
 	if dst == nil {
+		if p.fullFwd == nil {
+			p.fullFwd = make([]complex128, p.cfg.nx*p.cfg.ny*p.cfg.nz)
+		}
 		dst = p.fullFwd
 	}
 	err := obs.stage("gather", func() error {

@@ -1,10 +1,18 @@
 #!/bin/sh
 # Repo verification: tier-1 build+test, vet, the race detector over the
 # concurrency-heavy packages (mem router, fault-injected transport, pfft
-# chaos suite, pooled plan reuse), and the steady-state allocation gates.
+# chaos suite, plan reuse), and the steady-state allocation gates.
 set -eux
 
 cd "$(dirname "$0")/.."
+
+# The three line counts ROADMAP tracks, by one fixed command so every
+# CHANGES.md entry quotes the same numbers: non-test Go in the pipeline
+# packages, in the commands, and everywhere outside the benchmark.
+loc() { find "$@" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l; }
+echo "non-test Go lines: internal/pfft + internal/pencil $(loc internal/pfft internal/pencil)," \
+    "cmd $(loc cmd)," \
+    "outside benchmark/ $(loc . ! -path './benchmark/*' ! -path './.bench_build/*')"
 
 gofmt_out=$(gofmt -l .)
 if [ -n "$gofmt_out" ]; then
@@ -39,6 +47,19 @@ go test -race -count=1 -run 'CommBitIdentical' .
 # -count=1 defeats the cache so the sockets are really opened every run.
 go test -race -count=1 ./internal/mpi/envelope/ ./internal/mpi/net/
 
+# Reproduction and pipeline pins. The golden test diffs the text offt-bench
+# prints for fourteen small-scale sim experiments against
+# internal/harness/testdata/small.golden (an intended change is re-recorded
+# with `go test ./internal/harness -run TestGoldenSmallScale -update` and
+# noted in EXPERIMENTS.md "Known deviations"); TestVirtualTimesPinned holds
+# the benchmark's virt_ms_per_fft to the nanosecond; TestPipelineOrder
+# drives the one phase runner with a scripted communicator over every tile
+# count, window and downgrade point and checks Algorithm 1's call order,
+# Test windows and one post per tile in tile order.
+go test -count=1 -run 'TestGoldenSmallScale' ./internal/harness/
+go test -count=1 -run 'TestVirtualTimesPinned' .
+go test -count=1 -run 'TestPipelineOrder' ./internal/pfft/
+
 # Multi-process leg: spawn real offt-run -engine net children over
 # 127.0.0.1, assert the forward/backward round-trip at 1e-9 and
 # bit-identical dumps vs the mem engine, and assert survivors of a killed
@@ -64,6 +85,12 @@ go test -run 'SteadyState' -count=1 . ./internal/arena/
 # response must find the request in the flight recorder at once. The race
 # used to lose about one run in ten.
 go test -run 'TestObserveRequestIDEcho' -count=50 ./internal/serve/
+
+# Span closure: the share of a request's exec span its per-phase spans
+# explain, taken from the second request of a 64-cubed plan where it is
+# stable (about 0.65 slab, 0.61 pencil). It used to be read off the first
+# 16-cubed request and lost 7 to 10 runs in a hundred.
+go test -run 'TestObserveRequestSpanTree' -count=50 ./internal/serve/
 
 # Observability smoke run: a real experiment with telemetry attached must
 # succeed and leave a non-empty metrics snapshot carrying the tuner's and
