@@ -9,11 +9,19 @@
 // reference; a holder may pass the handle on, and the last one calls
 // Release once, after its final access to Data. A holder that cannot prove
 // it is the last never releases and leaves the buffer to the collector.
+//
+// A sync.Pool keeps the first buffer put on a P in a slot no other P can
+// reach, so a goroutine that has moved to another P since its last Release
+// misses although the buffer is there. For a message payload that is a
+// rare small allocation; for serve's 4 MiB request buffers it was a fresh
+// 4 MiB a few times a minute, at random. Classes of 4 MiB and more
+// therefore keep their free buffers in one list every P sees (see class).
 package arena
 
 import (
 	"math/bits"
 	"sync"
+	"weak"
 )
 
 // Buf is a reusable buffer handle. Data is the caller's to read and write
@@ -31,12 +39,54 @@ type Slab = Buf[complex128]
 // Bytes is a byte buffer: an encoded wire frame.
 type Bytes = Buf[byte]
 
-type classes[T any] [48]sync.Pool
+// classes holds one element type's buffers; classes from large on hold
+// 4 MiB or more each.
+type classes[T any] struct {
+	class [48]class[T]
+	large int
+}
 
 var (
-	slabs  classes[complex128]
-	frames classes[byte]
+	slabs  = classes[complex128]{large: 18}
+	frames = classes[byte]{large: 22}
 )
+
+// class is the free buffers of one capacity. A small class keeps them in
+// pool. A large class keeps them in free, as weak pointers, and only ever
+// puts to pool, which then holds every released handle strongly until two
+// collections have passed: the lifetime a small class's buffers have, with
+// none of them out of a P's reach.
+type class[T any] struct {
+	pool sync.Pool
+	mu   sync.Mutex
+	free []weak.Pointer[Buf[T]]
+}
+
+func (k *class[T]) take(large bool) *Buf[T] {
+	if !large {
+		b, _ := k.pool.Get().(*Buf[T])
+		return b
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i := len(k.free) - 1; i >= 0; i-- {
+		b := k.free[i].Value() // nil: collected since its release
+		k.free = k.free[:i]
+		if b != nil {
+			return b
+		}
+	}
+	return nil
+}
+
+func (k *class[T]) put(b *Buf[T], large bool) {
+	k.pool.Put(b)
+	if large {
+		k.mu.Lock()
+		k.free = append(k.free, weak.Make(b))
+		k.mu.Unlock()
+	}
+}
 
 // Get returns a slab of length n with undefined contents.
 func Get(n int) *Slab { return slabs.get(n) }
@@ -49,8 +99,7 @@ func (cs *classes[T]) get(n int) *Buf[T] {
 		return &Buf[T]{Data: []T{}}
 	}
 	c := bits.Len(uint(n - 1))
-	if v := cs[c].Get(); v != nil {
-		b := v.(*Buf[T])
+	if b := cs.class[c].take(c >= cs.large); b != nil {
 		b.Data, b.free = b.Data[:n], false
 		return b
 	}
@@ -69,5 +118,6 @@ func (b *Buf[T]) Release() {
 	}
 	b.free = true
 	b.Data = b.Data[:cap(b.Data)]
-	b.home[bits.Len(uint(cap(b.Data)))-1].Put(b)
+	c := bits.Len(uint(cap(b.Data))) - 1
+	b.home.class[c].put(b, c >= b.home.large)
 }

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -46,6 +47,25 @@ func TestReleaseReuses(t *testing.T) {
 		}
 	}
 	t.Fatal("a released slab was never handed out again")
+}
+
+// TestLargeClassLifetime: a free buffer of a large class is handed out
+// again after one collection and gone after two, as a small class's is.
+func TestLargeClassLifetime(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	b := Get(1 << 18)
+	for gcs := 0; gcs <= 2; gcs++ {
+		b.Data[0] = 42
+		b.Release()
+		for i := 0; i < gcs; i++ {
+			runtime.GC()
+		}
+		if b = Get(1 << 18); (b.Data[0] == 42) != (gcs < 2) {
+			t.Fatalf("after %d collections: reused %t", gcs, b.Data[0] == 42)
+		}
+	}
 }
 
 func TestReleaseForeignAndNil(t *testing.T) {

@@ -53,16 +53,10 @@ func TestGoldenSmallScale(t *testing.T) {
 		return
 	}
 	got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(got) || i < len(exp); i++ {
-		var g, w string
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(exp) {
-			w = exp[i]
-		}
-		if g != w {
-			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+	for i := range min(len(got), len(exp)) {
+		if got[i] != exp[i] {
+			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, got[i], exp[i])
 		}
 	}
+	t.Fatalf("output has %d lines, %s has %d", len(got), path, len(exp))
 }

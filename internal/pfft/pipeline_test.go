@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"offt/internal/mpi"
@@ -212,12 +213,7 @@ func checkAccounting(t *testing.T, name string, b Breakdown, events []StepEvent,
 }
 
 func index(log []op, o op) int {
-	for n, l := range log {
-		if l.kind == o.kind && l.tile == o.tile {
-			return n
-		}
-	}
-	return -1
+	return slices.IndexFunc(log, func(l op) bool { return l.kind == o.kind && l.tile == o.tile })
 }
 
 func contains(log []op, o op) bool { return index(log, o) >= 0 }
