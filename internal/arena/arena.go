@@ -12,10 +12,11 @@
 //
 // A sync.Pool keeps the first buffer put on a P in a slot no other P can
 // reach, so a goroutine that has moved to another P since its last Release
-// misses although the buffer is there. For a message payload that is a
-// rare small allocation; for serve's 4 MiB request buffers it was a fresh
-// 4 MiB a few times a minute, at random. Classes of 4 MiB and more
-// therefore keep their free buffers in one list every P sees (see class).
+// misses although the buffer is there. That costs a message payload a small
+// allocation now and then; it would cost serve, whose handler changes P
+// between requests, a fresh 4 MiB request buffer at random. Classes of
+// 4 MiB and more therefore keep their free buffers in one list every P
+// sees (see class).
 package arena
 
 import (
