@@ -78,8 +78,11 @@ go test -run 'SteadyStateAllocs' -count=1 ./internal/pfft/
 # loopback, slab and pencil, forward and backward, at 64-cubed — must cost
 # O(1) objects per rank and collective and under 1% of the grid's bytes
 # per transform (steady_test.go); the arena's own round trip must cost
-# nothing. Not under -race: the instrumented runtime allocates on its own.
-go test -run 'SteadyState' -count=1 . ./internal/arena/
+# nothing, and its 4 MiB classes must hand a buffer out again after one
+# collection and let it go after two (serve-64-p2's alloc_kb_per_op is
+# steady only while that holds). Not under -race: the instrumented runtime
+# allocates on its own.
+go test -run 'SteadyState|TestLargeClassLifetime' -count=1 . ./internal/arena/
 
 # Flight-record ordering (PR 14): a client that has read its whole
 # response must find the request in the flight recorder at once. The race
