@@ -44,6 +44,7 @@ import (
 	"offt/internal/model"
 	"offt/internal/mpi/fault"
 	"offt/internal/mpi/mem"
+	"offt/internal/mpi/transport"
 	"offt/internal/pfft"
 	"offt/internal/telemetry"
 )
@@ -316,16 +317,16 @@ func runMem(p, n int, variant pfft.Variant, prm pfft.Params, verify, timeline bo
 		fft.NewPlan3D(n, n, n, fft.Forward).Transform(ref)
 	}
 
-	var opts []mem.Option
+	var opts []transport.Option
 	if plan.Active() {
 		// The soft wait deadline arms the overlapped→blocking downgrade;
 		// the stall profiles exceed it by design. The retransmit timeout
 		// sits well inside the deadline so plain drops recover without
 		// forcing a downgrade.
 		opts = append(opts,
-			mem.WithFaults(plan),
-			mem.WithRetransmitTimeout(2*time.Millisecond),
-			mem.WithDeadline(15*time.Millisecond))
+			transport.WithFaults(plan),
+			transport.WithRetransmitTimeout(2*time.Millisecond),
+			transport.WithDeadline(15*time.Millisecond))
 	}
 	w := mem.NewWorld(p, opts...)
 	w.RegisterTelemetry(obs.Registry())

@@ -14,6 +14,7 @@ import (
 	"offt/internal/layout"
 	"offt/internal/mpi/fault"
 	enginenet "offt/internal/mpi/net"
+	"offt/internal/mpi/transport"
 	"offt/internal/pencil"
 	"offt/internal/pfft"
 	"offt/internal/telemetry"
@@ -39,13 +40,13 @@ func runNet(rank int, coord, world string, p, n int, decomp offt.Decomp, pr int,
 		fatal(fmt.Errorf("net engine: -verify runs the backward transform; the TH variants are forward-only"))
 	}
 
-	var opts []enginenet.Option
+	var opts []transport.Option
 	if plan.Active() {
 		// Same arming as the mem engine's chaos mode: a short retransmit
 		// timeout recovers plain drops quickly, well inside any deadline.
 		opts = append(opts,
-			enginenet.WithFaults(plan),
-			enginenet.WithRetransmitTimeout(2*time.Millisecond))
+			transport.WithFaults(plan),
+			transport.WithRetransmitTimeout(2*time.Millisecond))
 	}
 	w, err := enginenet.Join(enginenet.Config{Rank: rank, Size: p, Coord: coord, World: world}, opts...)
 	if err != nil {

@@ -1,10 +1,11 @@
-// Package envelope is the shared message format of the self-healing
-// transports: the in-process mem engine and the TCP net engine exchange
-// the same sequence-numbered, checksummed envelopes, so recovery semantics
-// (receiver-side dedup, ack/retransmit with capped backoff, checksum-drop
-// of corrupted deliveries) are engine-independent. This package owns the
-// envelope struct, its checksum, and the length-prefixed binary frame
-// codec the net engine puts on the wire.
+// Package envelope is the message format of the reliable-delivery core
+// (package mpi/transport) and the parts of it that are plain data
+// structures: the sequence-numbered, checksummed Envelope, the
+// length-prefixed binary frame codec the net engine puts on the wire, the
+// receiver's per-link duplicate filter (Dedup) and per-rank Mailbox, the
+// recovery Counters behind mpi.Health, and the retransmission Backoff. The
+// protocol that uses them — who numbers, resends, verifies and
+// acknowledges — is package transport's, once, for both engines.
 //
 // Wire framing (all integers little-endian):
 //
@@ -28,8 +29,8 @@
 //	fin body (kind 3): empty — the kind byte is the whole body
 //
 // Acks are deliberately tiny and carry no checksum: like the mem engine's
-// in-process delivery path, acknowledgements ride the reliable control
-// plane (TCP) and are never fault-injected; only data payloads fault.
+// function-call acks, they ride a reliable control plane (TCP) and are
+// never fault-injected; only data payloads fault.
 //
 // A fin frame is the graceful-departure marker: a rank whose world
 // completed its teardown barrier sends fin as its last frame before
@@ -75,8 +76,7 @@ var (
 	ErrBadHeader = errors.New("envelope: malformed frame header")
 )
 
-// Envelope is one sequence-numbered, checksummed message of the
-// self-healing transport. ID names the message to the fault plan, the
+// Envelope is one sequence-numbered, checksummed message. ID names the message to the fault plan, the
 // outstanding set and the ack; Seq counts one src→dst link's messages from
 // 1 without gaps, which keeps the receiver's Dedup exact and bounded.
 type Envelope struct {

@@ -8,8 +8,8 @@ import (
 	"offt/internal/telemetry"
 )
 
-// Counters aggregates a world's transport-recovery activity. The mem and
-// net engines share the set, so mpi.Health means the same thing on both.
+// Counters aggregates a world's transport-recovery activity: one set in
+// the core both engines run on, so mpi.Health means the same thing on both.
 // All fields are updated atomically: senders, delivery timers and
 // retransmit timers never contend on a world lock just to count.
 type Counters struct {

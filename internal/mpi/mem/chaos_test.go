@@ -1,96 +1,14 @@
 package mem
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"offt/internal/mpi"
 	"offt/internal/mpi/fault"
+	"offt/internal/mpi/transport"
 )
-
-// TestRetransmitRecoversDrops forces the first delivery attempt of every
-// message to be dropped: the transport must retransmit each one exactly
-// until it lands, and the all-to-all must still route every element.
-func TestRetransmitRecoversDrops(t *testing.T) {
-	p := 4
-	plan := &fault.Plan{Seed: 1, ForceDropAttempts: 1}
-	w := NewWorld(p, WithFaults(plan), WithRetransmitTimeout(time.Millisecond))
-	err := w.Run(func(c *Comm) {
-		counts := []int{3, 3, 3, 3}
-		send := fillBlocks(c.Rank(), counts)
-		recv := make([]complex128, 12)
-		c.Alltoallv(send, counts, recv, counts)
-		checkBlocks(t, c.Rank(), counts, recv)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := w.Health()
-	msgs := int64(p * (p - 1)) // one off-rank block per pair
-	if h.DropsInjected < msgs {
-		t.Errorf("DropsInjected = %d, want ≥ %d (every first attempt)", h.DropsInjected, msgs)
-	}
-	if h.Retransmits < msgs {
-		t.Errorf("Retransmits = %d, want ≥ %d", h.Retransmits, msgs)
-	}
-	if h.Delivered < msgs {
-		t.Errorf("Delivered = %d, want ≥ %d", h.Delivered, msgs)
-	}
-}
-
-// TestChecksumRejectsCorruption corrupts the first attempt of every
-// message; the receiver must detect it via checksum and recover through a
-// clean retransmission.
-func TestChecksumRejectsCorruption(t *testing.T) {
-	p := 3
-	plan := &fault.Plan{Seed: 2, ForceCorruptAttempts: 1}
-	w := NewWorld(p, WithFaults(plan), WithRetransmitTimeout(time.Millisecond))
-	err := w.Run(func(c *Comm) {
-		counts := []int{4, 4, 4}
-		send := fillBlocks(c.Rank(), counts)
-		recv := make([]complex128, 12)
-		c.Alltoallv(send, counts, recv, counts)
-		checkBlocks(t, c.Rank(), counts, recv)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := w.Health()
-	if h.CorruptionsInjected < 1 || h.CorruptionsDetected < 1 {
-		t.Errorf("corruptions injected/detected = %d/%d, want ≥ 1 each", h.CorruptionsInjected, h.CorruptionsDetected)
-	}
-	if h.CorruptionsDetected < h.CorruptionsInjected {
-		t.Errorf("detected %d < injected %d: some corrupted payload was accepted", h.CorruptionsDetected, h.CorruptionsInjected)
-	}
-	if h.Retransmits < 1 {
-		t.Errorf("Retransmits = %d, want ≥ 1", h.Retransmits)
-	}
-}
-
-// TestDuplicatesDeduped duplicates every delivery; the receiver-side dedup
-// must swallow the copies without corrupting the mailbox.
-func TestDuplicatesDeduped(t *testing.T) {
-	p := 3
-	plan := &fault.Plan{Seed: 3, DupRate: 1}
-	w := NewWorld(p, WithFaults(plan), WithRetransmitTimeout(time.Millisecond))
-	err := w.Run(func(c *Comm) {
-		counts := []int{2, 2, 2}
-		for round := 0; round < 3; round++ {
-			send := fillBlocks(c.Rank(), counts)
-			recv := make([]complex128, 6)
-			c.Alltoallv(send, counts, recv, counts)
-			checkBlocks(t, c.Rank(), counts, recv)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := w.Health(); h.Dedups < 1 {
-		t.Errorf("Dedups = %d, want ≥ 1", h.Dedups)
-	}
-}
 
 // TestRandomizedChaosConverges runs many rounds under an aggressive random
 // mix of drops, corruption, duplication and jitter and checks every
@@ -99,7 +17,7 @@ func TestRandomizedChaosConverges(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		plan := &fault.Plan{Seed: seed, DropRate: 0.2, CorruptRate: 0.1, DupRate: 0.2, JitterNs: 100_000}
 		p := 4
-		w := NewWorld(p, WithFaults(plan), WithRetransmitTimeout(time.Millisecond))
+		w := NewWorld(p, transport.WithFaults(plan), transport.WithRetransmitTimeout(time.Millisecond))
 		err := w.Run(func(c *Comm) {
 			counts := []int{3, 1, 0, 5}
 			// Every rank sends the same counts vector, so rank r receives
@@ -121,45 +39,6 @@ func TestRandomizedChaosConverges(t *testing.T) {
 	}
 }
 
-// TestWaitDeadlineDiagnostic stalls rank 0's NIC past the soft deadline:
-// the other rank's WaitDeadline must return a diagnostic naming the
-// missing collective and source rank, and a subsequent Wait must still
-// complete once the stall window closes.
-func TestWaitDeadlineDiagnostic(t *testing.T) {
-	p := 2
-	plan := &fault.Plan{Seed: 4, Stalls: []fault.RankStall{{Rank: 0, At: 0, Dur: int64(120 * time.Millisecond)}}}
-	w := NewWorld(p, WithFaults(plan), WithDeadline(15*time.Millisecond))
-	sawDeadline := false
-	err := w.Run(func(c *Comm) {
-		counts := []int{2, 2}
-		send := fillBlocks(c.Rank(), counts)
-		recv := make([]complex128, 4)
-		req := c.Ialltoallv(send, counts, recv, counts)
-		werr := c.WaitDeadline(req)
-		if c.Rank() == 1 {
-			var de *DeadlineError
-			if !errors.As(werr, &de) {
-				t.Errorf("rank 1: WaitDeadline = %v, want *DeadlineError", werr)
-			} else {
-				sawDeadline = true
-				if len(de.Missing) != 1 || de.Missing[0].Seq != 0 {
-					t.Errorf("diagnostic missing wrong collective: %+v", de.Missing)
-				} else if len(de.Missing[0].From) != 1 || de.Missing[0].From[0] != 0 {
-					t.Errorf("diagnostic blames ranks %v, want [0]", de.Missing[0].From)
-				}
-			}
-		}
-		c.Wait(req) // soft deadline: the request must still be completable
-		checkBlocks(t, c.Rank(), counts, recv)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sawDeadline {
-		t.Error("rank 1 never observed the wait deadline")
-	}
-}
-
 // TestDeadlockDetected runs a deliberately mismatched program (one rank in
 // Barrier, the other waiting for a block that will never be sent): Run
 // must return a diagnostic error naming the stuck collective sequence
@@ -168,7 +47,7 @@ func TestDeadlockDetected(t *testing.T) {
 	w := NewWorld(2)
 	// Shorten the default watchdog window (white-box) without enabling the
 	// per-call hard limits, so it is Run's watchdog that reports.
-	w.hangTimeout = 150 * time.Millisecond
+	w.watch = 150 * time.Millisecond
 	done := make(chan error, 1)
 	go func() {
 		done <- w.Run(func(c *Comm) {
@@ -205,7 +84,7 @@ func TestDeadlockDetected(t *testing.T) {
 // TestBarrierHangTimeout: with an explicit hang timeout, a Barrier that can
 // never complete fails the world with a diagnostic error.
 func TestBarrierHangTimeout(t *testing.T) {
-	w := NewWorld(2, WithHangTimeout(100*time.Millisecond))
+	w := NewWorld(2, transport.WithHangTimeout(100*time.Millisecond))
 	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Barrier() // rank 1 never arrives

@@ -35,8 +35,7 @@ func TestFailUnblocksBlockedRanks(t *testing.T) {
 	}
 }
 
-// TestFailIdempotent: only the first cause sticks, and failing a closed
-// world is a no-op.
+// TestFailIdempotent: only the first cause sticks.
 func TestFailIdempotent(t *testing.T) {
 	w := NewWorld(1)
 	first := errors.New("first")

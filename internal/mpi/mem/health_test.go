@@ -6,6 +6,7 @@ import (
 
 	"offt/internal/mpi"
 	"offt/internal/mpi/fault"
+	"offt/internal/mpi/transport"
 )
 
 // healthScenario drives a fixed fault plan through rounds of collectives
@@ -19,7 +20,7 @@ func healthScenario(t *testing.T) mpi.Health {
 	t.Helper()
 	const p, rounds, n = 4, 24, 5
 	plan := &fault.Plan{Seed: 20140215, DropRate: 0.15, DupRate: 0.2, CorruptRate: 0.15}
-	w := NewWorld(p, WithFaults(plan), WithRetransmitTimeout(200*time.Microsecond))
+	w := NewWorld(p, transport.WithFaults(plan), transport.WithRetransmitTimeout(200*time.Microsecond))
 	err := w.Run(func(c *Comm) {
 		me := c.Rank()
 		for round := 0; round < rounds; round++ {

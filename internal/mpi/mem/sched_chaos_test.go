@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"offt/internal/mpi/fault"
+	"offt/internal/mpi/transport"
 )
 
 // Chaos coverage for the tunable exchange schedules: the self-healing
@@ -21,7 +22,7 @@ func TestSchedulesSurviveChaos(t *testing.T) {
 		t.Run(exName(ex), func(t *testing.T) {
 			plan := &fault.Plan{Seed: 11, DropRate: 0.2, CorruptRate: 0.1, DupRate: 0.2, JitterNs: 100_000}
 			p := 4
-			w := NewWorld(p, WithFaults(plan), WithRetransmitTimeout(time.Millisecond))
+			w := NewWorld(p, transport.WithFaults(plan), transport.WithRetransmitTimeout(time.Millisecond))
 			err := w.Run(func(c *Comm) {
 				c.SetExchange(ex)
 				counts := []int{3, 1, 0, 5}
@@ -55,7 +56,7 @@ func TestSchedulesRetransmitPath(t *testing.T) {
 		t.Run(exName(ex), func(t *testing.T) {
 			plan := &fault.Plan{Seed: 12, ForceDropAttempts: 1}
 			p := 4
-			w := NewWorld(p, WithFaults(plan), WithRetransmitTimeout(time.Millisecond))
+			w := NewWorld(p, transport.WithFaults(plan), transport.WithRetransmitTimeout(time.Millisecond))
 			err := w.Run(func(c *Comm) {
 				c.SetExchange(ex)
 				counts := []int{2, 2, 2, 2}
@@ -88,7 +89,7 @@ func TestSchedulesStickyFailOnKill(t *testing.T) {
 			for r := 0; r < p; r++ {
 				stalls = append(stalls, fault.RankStall{Rank: r, At: 0, Dur: int64(time.Second)})
 			}
-			w := NewWorld(p, WithFaults(&fault.Plan{Seed: 13, Stalls: stalls}))
+			w := NewWorld(p, transport.WithFaults(&fault.Plan{Seed: 13, Stalls: stalls}))
 			kill := errors.New("chaos kill")
 			go func() {
 				time.Sleep(10 * time.Millisecond)
@@ -120,7 +121,7 @@ func TestSchedulesWaitDeadlineDowngrade(t *testing.T) {
 		t.Run(exName(ex), func(t *testing.T) {
 			p := 2
 			plan := &fault.Plan{Seed: 14, Stalls: []fault.RankStall{{Rank: 0, At: 0, Dur: int64(120 * time.Millisecond)}}}
-			w := NewWorld(p, WithFaults(plan), WithDeadline(15*time.Millisecond))
+			w := NewWorld(p, transport.WithFaults(plan), transport.WithDeadline(15*time.Millisecond))
 			sawDeadline := false
 			err := w.Run(func(c *Comm) {
 				c.SetExchange(ex)
@@ -130,9 +131,9 @@ func TestSchedulesWaitDeadlineDowngrade(t *testing.T) {
 				req := c.Ialltoallv(send, counts, recv, counts)
 				werr := c.WaitDeadline(req)
 				if c.Rank() == 1 {
-					var de *DeadlineError
+					var de *transport.DeadlineError
 					if !errors.As(werr, &de) {
-						t.Errorf("rank 1: WaitDeadline = %v, want *DeadlineError", werr)
+						t.Errorf("rank 1: WaitDeadline = %v, want *transport.DeadlineError", werr)
 					} else {
 						sawDeadline = true
 						if len(de.Missing) == 0 || len(de.Missing[0].From) == 0 {

@@ -3,14 +3,19 @@
 // blocking and non-blocking all-to-all (MPI_Alltoallv / MPI_Ialltoallv),
 // MPI_Test for manual progression, MPI_Wait, and a barrier.
 //
-// Two engines implement the interface:
+// Three engines implement the interface:
 //
 //   - mpi/sim: ranks run in virtual time over the simulated fabric of
 //     package simnet. Buffers are optional (no payload is moved); this
 //     engine reproduces the paper's performance phenomena at paper scale.
-//   - mpi/mem: ranks are goroutines exchanging real data through an
-//     in-memory router, optionally with emulated link delays. This engine
-//     is used for end-to-end numerical verification and demos.
+//   - mpi/mem: ranks are goroutines exchanging real data in one process,
+//     optionally with emulated link delays. This engine is used for
+//     end-to-end numerical verification and demos.
+//   - mpi/net: one rank per OS process over a TCP mesh.
+//
+// mem and net are two links under one reliable-delivery core, package
+// mpi/transport, which also owns their communicator; the exchange
+// schedules both run are package mpi/sched.
 //
 // Collective calls must be issued in the same order by every rank of a
 // world (the usual MPI requirement); the engines match collectives across

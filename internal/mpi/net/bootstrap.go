@@ -8,12 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"syscall"
 	"time"
 
 	"offt/internal/machine"
-	"offt/internal/mpi/envelope"
+	"offt/internal/mpi/transport"
 )
 
 // Config describes one process's membership in a world to Join.
@@ -60,7 +59,7 @@ type tableMsg struct {
 //
 // Join blocks until the whole world is connected (the rendezvous) or the
 // join timeout passes.
-func Join(cfg Config, opts ...Option) (*World, error) {
+func Join(cfg Config, opts ...transport.Option) (*World, error) {
 	if cfg.Size < 1 {
 		return nil, fmt.Errorf("net: world size %d, need >= 1", cfg.Size)
 	}
@@ -81,22 +80,13 @@ func Join(cfg Config, opts ...Option) (*World, error) {
 	}
 	deadline := time.Now().Add(cfg.JoinTimeout)
 
-	w := &World{
-		rank:        cfg.Rank,
-		p:           cfg.Size,
-		epoch:       time.Now(),
-		mach:        machine.Laptop(),
-		rto:         25 * time.Millisecond,
-		hangTimeout: defaultHangTimeout,
-		dedup:       make([]envelope.Dedup, cfg.Size),
-		linkSeq:     make([]int64, cfg.Size),
-		outstanding: make(map[int64]*outMsg),
-		peers:       make([]*peer, cfg.Size),
-	}
-	w.cond = sync.NewCond(&w.mu)
+	tc := transport.Config{Name: "net", RTO: 25 * time.Millisecond, HangTimeout: defaultHangTimeout, Machine: machine.Laptop()}
 	for _, o := range opts {
-		o(w)
+		o(&tc)
 	}
+	w := &World{rank: cfg.Rank, p: cfg.Size, wire: wire{peers: make([]*peer, cfg.Size)}}
+	w.World = transport.New(cfg.Size, cfg.Rank, cfg.Rank+1, &w.wire, tc)
+	w.wire.world = w.World
 
 	if cfg.Rank != 0 && cfg.CoordListener != nil {
 		cfg.CoordListener.Close()
@@ -122,14 +112,14 @@ func Join(cfg Config, opts ...Option) (*World, error) {
 	}
 
 	if err := w.mesh(dataLn, addrs, deadline); err != nil {
-		for _, pe := range w.peers {
+		for _, pe := range w.wire.peers {
 			if pe != nil {
 				pe.conn.Close()
 			}
 		}
 		return nil, err
 	}
-	for _, pe := range w.peers {
+	for _, pe := range w.wire.peers {
 		if pe == nil {
 			continue
 		}
@@ -335,18 +325,18 @@ func (w *World) mesh(dataLn net.Listener, addrs []string, deadline time.Time) er
 			return fmt.Errorf("net: rank %d: mesh hello to rank %d: %w", w.rank, j, err)
 		}
 		conn.SetWriteDeadline(time.Time{})
-		w.peers[j] = newPeer(j, conn)
+		w.wire.peers[j] = newPeer(j, conn)
 	}
 	for i := 0; i < expect; i++ {
 		a := <-acceptCh
 		if a.err != nil {
 			return a.err
 		}
-		if a.rank <= w.rank || a.rank >= w.p || w.peers[a.rank] != nil {
+		if a.rank <= w.rank || a.rank >= w.p || w.wire.peers[a.rank] != nil {
 			a.conn.Close()
 			return fmt.Errorf("net: rank %d: unexpected mesh hello from rank %d", w.rank, a.rank)
 		}
-		w.peers[a.rank] = newPeer(a.rank, a.conn)
+		w.wire.peers[a.rank] = newPeer(a.rank, a.conn)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"offt/internal/mpi"
 	"offt/internal/mpi/fault"
+	"offt/internal/mpi/transport"
 )
 
 // healthScenario runs a fixed fault plan through rounds of ragged
@@ -28,10 +29,10 @@ func healthScenario(t *testing.T) mpi.Health {
 	var settled, read sync.WaitGroup // in-process rendezvous: no transport traffic
 	settled.Add(p)
 	read.Add(p)
-	opts := func(int) []Option {
-		return []Option{WithFaults(plan), WithRetransmitTimeout(150 * time.Millisecond)}
+	opts := func(int) []transport.Option {
+		return []transport.Option{transport.WithFaults(plan), transport.WithRetransmitTimeout(150 * time.Millisecond)}
 	}
-	errs := launch(t, p, opts, func(c *Comm) {
+	errs := launchWorlds(t, p, opts, func(w *World, c *Comm) {
 		rank := c.Rank()
 		send, sc := buildSend(rank, counts)
 		want, rc := wantRecv(rank, counts)
@@ -44,13 +45,7 @@ func healthScenario(t *testing.T) mpi.Health {
 				}
 			}
 		}
-		for {
-			c.w.mu.Lock()
-			n := len(c.w.outstanding)
-			c.w.mu.Unlock()
-			if n == 0 {
-				break
-			}
+		for w.Outstanding() > 0 {
 			time.Sleep(time.Millisecond)
 		}
 		settled.Done()

@@ -16,6 +16,7 @@ import (
 	"offt/internal/mpi/envelope"
 	"offt/internal/mpi/fault"
 	"offt/internal/mpi/mem"
+	"offt/internal/mpi/transport"
 	"offt/internal/pencil"
 	"offt/internal/pfft"
 )
@@ -37,7 +38,13 @@ func coordListener(t *testing.T) (net.Listener, string) {
 // launch forms a p-rank world with one World per goroutine (the in-process
 // stand-in for p OS processes — the TCP mesh over loopback is real) and
 // runs body on every rank. Returns the per-rank Run errors.
-func launch(t *testing.T, p int, opts func(rank int) []Option, body func(c *Comm)) []error {
+func launch(t *testing.T, p int, opts func(rank int) []transport.Option, body func(c *Comm)) []error {
+	t.Helper()
+	return launchWorlds(t, p, opts, func(_ *World, c *Comm) { body(c) })
+}
+
+// launchWorlds is launch for a body that also needs its rank's World.
+func launchWorlds(t *testing.T, p int, opts func(rank int) []transport.Option, body func(w *World, c *Comm)) []error {
 	t.Helper()
 	coordLn, coord := coordListener(t)
 	errs := make([]error, p)
@@ -46,7 +53,7 @@ func launch(t *testing.T, p int, opts func(rank int) []Option, body func(c *Comm
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			var o []Option
+			var o []transport.Option
 			if opts != nil {
 				o = opts(rank)
 			}
@@ -60,7 +67,7 @@ func launch(t *testing.T, p int, opts func(rank int) []Option, body func(c *Comm
 				return
 			}
 			defer w.Close()
-			errs[rank] = w.Run(body)
+			errs[rank] = w.Run(func(c *Comm) { body(w, c) })
 		}(r)
 	}
 	wg.Wait()
@@ -241,8 +248,8 @@ func TestChaosRecovery(t *testing.T) {
 	counts := testCounts(p)
 	var healthMu sync.Mutex
 	var total mpi.Health
-	opts := func(rank int) []Option {
-		return []Option{WithFaults(plan), WithRetransmitTimeout(2 * time.Millisecond)}
+	opts := func(rank int) []transport.Option {
+		return []transport.Option{transport.WithFaults(plan), transport.WithRetransmitTimeout(2 * time.Millisecond)}
 	}
 	errs := launch(t, p, opts, func(c *Comm) {
 		rank := c.Rank()
@@ -299,7 +306,7 @@ func TestPeerLossFailsSurvivors(t *testing.T) {
 			if rank == 0 {
 				cfg.CoordListener = coordLn
 			}
-			worlds[rank], joinErrs[rank] = Join(cfg, WithHangTimeout(5*time.Second))
+			worlds[rank], joinErrs[rank] = Join(cfg, transport.WithHangTimeout(5*time.Second))
 		}(r)
 	}
 	jwg.Wait()
@@ -354,42 +361,85 @@ func TestPeerLossFailsSurvivors(t *testing.T) {
 	}
 }
 
+// failsOnFrame has rank 0 of a 2-rank world with no fault plan put one
+// hand-made frame on its connection to rank 1, then runs a collective that
+// rank 0 never completes: rank 1 cannot finish, only fail. It returns rank
+// 1's Run error and final health, and checks the failure was prompt (the
+// frame, not the hang timeout).
+func failsOnFrame(t *testing.T, frame []byte) (error, mpi.Health) {
+	t.Helper()
+	const p = 2
+	counts := testCounts(p)
+	var health mpi.Health
+	failed := make(chan struct{})
+	start := time.Now()
+	errs := launchWorlds(t, p, nil, func(w *World, c *Comm) {
+		rank := c.Rank()
+		if rank == 0 {
+			w.wire.peers[1].enqueue(outFrame{b: frame})
+			<-failed
+			return
+		}
+		defer func() {
+			health = c.TransportHealth()
+			close(failed)
+		}()
+		send, sc := buildSend(rank, counts)
+		want, rc := wantRecv(rank, counts)
+		c.Alltoallv(send, sc, make([]complex128, len(want)), rc)
+	})
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("rank 1 took %v to fail; the frame did not fail it", elapsed)
+	}
+	return errs[1], health
+}
+
 // TestCorruptFrameWithoutPlanFailsWorld: with no fault plan a sender writes
 // a frame once and keeps no copy, so a frame that fails its checksum can
 // never be recovered; the receiving rank must fail its world at once with
 // a *PeerError naming the link, not sit out the hang timeout.
 func TestCorruptFrameWithoutPlanFailsWorld(t *testing.T) {
-	const p = 2
-	counts := testCounts(p)
-	var detected atomic.Int64
-	failed := make(chan struct{})
-	start := time.Now()
-	errs := launch(t, p, nil, func(c *Comm) {
-		rank := c.Rank()
-		if rank == 0 {
-			env := envelope.Envelope{ID: 1 << 40, Seq: 1 << 40, Src: 0, Dst: 1, Tag: 1 << 30, Data: []complex128{1, 2, 3}}
-			env.Seal()
-			c.w.peers[1].enqueue(outFrame{b: corruptFrame(envelope.AppendData(nil, &env), 1)})
-			<-failed // rank 1 waits on this rank's block: it cannot finish, only fail
-		} else {
-			defer func() {
-				detected.Store(c.TransportHealth().CorruptionsDetected)
-				close(failed)
-			}()
-		}
-		send, sc := buildSend(rank, counts)
-		want, rc := wantRecv(rank, counts)
-		c.Alltoallv(send, sc, make([]complex128, len(want)), rc)
-	})
+	env := envelope.Envelope{ID: 1 << 40, Seq: 1 << 40, Src: 0, Dst: 1, Tag: 1 << 30, Data: []complex128{1, 2, 3}}
+	env.Seal()
+	env.Data = fault.CorruptCopy(env.Data, 1)
+	err, health := failsOnFrame(t, envelope.AppendData(nil, &env))
 	var pe *PeerError
-	if !errors.As(errs[1], &pe) || pe.Peer != 0 || !errors.Is(errs[1], ErrCorruptFrame) {
-		t.Fatalf("rank 1: error %v (%T), want a *PeerError blaming rank 0 with ErrCorruptFrame", errs[1], errs[1])
+	if !errors.As(err, &pe) || pe.Peer != 0 || !errors.Is(err, transport.ErrCorruptFrame) {
+		t.Fatalf("rank 1: error %v (%T), want a *PeerError blaming rank 0 with ErrCorruptFrame", err, err)
 	}
-	if n := detected.Load(); n != 1 {
-		t.Errorf("rank 1 counted %d corrupted deliveries, want 1", n)
+	if health.CorruptionsDetected != 1 {
+		t.Errorf("rank 1 counted %d corrupted deliveries, want 1", health.CorruptionsDetected)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("rank 1 took %v to fail; the checksum path did not fire", elapsed)
+}
+
+// TestBadHeaderFailsWorld: the ranks in a frame come off the wire, and
+// Decode only rejects negative ones. A data frame whose source is not the
+// peer whose connection carried it (out of range, or the receiver itself)
+// or whose destination is another rank, and an ack signed by a third rank,
+// must fail the receiving world with a *PeerError blaming that connection
+// — not index a per-rank table with them.
+func TestBadHeaderFailsWorld(t *testing.T) {
+	data := func(src, dst int) []byte {
+		env := envelope.Envelope{ID: 1 << 40, Seq: 1, Src: src, Dst: dst, Tag: 1 << 30, Data: []complex128{1, 2, 3}}
+		env.Seal()
+		return envelope.AppendData(nil, &env)
+	}
+	for name, frame := range map[string][]byte{
+		"source out of range":    data(7, 1),
+		"source is the receiver": data(1, 1),
+		"destination elsewhere":  data(0, 0),
+		"ack from a third rank":  envelope.AppendAck(nil, 1, 7),
+	} {
+		t.Run(name, func(t *testing.T) {
+			err, health := failsOnFrame(t, frame)
+			var pe *PeerError
+			if !errors.As(err, &pe) || pe.Peer != 0 || !errors.Is(err, envelope.ErrBadHeader) {
+				t.Fatalf("rank 1: error %v (%T), want a *PeerError blaming rank 0 with ErrBadHeader", err, err)
+			}
+			if health.Delivered != 0 {
+				t.Errorf("rank 1 delivered %d messages, want none", health.Delivered)
+			}
+		})
 	}
 }
 

@@ -8,13 +8,14 @@ import (
 	"offt/internal/fft"
 	"offt/internal/mpi/fault"
 	"offt/internal/mpi/mem"
+	"offt/internal/mpi/transport"
 	"offt/internal/pfft"
 )
 
 // runPlan scatters full, runs one (or more) Forward executions through a
 // reusable Plan on every rank, and gathers the result. A zero prm means the
 // default parameters.
-func runPlan(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, v pfft.Variant, prm Params2D, execs int, wopts ...mem.Option) ([]complex128, []pfft.Breakdown) {
+func runPlan(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, v pfft.Variant, prm Params2D, execs int, wopts ...transport.Option) ([]complex128, []pfft.Breakdown) {
 	t.Helper()
 	p := pr * pc
 	w := mem.NewWorld(p, wopts...)
@@ -149,7 +150,7 @@ func TestPlanDegradesUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, bds := runPlan(t, full, nx, ny, nz, pr, pc, pfft.NEW, Params2D{}, 1,
-		mem.WithFaults(fp), mem.WithDeadline(time.Nanosecond))
+		transport.WithFaults(fp), transport.WithDeadline(time.Nanosecond))
 	var dg int64
 	for _, b := range bds {
 		dg += b.Downgrades

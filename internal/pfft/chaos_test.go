@@ -10,6 +10,7 @@ import (
 	"offt/internal/layout"
 	"offt/internal/mpi/fault"
 	"offt/internal/mpi/mem"
+	"offt/internal/mpi/transport"
 )
 
 func TestChaosForwardBackward64(t *testing.T) {
@@ -17,7 +18,7 @@ func TestChaosForwardBackward64(t *testing.T) {
 	full := randCube(n, n, n, 2026)
 	want := serialReference(full, n, n, n)
 	plan := &fault.Plan{Seed: 2026, DropRate: 0.015, CorruptRate: 0.01, DupRate: 0.01, JitterNs: 50_000}
-	w := mem.NewWorld(p, mem.WithFaults(plan), mem.WithRetransmitTimeout(time.Millisecond))
+	w := mem.NewWorld(p, transport.WithFaults(plan), transport.WithRetransmitTimeout(time.Millisecond))
 	outs := make([][]complex128, p)
 	var sum Breakdown
 	var mu sync.Mutex
@@ -94,7 +95,7 @@ func TestChaosStallDowngrades(t *testing.T) {
 	full := randCube(n, n, n, 11)
 	want := serialReference(full, n, n, n)
 	plan := &fault.Plan{Seed: 11, Stalls: []fault.RankStall{{Rank: 1, At: 0, Dur: int64(40 * time.Millisecond)}}}
-	w := mem.NewWorld(p, mem.WithFaults(plan), mem.WithDeadline(2*time.Millisecond))
+	w := mem.NewWorld(p, transport.WithFaults(plan), transport.WithDeadline(2*time.Millisecond))
 	outs := make([][]complex128, p)
 	var sum Breakdown
 	var mu sync.Mutex
@@ -139,9 +140,9 @@ func TestChaosProfilesQuick(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := mem.NewWorld(p,
-				mem.WithFaults(plan),
-				mem.WithRetransmitTimeout(time.Millisecond),
-				mem.WithDeadline(2*time.Millisecond))
+				transport.WithFaults(plan),
+				transport.WithRetransmitTimeout(time.Millisecond),
+				transport.WithDeadline(2*time.Millisecond))
 			outs := make([][]complex128, p)
 			var mu sync.Mutex
 			err = w.Run(func(c *mem.Comm) {
@@ -210,7 +211,7 @@ func TestTraceRecordsDowngrade(t *testing.T) {
 	const n, p = 16, 4
 	full := randCube(n, n, n, 13)
 	plan := &fault.Plan{Seed: 13, Stalls: []fault.RankStall{{Rank: 0, At: 0, Dur: int64(30 * time.Millisecond)}}}
-	w := mem.NewWorld(p, mem.WithFaults(plan), mem.WithDeadline(2*time.Millisecond))
+	w := mem.NewWorld(p, transport.WithFaults(plan), transport.WithDeadline(2*time.Millisecond))
 	traces := make([][]StepEvent, p)
 	err := w.Run(func(c *mem.Comm) {
 		g, gerr := layout.NewGrid(n, n, n, p, c.Rank())

@@ -155,7 +155,7 @@ func TestQuarantineRebuildLifecycle(t *testing.T) {
 	r.SetRebuildPolicy(fastRebuild())
 
 	key := memKey(8, 2)
-	e, err := r.Acquire(context.Background(), key, buildFor(key))
+	e, _, err := r.Acquire(context.Background(), key, buildFor(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestQuarantineRebuildLifecycle(t *testing.T) {
 	}
 
 	// While the breaker is open the key fast-fails without building.
-	if _, err := r.Acquire(context.Background(), key, func() (*offt.Plan, error) {
+	if _, _, err := r.Acquire(context.Background(), key, func() (*offt.Plan, error) {
 		t.Error("builder called while the breaker is open")
 		return nil, errors.New("unexpected")
 	}); !errors.Is(err, ErrPlanQuarantined) {
@@ -188,7 +188,7 @@ func TestQuarantineRebuildLifecycle(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var fresh *planEntry
 	for time.Now().Before(deadline) {
-		fresh, err = r.Acquire(context.Background(), key, buildFor(key))
+		fresh, _, err = r.Acquire(context.Background(), key, buildFor(key))
 		if err == nil {
 			break
 		}
@@ -236,7 +236,7 @@ func TestBreakerBreaksThenHalfOpens(t *testing.T) {
 		return buildFor(key)()
 	}
 
-	e, err := r.Acquire(context.Background(), key, build)
+	e, _, err := r.Acquire(context.Background(), key, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestBreakerBreaksThenHalfOpens(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var qe *QuarantinedError
 	for time.Now().Before(deadline) {
-		_, err := r.Acquire(context.Background(), key, build)
+		_, _, err := r.Acquire(context.Background(), key, build)
 		if err == nil {
 			t.Fatal("Acquire succeeded while the environment is down")
 		}
@@ -268,7 +268,7 @@ func TestBreakerBreaksThenHalfOpens(t *testing.T) {
 	recovered := false
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if fresh, err := r.Acquire(context.Background(), key, build); err == nil {
+		if fresh, _, err := r.Acquire(context.Background(), key, build); err == nil {
 			r.Release(fresh)
 			recovered = true
 			break
@@ -280,5 +280,69 @@ func TestBreakerBreaksThenHalfOpens(t *testing.T) {
 	}
 	if wedged := r.Wedged(); len(wedged) > 0 {
 		t.Errorf("wedged keys: %v", wedged)
+	}
+}
+
+// TestHalfOpenProbeOutlivesItsRequest drives a served key through
+// quarantine, a broken breaker and the half-open probe: the request that
+// arms the probe is answered 503 at once while the registry runs that
+// request's plan builder on a goroutine of its own, and keeps it for every
+// later rebuild. The builder must therefore be free of the request's
+// state; under -race this test fails if it is not.
+func TestHalfOpenProbeOutlivesItsRequest(t *testing.T) {
+	s := New(Config{
+		Telemetry: telemetry.NewRegistry(),
+		Rebuild:   RebuildPolicy{BackoffBase: 5 * time.Millisecond, BackoffCap: 20 * time.Millisecond, MaxAttempts: 1},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		if err := s.Drain(context.Background()); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		ts.Close()
+	}()
+
+	const n = 8
+	data := randField(n*n*n, 7)
+	req := TransformRequest{Nx: n, Ny: n, Nz: n, Ranks: 1, TimeoutMs: 5000}
+	if code, _, _, emsg := postTransform(t, ts.URL, req, data); code != http.StatusOK {
+		t.Fatalf("warmup: HTTP %d: %s", code, emsg)
+	}
+
+	// The environment goes down with the world: the one rebuild the policy
+	// allows fails, which breaks the breaker.
+	r := s.Registry()
+	r.mu.Lock()
+	var e *planEntry
+	for _, e = range r.entries {
+	}
+	e.build = func() (*offt.Plan, error) { return nil, errors.New("environment down") }
+	r.mu.Unlock()
+	r.MarkFailed(e, errors.New("world died"))
+
+	// Requests keep coming. They are refused until one finds the breaker
+	// window over and arms the probe with its own builder — the server's,
+	// which works — and the probe's plan then serves as a cache hit.
+	refused := 0
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, resp, _, emsg := postTransform(t, ts.URL, req, data)
+		if code == http.StatusOK {
+			if !resp.CacheHit {
+				t.Error("the recovered plan was built by the probe, yet the request reports a cache miss")
+			}
+			break
+		}
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("HTTP %d while the key is quarantined: %s", code, emsg)
+		}
+		refused++
+		if time.Now().After(deadline) {
+			t.Fatal("key never recovered through the half-open probe")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if refused == 0 {
+		t.Error("no request was refused: the breaker never opened")
 	}
 }

@@ -306,12 +306,15 @@ func (r *Registry) SetRebuildPolicy(p RebuildPolicy) {
 // allows; on expiry the reference is dropped and ctx's error returned.
 // While the key's circuit breaker is open (world failed, rebuild in
 // progress) Acquire fast-fails with a *QuarantinedError instead of
-// touching the dead world.
-func (r *Registry) Acquire(ctx context.Context, key PlanKey, build func() (*offt.Plan, error)) (*planEntry, error) {
+// touching the dead world. built reports that this call ran build (a
+// miss), whatever build returned. The registry keeps build for background
+// rebuilds of the key, long after this call: it must not write to the
+// state of the request that passed it.
+func (r *Registry) Acquire(ctx context.Context, key PlanKey, build func() (*offt.Plan, error)) (e *planEntry, built bool, err error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, ErrDraining
+		return nil, false, ErrDraining
 	}
 	now := time.Now()
 	if br, ok := r.breakers[key]; ok && br.gated(now) {
@@ -331,7 +334,7 @@ func (r *Registry) Acquire(ctx context.Context, key PlanKey, build func() (*offt
 		qerr := r.quarantineErrLocked(key, br, now)
 		r.mu.Unlock()
 		r.breakerFails.Inc()
-		return nil, qerr
+		return nil, false, qerr
 	}
 	if e, ok := r.entries[key]; ok {
 		e.refs++
@@ -345,17 +348,17 @@ func (r *Registry) Acquire(ctx context.Context, key PlanKey, build func() (*offt
 			// Don't hold admission weight past our own deadline while a
 			// slow build completes for somebody else.
 			r.Release(e)
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 		if e.err != nil {
 			// Built by another request and failed; drop our reference.
 			r.Release(e)
-			return nil, e.err
+			return nil, false, e.err
 		}
-		return e, nil
+		return e, false, nil
 	}
 
-	e := &planEntry{key: key, ready: make(chan struct{}), build: build, refs: 1, lastUsed: now, created: now}
+	e = &planEntry{key: key, ready: make(chan struct{}), build: build, refs: 1, lastUsed: now, created: now}
 	e.elem = r.lru.PushFront(e)
 	r.entries[key] = e
 	r.mu.Unlock()
@@ -395,11 +398,11 @@ func (r *Registry) Acquire(ctx context.Context, key PlanKey, build func() (*offt
 		r.removeLocked(e)
 		r.mu.Unlock()
 		r.logger().Warn("plan.build_failed", "plan", key.String(), "build_ns", buildNs, "error", e.err)
-		return nil, e.err
+		return nil, true, e.err
 	}
 	r.logger().Info("plan.built", "plan", key.String(), "build_ns", buildNs)
 	r.evict()
-	return e, nil
+	return e, true, nil
 }
 
 // quarantineErrLocked renders the breaker's current state as the typed

@@ -41,7 +41,7 @@ func TestRegistryHitMissEviction(t *testing.T) {
 
 	kA, kB := memKey(8, 1), memKey(12, 1)
 
-	a1, err := r.Acquire(context.Background(), kA, buildFor(kA))
+	a1, _, err := r.Acquire(context.Background(), kA, buildFor(kA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRegistryHitMissEviction(t *testing.T) {
 	r.Release(a1)
 
 	// Same key: cache hit, same plan instance.
-	a2, err := r.Acquire(context.Background(), kA, func() (*offt.Plan, error) {
+	a2, _, err := r.Acquire(context.Background(), kA, func() (*offt.Plan, error) {
 		t.Error("builder called on what should be a cache hit")
 		return nil, errors.New("unexpected build")
 	})
@@ -63,7 +63,7 @@ func TestRegistryHitMissEviction(t *testing.T) {
 
 	// Different key at capacity 1: A is idle, so it gets evicted and
 	// closed.
-	b, err := r.Acquire(context.Background(), kB, buildFor(kB))
+	b, _, err := r.Acquire(context.Background(), kB, buildFor(kB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestRegistryDoesNotEvictBusyPlan(t *testing.T) {
 	defer r.CloseAll()
 
 	kA, kB := memKey(8, 1), memKey(12, 1)
-	a, err := r.Acquire(context.Background(), kA, buildFor(kA))
+	a, _, err := r.Acquire(context.Background(), kA, buildFor(kA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A is still referenced: acquiring B overflows capacity but must not
 	// close A underneath its holder.
-	b, err := r.Acquire(context.Background(), kB, buildFor(kB))
+	b, _, err := r.Acquire(context.Background(), kB, buildFor(kB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRegistrySingleflight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-gate
-			e, err := r.Acquire(context.Background(), key, func() (*offt.Plan, error) {
+			e, _, err := r.Acquire(context.Background(), key, func() (*offt.Plan, error) {
 				builds.Add(1)
 				return buildFor(key)()
 			})
@@ -163,14 +163,14 @@ func TestRegistryBuildErrorNotCached(t *testing.T) {
 
 	key := memKey(8, 1)
 	wantErr := fmt.Errorf("transient build failure")
-	if _, err := r.Acquire(context.Background(), key, func() (*offt.Plan, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
+	if _, _, err := r.Acquire(context.Background(), key, func() (*offt.Plan, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("Acquire = %v, want build error", err)
 	}
 	if got := r.Len(); got != 0 {
 		t.Errorf("failed build left %d cached entries", got)
 	}
 	// The next acquire retries the build and can succeed.
-	e, err := r.Acquire(context.Background(), key, buildFor(key))
+	e, _, err := r.Acquire(context.Background(), key, buildFor(key))
 	if err != nil {
 		t.Fatalf("retry after failed build: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestRegistryBuildPanicNotPoisoned(t *testing.T) {
 				t.Fatal("build panic did not propagate")
 			}
 		}()
-		_, _ = r.Acquire(context.Background(), key, func() (*offt.Plan, error) {
+		_, _, _ = r.Acquire(context.Background(), key, func() (*offt.Plan, error) {
 			panic("boom in plan construction")
 		})
 	}()
@@ -202,7 +202,7 @@ func TestRegistryBuildPanicNotPoisoned(t *testing.T) {
 	// (rather than blocking on a never-closed ready channel).
 	done := make(chan error, 1)
 	go func() {
-		e, err := r.Acquire(context.Background(), key, buildFor(key))
+		e, _, err := r.Acquire(context.Background(), key, buildFor(key))
 		if err == nil {
 			r.Release(e)
 		}
@@ -230,7 +230,7 @@ func TestRegistryAcquireHonorsContext(t *testing.T) {
 	building := make(chan struct{})
 	builderDone := make(chan error, 1)
 	go func() {
-		e, err := r.Acquire(context.Background(), key, func() (*offt.Plan, error) {
+		e, _, err := r.Acquire(context.Background(), key, func() (*offt.Plan, error) {
 			close(building)
 			<-buildGate // hold the build until released below
 			return buildFor(key)()
@@ -244,7 +244,7 @@ func TestRegistryAcquireHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := r.Acquire(ctx, key, buildFor(key)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := r.Acquire(ctx, key, buildFor(key)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Acquire during slow build = %v, want context.DeadlineExceeded", err)
 	}
 
@@ -264,7 +264,7 @@ func TestRegistryExecAccounting(t *testing.T) {
 	r := NewRegistry(2, nil)
 	defer r.CloseAll()
 	key := memKey(8, 1)
-	e, err := r.Acquire(context.Background(), key, buildFor(key))
+	e, _, err := r.Acquire(context.Background(), key, buildFor(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestRegistryExecAccounting(t *testing.T) {
 func TestRegistryCloseAll(t *testing.T) {
 	r := NewRegistry(4, nil)
 	key := memKey(8, 1)
-	e, err := r.Acquire(context.Background(), key, buildFor(key))
+	e, _, err := r.Acquire(context.Background(), key, buildFor(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestRegistryCloseAll(t *testing.T) {
 	if _, err := plan.Forward(make([]complex128, 8*8*8)); err == nil {
 		t.Error("plan still live after CloseAll")
 	}
-	if _, err := r.Acquire(context.Background(), key, buildFor(key)); !errors.Is(err, ErrDraining) {
+	if _, _, err := r.Acquire(context.Background(), key, buildFor(key)); !errors.Is(err, ErrDraining) {
 		t.Errorf("Acquire after CloseAll = %v, want ErrDraining", err)
 	}
 }

@@ -604,16 +604,12 @@ func (s *Server) executeTransform(obs *reqObs, r *http.Request, spec transformSp
 
 	// Plan acquisition (singleflight build on miss, warm-started params
 	// already resolved into the key).
-	hadPlan := true
 	acquired := time.Now()
 	acquireSpan := obs.tc.Begin("acquire")
-	entry, err := s.registry.Acquire(ctx, spec.key, func() (*offt.Plan, error) {
-		hadPlan = false
-		return s.buildPlan(spec.key)
-	})
+	entry, built, err := s.registry.Acquire(ctx, spec.key, func() (*offt.Plan, error) { return s.buildPlan(spec.key) })
 	obs.tc.End(acquireSpan)
 	obs.acquireNs = time.Since(acquired).Nanoseconds()
-	obs.cacheHit = hadPlan
+	obs.cacheHit = !built
 	if err != nil {
 		obs.fail(err)
 		switch {
@@ -647,7 +643,7 @@ func (s *Server) executeTransform(obs *reqObs, r *http.Request, spec transformSp
 		Status:    "ok",
 		PlanKey:   spec.key.String(),
 		RequestID: obs.id,
-		CacheHit:  hadPlan,
+		CacheHit:  !built,
 		QueueNs:   queueNs,
 	}
 	if spec.key.Params.Comm != offt.CommPairwise {

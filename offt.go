@@ -26,6 +26,7 @@ import (
 	"offt/internal/mpi"
 	"offt/internal/mpi/fault"
 	"offt/internal/mpi/mem"
+	"offt/internal/mpi/transport"
 	"offt/internal/pencil"
 	"offt/internal/pfft"
 	"offt/internal/telemetry"
@@ -121,7 +122,7 @@ var ErrWorldFailed = errors.New("offt: plan world failed")
 
 // WorldError is the typed, inspectable failure of a Mem plan's world. It
 // wraps ErrWorldFailed (errors.Is) and the engine-level cause — e.g. a
-// *mem.DeadlineError naming the collectives and source ranks still
+// *transport.DeadlineError naming the collectives and source ranks still
 // missing — via Unwrap (errors.As).
 type WorldError struct {
 	// Rank is the first rank observed failing (the world-wide failure
@@ -564,15 +565,15 @@ func (p *Plan) startWorld(prm Params) error {
 		}
 		fp = built
 	}
-	var wopts []mem.Option
+	var wopts []transport.Option
 	if fp.Active() {
 		// Soft wait deadline so the overlapped pipeline downgrades under
 		// sustained faults instead of riding every retransmit (matches the
 		// offt-run -chaos arming).
-		wopts = append(wopts, mem.WithFaults(fp), mem.WithDeadline(15*time.Millisecond))
+		wopts = append(wopts, transport.WithFaults(fp), transport.WithDeadline(15*time.Millisecond))
 	}
 	if p.cfg.watchdogSet {
-		wopts = append(wopts, mem.WithHangTimeout(p.cfg.watchdog))
+		wopts = append(wopts, transport.WithHangTimeout(p.cfg.watchdog))
 	}
 	p.world = mem.NewWorld(n, wopts...)
 	p.world.RegisterTelemetry(p.cfg.reg)
@@ -621,7 +622,7 @@ func (p *Plan) startWorld(prm Params) error {
 // rank failure (including a transport watchdog abort) from stranding
 // Forward's WaitGroup: the error is recorded and the rank keeps serving.
 // Any recovered panic is classified as a world failure — either the
-// transport itself declared the world dead (mem.WorldFailure) or the
+// transport itself declared the world dead (transport.WorldFailure) or the
 // rank's state is unknowable mid-collective — so dispatch surfaces a
 // typed *WorldError instead of a wedged or half-poisoned plan.
 func (p *Plan) runJob(plan rankPlan, rank int, jb job) {
@@ -629,7 +630,7 @@ func (p *Plan) runJob(plan rankPlan, rank int, jb job) {
 	defer func() {
 		if r := recover(); r != nil {
 			var we *WorldError
-			if wf, ok := r.(mem.WorldFailure); ok {
+			if wf, ok := r.(transport.WorldFailure); ok {
 				we = &WorldError{Rank: rank, Cause: wf.Err}
 			} else {
 				we = &WorldError{Rank: rank, Cause: fmt.Errorf("rank body panicked: %v", r)}

@@ -6,12 +6,14 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
-# The three line counts ROADMAP tracks, by one fixed command so every
+# The four line counts ROADMAP tracks, by one fixed command so every
 # CHANGES.md entry quotes the same numbers: non-test Go in the pipeline
-# packages, in the commands, and everywhere outside the benchmark.
+# packages, in the commands, in the message-passing layer, and everywhere
+# outside the benchmark.
 loc() { find "$@" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l; }
 echo "non-test Go lines: internal/pfft + internal/pencil $(loc internal/pfft internal/pencil)," \
     "cmd $(loc cmd)," \
+    "internal/mpi $(loc internal/mpi)," \
     "outside benchmark/ $(loc . ! -path './benchmark/*' ! -path './.bench_build/*')"
 
 gofmt_out=$(gofmt -l .)
@@ -45,7 +47,16 @@ go test -race -count=1 -run 'CommBitIdentical' .
 # both decompositions (slab and pencil), the dissemination barrier, chaos
 # recovery under forced drop/corrupt, and peer-loss world failure.
 # -count=1 defeats the cache so the sockets are really opened every run.
-go test -race -count=1 ./internal/mpi/envelope/ ./internal/mpi/net/
+# With them the delivery core both engines run on (PR 19): the protocol
+# tests on a scripted link, whose timers are real.
+go test -race -count=1 ./internal/mpi/envelope/ ./internal/mpi/transport/ ./internal/mpi/net/
+
+# Hostile-frame leg (PR 19): ranks read off the wire must fail the world
+# with a *PeerError, never index a table (the parent panicked the reader
+# goroutine), and the receiver's fuzz seeds — deliver, reject or report,
+# never panic — beside the codec's.
+go test -count=1 -run 'TestBadHeaderFailsWorld|TestCorruptFrameWithoutPlanFailsWorld' ./internal/mpi/net/
+go test -count=1 -run 'FuzzDeliver|FuzzEnvelopeRoundTrip' ./internal/mpi/transport/ ./internal/mpi/envelope/
 
 # Reproduction and pipeline pins. The golden test diffs the text offt-bench
 # prints for fourteen small-scale sim experiments against
