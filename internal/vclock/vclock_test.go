@@ -396,3 +396,67 @@ func BenchmarkScheduleEvent(b *testing.B) {
 		}
 	})
 }
+
+// TestTracePinned holds the scheduler's total order to a literal: the full
+// trace text of a three-process scenario with a park woken from an event, a
+// chained event, two events at one time, a direct wake clamped to the
+// waker's clock and processes tying at equal times. TestDeterministicTrace
+// compares two runs of one binary, so it cannot see a change that reorders
+// consistently; this can.
+func TestTracePinned(t *testing.T) {
+	s := New(3)
+	var trace []string
+	s.TraceFn = func(line string) { trace = append(trace, line) }
+	err := s.Run(func(p *Proc) {
+		switch p.ID() {
+		case 0:
+			p.Park() // woken by p1's first event at t=100
+			p.Advance(5)
+			p.Wake(p.Peer(2), 90) // clamped up to 105
+			p.Advance(15)         // ties with the chained event at 120
+		case 1:
+			p.Advance(40)
+			peer := p.Peer(0)
+			p.Schedule(100, func(now int64, w Waker) {
+				w.Wake(peer, now)
+				w.Schedule(120, func(int64, Waker) {})
+			})
+			p.Schedule(100, func(int64, Waker) {})
+			p.Advance(60) // reaches 100: both events run first
+			p.Advance(30)
+		case 2:
+			p.Advance(10)
+			p.Park() // woken directly by p0
+			p.Advance(15)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"grant p0 @0",
+		"park p0 @0",
+		"grant p1 @0",
+		"grant p2 @0",
+		"park p2 @10",
+		"grant p1 @40",
+		"event @100 seq1",
+		"wake p0 @100",
+		"event @100 seq2",
+		"grant p0 @100",
+		"grant p1 @100",
+		"grant p0 @105",
+		"wake p2 @105",
+		"grant p2 @105",
+		"event @120 seq3",
+		"grant p0 @120",
+		"done p0 @120",
+		"grant p2 @120",
+		"done p2 @120",
+		"grant p1 @130",
+		"done p1 @130",
+	}
+	if got := strings.Join(trace, "\n"); got != strings.Join(want, "\n") {
+		t.Errorf("trace moved:\n%s", got)
+	}
+}
