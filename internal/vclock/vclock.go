@@ -1,35 +1,41 @@
 // Package vclock provides a deterministic discrete-event scheduler for
 // simulating parallel processes in virtual time.
 //
-// Each simulated process (rank) runs in its own goroutine with a private
-// virtual clock measured in integer nanoseconds. The scheduler serializes
-// execution so that exactly one process runs at any real moment and all
-// timed operations across the whole simulation execute in a single total
-// order: ascending virtual time, with events before processes at equal
-// times, events tie-broken by creation sequence, and processes tie-broken
-// by id. This makes every simulation bit-for-bit reproducible regardless of
-// the Go runtime's goroutine scheduling.
+// Each simulated process (rank) has a private virtual clock measured in
+// integer nanoseconds, and all timed operations across the whole simulation
+// execute in a single total order: ascending virtual time, with events
+// before processes at equal times, events tie-broken by creation sequence,
+// and processes tie-broken by id. That order is one loop, in Run: fire every
+// due event, then resume the ready process with the smallest (time, id).
+//
+// One thread suffices because the order is total — exactly one entity may
+// run at any moment, so a second thread could only wait for the first. Each
+// process body is therefore a coroutine (iter.Pull) that the loop resumes on
+// the caller's goroutine and that switches straight back where it must let
+// something else run first: in Advance, when an event or another process
+// now precedes it, and in Park. Nothing is shared between threads, so there
+// is no lock, and a simulation is bit-for-bit reproducible whatever the Go
+// runtime's goroutine scheduling does.
 //
 // The network model in package simnet and the simulated MPI engine are
 // built on three primitives: Advance (charge local compute time), Park/Wake
 // (block until another entity wakes the process), and Schedule (run a
-// callback at an absolute virtual time).
+// callback, or fire an Event record, at an absolute virtual time).
 package vclock
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
-	"sort"
+	"iter"
 	"strings"
-	"sync"
 )
 
 type procState int
 
 const (
-	stateReady   procState = iota // parked, runnable at wakeAt
-	stateRunning                  // holds the baton, executing user code
-	stateWaiting                  // parked until Wake
+	stateReady   procState = iota // suspended, runnable at wakeAt
+	stateRunning                  // resumed by the loop, executing user code
+	stateWaiting                  // suspended until Wake
 	stateDone                     // body returned
 )
 
@@ -47,14 +53,18 @@ func (s procState) String() string {
 }
 
 // Proc is one simulated process. All methods must be called only from the
-// goroutine running the process body.
+// process body.
 type Proc struct {
-	sched  *Scheduler
-	id     int
-	clock  int64
-	state  procState
-	wakeAt int64
-	cv     *sync.Cond
+	sched *Scheduler
+	id    int
+	clock int64
+	state procState
+
+	// The body as a coroutine: the loop calls resume, the body calls yield
+	// to switch back; stop unwinds a suspended body.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 }
 
 // ID returns the process id (0..n-1).
@@ -67,69 +77,88 @@ func (p *Proc) Now() int64 { return p.clock }
 // use as a Wake target.
 func (p *Proc) Peer(id int) *Proc { return p.sched.procs[id] }
 
-// event is a scheduled callback at an absolute virtual time.
-type event struct {
-	t   int64
-	seq int64
-	fn  func(now int64, w Waker)
+// Event is a scheduled callback as a record: a value that carries what its
+// Fire method needs, so a caller that schedules one per simulated message
+// can point at state it already holds where a func would capture it afresh.
+// Fire executes under the scheduler's total order; it must not block and
+// may wake processes (via the passed Waker) or schedule further events at
+// times >= its own.
+type Event interface {
+	Fire(now int64, w Waker)
 }
 
-type eventHeap []*event
+// funcEvent is the Event a plain callback makes.
+type funcEvent func(now int64, w Waker)
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (f funcEvent) Fire(now int64, w Waker) { f(now, w) }
+
+// timed is an entry of one of the scheduler's two queues: an event to fire
+// or a ready process to resume, at time t. ord breaks ties at equal times
+// and names the entry: an event's creation sequence, a process's id.
+type timed struct {
+	t, ord int64
+	ev     Event // nil in Scheduler.ready
+}
+
+// queue is a binary min-heap of timed entries by (t, ord), which is a
+// strict total order within either queue.
+type queue []timed
+
+func (a timed) before(b timed) bool { return a.t < b.t || (a.t == b.t && a.ord < b.ord) }
+
+func (q *queue) push(x timed) {
+	a := append(*q, x)
+	*q = a
+	i := len(a) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(a[parent]) {
+			break
+		}
+		a[i] = a[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	a[i] = x
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() (*event, bool) {
-	if len(h) == 0 {
-		return nil, false
+
+func (q *queue) pop() timed {
+	a := *q
+	n := len(a) - 1
+	top, x := a[0], a[n]
+	a[n] = timed{} // the vacated slot drops its reference
+	a = a[:n]
+	*q = a
+	if n == 0 {
+		return top
 	}
-	return h[0], true
-}
-
-// readyEntry is a lazily-invalidated ready-queue entry: it is stale when
-// the process is no longer ready or was re-queued with a different time.
-type readyEntry struct {
-	p      *Proc
-	wakeAt int64
-}
-
-type readyHeap []readyEntry
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].wakeAt != h[j].wakeAt {
-		return h[i].wakeAt < h[j].wakeAt
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && a[c+1].before(a[c]) {
+			c++
+		}
+		if !a[c].before(x) {
+			break
+		}
+		a[i] = a[c]
+		i = c
 	}
-	return h[i].p.id < h[j].p.id
-}
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(readyEntry)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	a[i] = x
+	return top
 }
 
 // Scheduler coordinates a fixed set of processes and an event queue.
 type Scheduler struct {
-	mu     sync.Mutex
 	procs  []*Proc
-	events eventHeap
-	ready  readyHeap
+	events queue // by (time, creation sequence)
+	ready  queue // by (wake time, id): exactly the processes in stateReady
 	seq    int64
-	nDone  int
+	now    int64 // time of the event being fired, for its Waker
 	err    error
-	failed bool
-	doneCv *sync.Cond
+	ran    bool
 
 	// TraceFn, when non-nil, receives a line per scheduling decision; used
 	// by determinism tests. Must be set before Run.
@@ -141,14 +170,10 @@ func New(n int) *Scheduler {
 	if n < 1 {
 		panic("vclock: need at least one process")
 	}
-	s := &Scheduler{}
-	s.doneCv = sync.NewCond(&s.mu)
-	s.procs = make([]*Proc, n)
+	s := &Scheduler{procs: make([]*Proc, n), ready: make(queue, n)}
 	for i := range s.procs {
-		p := &Proc{sched: s, id: i, state: stateReady}
-		p.cv = sync.NewCond(&s.mu)
-		s.procs[i] = p
-		heap.Push(&s.ready, readyEntry{p: p, wakeAt: 0})
+		s.procs[i] = &Proc{sched: s, id: i, state: stateReady}
+		s.ready[i] = timed{ord: int64(i)} // all at time 0, ascending id: a valid heap
 	}
 	return s
 }
@@ -156,103 +181,108 @@ func New(n int) *Scheduler {
 // N returns the number of processes.
 func (s *Scheduler) N() int { return len(s.procs) }
 
+// poison unwinds a suspended process body when the scheduler stops it; the
+// recover in run swallows it.
+type poison struct{}
+
 // Run executes body once per process (as that process) and returns when all
 // bodies have completed. It returns an error if the simulation deadlocks
-// (all processes waiting with no pending events) or a process body panics.
-// Run must be called exactly once.
+// (all processes waiting with no pending events) or a process body panics;
+// either way every body has been unwound when it returns. A scheduler runs
+// once: a second call returns an error.
 func (s *Scheduler) Run(body func(p *Proc)) error {
-	for _, p := range s.procs {
-		p := p
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.mu.Lock()
-					s.fail(fmt.Errorf("vclock: process %d panicked: %v", p.id, r))
-					s.mu.Unlock()
-					return
-				}
-				s.mu.Lock()
-				p.state = stateDone
-				s.nDone++
-				s.trace("done p%d @%d", p.id, p.clock)
-				s.handoff()
-				s.mu.Unlock()
-			}()
-			s.mu.Lock()
-			p.waitForBaton()
-			s.mu.Unlock()
-			if s.isFailed() {
-				panic(batonPoison{})
-			}
-			body(p)
-		}()
+	if s.ran {
+		return errors.New("vclock: Run called twice")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// All procs are ready at time 0; hand the baton to the first.
-	s.handoff()
-	for s.nDone < len(s.procs) && !s.failed {
-		s.doneCv.Wait()
+	s.ran = true
+	for _, p := range s.procs {
+		p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			p.run(body)
+		})
+	}
+	// Also on a panic out of an event callback: no coroutine outlives Run.
+	defer func() {
+		for _, p := range s.procs {
+			p.stop()
+		}
+	}()
+	done := 0
+	for s.err == nil {
+		// Events run before any process at or after their time.
+		if len(s.events) > 0 && (len(s.ready) == 0 || s.events[0].t <= s.ready[0].t) {
+			e := s.events.pop()
+			if s.TraceFn != nil {
+				s.TraceFn(fmt.Sprintf("event @%d seq%d", e.t, e.ord))
+			}
+			s.now = e.t
+			e.ev.Fire(e.t, Waker{s})
+			continue
+		}
+		if len(s.ready) == 0 {
+			if done < len(s.procs) {
+				s.err = fmt.Errorf("vclock: deadlock: %s", s.stateDump())
+			}
+			break
+		}
+		r := s.ready.pop()
+		p := s.procs[r.ord]
+		p.state = stateRunning
+		p.clock = max(p.clock, r.t)
+		s.trace("grant", p, r.t)
+		if _, suspended := p.resume(); !suspended && s.err == nil {
+			p.state = stateDone
+			done++
+			s.trace("done", p, p.clock)
+		}
 	}
 	return s.err
 }
 
-// batonPoison aborts a process body after the scheduler has failed; it is
-// swallowed by the recover in Run's goroutine wrapper.
-type batonPoison struct{}
-
-func (s *Scheduler) isFailed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
-}
-
-func (s *Scheduler) fail(err error) {
-	if !s.failed {
-		s.failed = true
-		s.err = err
-	}
-	// Release every parked process so its goroutine can exit.
-	for _, q := range s.procs {
-		if q.state == stateReady || q.state == stateWaiting {
-			q.state = stateRunning
-			q.cv.Signal()
+// run is the coroutine's frame around the body: a panic becomes the
+// scheduler's error, except the poison that stop unwinds the body with.
+func (p *Proc) run(body func(p *Proc)) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, stopped := r.(poison); !stopped && p.sched.err == nil {
+				p.sched.err = fmt.Errorf("vclock: process %d panicked: %v", p.id, r)
+			}
 		}
-	}
-	s.doneCv.Signal()
+	}()
+	body(p)
 }
 
-// Advance charges d nanoseconds of local time to the process, yielding the
-// baton if any other entity must logically run first.
+// suspend switches back to the loop and returns when it resumes p.
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
+		panic(poison{})
+	}
+}
+
+// Advance charges d nanoseconds of local time to the process, letting any
+// entity that must logically run first do so.
 func (p *Proc) Advance(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative advance %d", d))
 	}
-	s := p.sched
-	s.mu.Lock()
 	p.clock += d
-	s.yield(p)
-	failed := s.failed
-	s.mu.Unlock()
-	if failed {
-		panic(batonPoison{})
+	// p continues if no event and no ready process precedes it.
+	s := p.sched
+	if len(s.events) == 0 || s.events[0].t > p.clock {
+		if len(s.ready) == 0 || (timed{t: p.clock, ord: int64(p.id)}).before(s.ready[0]) {
+			return
+		}
 	}
+	s.makeReady(p, p.clock)
+	p.suspend()
 }
 
 // Park blocks the process until another entity calls Wake. The process
 // resumes with its clock set to max(its own clock, the wake time).
 func (p *Proc) Park() {
-	s := p.sched
-	s.mu.Lock()
 	p.state = stateWaiting
-	s.trace("park p%d @%d", p.id, p.clock)
-	s.handoff()
-	p.waitForBaton()
-	failed := s.failed
-	s.mu.Unlock()
-	if failed {
-		panic(batonPoison{})
-	}
+	p.sched.trace("park", p, p.clock)
+	p.suspend()
 }
 
 // Wake marks the waiting process q runnable at virtual time t. The caller p
@@ -260,162 +290,77 @@ func (p *Proc) Park() {
 // process cannot wake another in its own past). Event callbacks use
 // Waker.Wake instead.
 func (p *Proc) Wake(q *Proc, t int64) {
-	s := p.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t < p.clock {
-		t = p.clock
-	}
-	s.wakeLocked(q, t)
+	p.sched.wake(q, max(t, p.clock))
 }
 
-func (s *Scheduler) wakeLocked(q *Proc, t int64) {
+func (s *Scheduler) wake(q *Proc, t int64) {
 	if q.state != stateWaiting {
 		panic(fmt.Sprintf("vclock: Wake on process %d in state %v", q.id, q.state))
 	}
-	q.state = stateReady
-	if t < q.clock {
-		t = q.clock
-	}
-	q.wakeAt = t
-	heap.Push(&s.ready, readyEntry{p: q, wakeAt: t})
-	s.trace("wake p%d @%d", q.id, t)
+	t = max(t, q.clock)
+	s.makeReady(q, t)
+	s.trace("wake", q, t)
 }
 
-// Schedule runs fn at absolute virtual time t. fn executes under the
-// scheduler's total order; it must not block and may wake processes (via
-// the passed Waker) or schedule further events at times >= its own. t must
-// be >= the calling process's current time.
-func (p *Proc) Schedule(t int64, fn func(now int64, w Waker)) {
-	s := p.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Scheduler) makeReady(p *Proc, t int64) {
+	p.state = stateReady
+	s.ready.push(timed{t: t, ord: int64(p.id)})
+}
+
+// ScheduleEvent fires ev at absolute virtual time t, which must be >= the
+// calling process's current time.
+func (p *Proc) ScheduleEvent(t int64, ev Event) {
 	if t < p.clock {
 		panic(fmt.Sprintf("vclock: Schedule at %d before caller's now %d", t, p.clock))
 	}
-	s.scheduleLocked(t, fn)
+	p.sched.schedule(t, ev)
+}
+
+// Schedule is ScheduleEvent for a plain callback.
+func (p *Proc) Schedule(t int64, fn func(now int64, w Waker)) {
+	p.ScheduleEvent(t, funcEvent(fn))
 }
 
 // Waker is handed to event callbacks so they can wake processes and chain
-// events while the scheduler lock is held.
-type Waker struct {
-	s   *Scheduler
-	now int64
-}
+// events. It is valid only during the callback.
+type Waker struct{ s *Scheduler }
 
 // Wake marks a waiting process runnable at time t (>= the event time).
 func (w Waker) Wake(q *Proc, t int64) {
-	if t < w.now {
-		t = w.now
-	}
-	w.s.wakeLocked(q, t)
+	w.s.wake(q, max(t, w.s.now))
 }
 
-// Schedule chains another event at time t >= the current event's time.
+// ScheduleEvent chains another event at time t >= the current event's time.
+func (w Waker) ScheduleEvent(t int64, ev Event) {
+	if t < w.s.now {
+		panic(fmt.Sprintf("vclock: event Schedule at %d before event time %d", t, w.s.now))
+	}
+	w.s.schedule(t, ev)
+}
+
+// Schedule is ScheduleEvent for a plain callback.
 func (w Waker) Schedule(t int64, fn func(now int64, w Waker)) {
-	if t < w.now {
-		panic(fmt.Sprintf("vclock: event Schedule at %d before event time %d", t, w.now))
-	}
-	w.s.scheduleLocked(t, fn)
+	w.ScheduleEvent(t, funcEvent(fn))
 }
 
-func (s *Scheduler) scheduleLocked(t int64, fn func(now int64, w Waker)) {
+func (s *Scheduler) schedule(t int64, ev Event) {
 	s.seq++
-	heap.Push(&s.events, &event{t: t, seq: s.seq, fn: fn})
-}
-
-// yield is called by the running process p after its clock moved; it cedes
-// the baton to any entity that must run first and returns once p may
-// continue (p.state == stateRunning) or the scheduler failed.
-func (s *Scheduler) yield(p *Proc) {
-	// Fast path: p continues if no event and no ready process precedes it.
-	if e, ok := s.events.peek(); !ok || e.t > p.clock {
-		if q := s.minReady(); q == nil || q.wakeAt > p.clock || (q.wakeAt == p.clock && q.id > p.id) {
-			return
-		}
-	}
-	p.state = stateReady
-	p.wakeAt = p.clock
-	heap.Push(&s.ready, readyEntry{p: p, wakeAt: p.clock})
-	s.handoff()
-	p.waitForBaton()
-}
-
-// waitForBaton parks the calling process's goroutine until the scheduler
-// grants it the baton (state set to running by handoff) or fails.
-func (p *Proc) waitForBaton() {
-	for p.state == stateReady || p.state == stateWaiting {
-		p.cv.Wait()
-	}
-	if p.state == stateRunning && p.wakeAt > p.clock {
-		p.clock = p.wakeAt
-	}
-}
-
-// minReady returns the ready process with the smallest (wakeAt, id), or
-// nil. Stale heap entries (processes that ran or re-queued since) are
-// discarded lazily.
-func (s *Scheduler) minReady() *Proc {
-	for len(s.ready) > 0 {
-		e := s.ready[0]
-		if e.p.state == stateReady && e.p.wakeAt == e.wakeAt {
-			return e.p
-		}
-		heap.Pop(&s.ready)
-	}
-	return nil
-}
-
-// handoff drives the simulation forward: it executes every due event and
-// grants the baton to the next ready process. The caller must not be in
-// state running. If nothing can run and processes remain, it records a
-// deadlock error.
-func (s *Scheduler) handoff() {
-	for {
-		if s.failed {
-			return
-		}
-		e, eok := s.events.peek()
-		q := s.minReady()
-		// Events run before any process at or after their time.
-		if eok && (q == nil || e.t <= q.wakeAt) {
-			heap.Pop(&s.events)
-			s.trace("event @%d seq%d", e.t, e.seq)
-			e.fn(e.t, Waker{s: s, now: e.t})
-			continue
-		}
-		if q != nil {
-			q.state = stateRunning
-			s.trace("grant p%d @%d", q.id, q.wakeAt)
-			q.cv.Signal()
-			return
-		}
-		if s.nDone == len(s.procs) {
-			s.doneCv.Signal()
-			return
-		}
-		s.fail(fmt.Errorf("vclock: deadlock: %s", s.stateDump()))
-		return
-	}
+	s.events.push(timed{t: t, ord: s.seq, ev: ev})
 }
 
 func (s *Scheduler) stateDump() string {
 	var b strings.Builder
-	ids := make([]int, 0, len(s.procs))
-	for i := range s.procs {
-		ids = append(ids, i)
-	}
-	sort.Ints(ids)
-	for _, i := range ids {
-		p := s.procs[i]
+	for i, p := range s.procs {
 		fmt.Fprintf(&b, "p%d=%v@%d ", i, p.state, p.clock)
 	}
 	fmt.Fprintf(&b, "events=%d", len(s.events))
 	return b.String()
 }
 
-func (s *Scheduler) trace(format string, args ...any) {
+// trace emits "<what> p<id> @<t>"; nothing is formatted unless TraceFn is
+// set.
+func (s *Scheduler) trace(what string, p *Proc, t int64) {
 	if s.TraceFn != nil {
-		s.TraceFn(fmt.Sprintf(format, args...))
+		s.TraceFn(fmt.Sprintf("%s p%d @%d", what, p.id, t))
 	}
 }
