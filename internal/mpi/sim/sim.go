@@ -42,8 +42,8 @@ func (w *World) Fabric() *simnet.Fabric { return w.fabric }
 // called before Run.
 func (w *World) InjectFaults(plan *fault.Plan) { w.fabric.SetFaults(plan) }
 
-// Run executes body once per rank and returns when all ranks finish. It
-// must be called exactly once per World.
+// Run executes body once per rank and returns when all ranks finish. A
+// World runs once: a second call returns an error.
 func (w *World) Run(body func(c *Comm)) error {
 	return w.sched.Run(func(proc *vclock.Proc) {
 		ep := w.fabric.Endpoint(proc.ID(), proc)

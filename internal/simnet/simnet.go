@@ -22,6 +22,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"offt/internal/machine"
 	"offt/internal/mpi/fault"
@@ -33,17 +34,12 @@ const never = math.MaxInt64
 
 // scheduler abstracts the two vclock contexts that can drive protocol
 // transitions: a running process (*vclock.Proc) and an event callback
-// (vclock.Waker). Both provide Schedule and Wake.
+// (vclock.Waker). Both provide ScheduleEvent and Wake, and both are one
+// pointer wide, so neither is boxed on the way in.
 type scheduler interface {
-	Schedule(t int64, fn func(now int64, w vclock.Waker))
+	ScheduleEvent(t int64, ev vclock.Event)
 	Wake(q *vclock.Proc, t int64)
 }
-
-// wakerCtx adapts a vclock.Waker to the scheduler interface.
-type wakerCtx struct{ w vclock.Waker }
-
-func (c wakerCtx) Schedule(t int64, fn func(now int64, w vclock.Waker)) { c.w.Schedule(t, fn) }
-func (c wakerCtx) Wake(q *vclock.Proc, t int64)                         { c.w.Wake(q, t) }
 
 // Fabric is the shared interconnect state for one simulated job.
 type Fabric struct {
@@ -62,6 +58,11 @@ type Fabric struct {
 	// payload-transport concern and stay with the mem engine.
 	plan *fault.Plan
 
+	// reqs is the chunk new requests are cut from. A full chunk is left to
+	// the requests that point into it and a fresh one started, so requests
+	// cost one allocation per reqChunk and all die with the fabric.
+	reqs []Req
+
 	// Stats, aggregated over the whole job.
 	Stats Stats
 }
@@ -79,9 +80,9 @@ type Stats struct {
 }
 
 // Publish copies the snapshot into a telemetry registry under "simnet.*".
-// Stats is a point-in-time value (the fabric mutates its own copy under
-// the virtual-clock lock), so the bridge is a plain gauge write, not a
-// live Func. Safe on a nil registry.
+// Stats is a point-in-time value (the fabric mutates its own copy as the
+// simulation runs), so the bridge is a plain gauge write, not a live Func.
+// Safe on a nil registry.
 func (s Stats) Publish(r *telemetry.Registry) {
 	if r == nil {
 		return
@@ -118,28 +119,63 @@ func (f *Fabric) Endpoint(rank int, proc *vclock.Proc) *Endpoint {
 	if f.eps[rank] != nil {
 		panic(fmt.Sprintf("simnet: endpoint for rank %d already exists", rank))
 	}
-	ep := &Endpoint{
-		f:           f,
-		rank:        rank,
-		proc:        proc,
-		postedRecvs: make(map[pkey][]*Req),
-		arrivals:    make(map[pkey][]arrival),
-	}
+	ep := &Endpoint{f: f, rank: rank, proc: proc, unmatched: make([]*Req, f.P)}
 	f.eps[rank] = ep
 	return ep
 }
 
-// Req is one point-to-point operation (half of a message).
+const reqChunk = 256
+
+// newReq returns a zeroed request from the fabric's chunked storage.
+func (f *Fabric) newReq() *Req {
+	if len(f.reqs) == cap(f.reqs) {
+		f.reqs = make([]Req, 0, reqChunk)
+	}
+	f.reqs = f.reqs[:len(f.reqs)+1]
+	return &f.reqs[len(f.reqs)-1]
+}
+
+// Req is one point-to-point operation (half of a message). It is also the
+// record of everything the protocol still has to do for it: the vclock
+// event in flight for it (a request never has two at once), its place in a
+// queue of progression steps, and its link in the receiver's queue of
+// unmatched requests — so a message costs its two requests and nothing else.
 type Req struct {
 	ep          *Endpoint
-	isSend      bool
+	group       *Group
 	peer, tag   int
 	bytes       int
-	completed   bool
 	completedAt int64 // virtual completion time; never == not yet known
-	group       *Group
+	isSend      bool
+	completed   bool
 	waited      bool // currently counted by an active WaitAll
+
+	stage stage // what this request's pending event or queued step does
+	next  *Req  // link in an Endpoint.unmatched queue
+	// A send that reached the receiver before its receive was posted waits
+	// there with its arrival time; a rendezvous send, once matched, carries
+	// the receive and the bytes injected so far through the handshake and
+	// the chunk pipeline.
+	arrivedAt int64
+	match     *Req
+	off       int
 }
+
+// stage names the next protocol transition of a request. Those marked
+// "event" happen at a scheduled virtual time (Req.Fire); those marked
+// "step" are progression steps gated on a rank being inside an MPI call
+// (Req.step).
+type stage uint8
+
+const (
+	eagerArrives  stage = iota // event: eager data reaches the receiver
+	rtsArrives                 // event: a rendezvous RTS reaches the receiver
+	sendCTS                    // step, at the receiver: answer the RTS
+	ctsArrives                 // event: the CTS reaches the sender
+	injectChunk                // step: inject the next chunk; the first at the sender, the rest at the receiver
+	chunkInjected              // event: a chunk has left the NIC and more remain
+	finishes                   // event: the request completes (a send at injection end, a receive at arrival)
+)
 
 // Done reports whether the request has completed by time now.
 func (r *Req) Done(now int64) bool { return r.completedAt <= now }
@@ -159,20 +195,11 @@ func (g *Group) Done() bool { return g.pending == 0 }
 // CompletedAt returns the completion time (math.MaxInt64 if unknown).
 func (r *Req) CompletedAt() int64 { return r.completedAt }
 
-type pkey struct{ peer, tag int }
-
-// arrival records protocol input waiting for a matching posted receive.
-type arrival struct {
-	rts     bool  // true: rendezvous RTS; false: eager data
-	t       int64 // arrival time
-	sendReq *Req  // rendezvous: the sender-side request
-	bytes   int
-}
-
-// action is a progression step gated on the owning rank being inside MPI.
+// action is a progression step gated on the owning rank being inside MPI:
+// send.step, for the rendezvous send it belongs to.
 type action struct {
 	enabledAt int64
-	fire      func(now int64, sc scheduler)
+	send      *Req
 }
 
 // Endpoint is one rank's view of the fabric.
@@ -183,15 +210,19 @@ type Endpoint struct {
 
 	inWait        bool
 	parked        bool
-	waitOn        map[*Req]bool
 	waitRemaining int
 	actions       []action
 	// open tracks incomplete group-attached requests so WaitGroups can
 	// flag them; completed entries are pruned lazily.
 	open []*Req
 
-	postedRecvs map[pkey][]*Req
-	arrivals    map[pkey][]arrival
+	// unmatched[peer] queues, oldest first and linked through Req.next,
+	// what has shown up for that peer on one side only: receives posted
+	// before anything arrived, and sends (eager data, a rendezvous RTS)
+	// that arrived before a receive was posted. Matching is immediate, so
+	// one tag never has both kinds queued, and a queue is as long as the
+	// collectives in flight between the pair — a handful.
+	unmatched []*Req
 }
 
 // Rank returns the endpoint's rank.
@@ -258,31 +289,26 @@ func (ep *Endpoint) IsendGrp(dst, tag, bytes int, grp *Group) *Req {
 	}
 	ep.proc.Advance(int64(ep.f.Mach.Cmp.SendPostNs))
 	now := ep.proc.Now()
-	req := &Req{ep: ep, isSend: true, peer: dst, tag: tag, bytes: bytes, completedAt: never, group: grp}
+	f := ep.f
+	req := f.newReq()
+	*req = Req{ep: ep, isSend: true, peer: dst, tag: tag, bytes: bytes, completedAt: never, group: grp}
 	if grp != nil {
 		grp.pending++
 	}
-	f := ep.f
+	f.Stats.BytesMoved += int64(bytes)
 	if bytes <= f.Mach.Net.EagerThreshold {
 		// Eager: buffered send completes locally right away; the transfer
 		// is scheduled immediately regardless of the receiver's state.
 		f.Stats.EagerMsgs++
-		f.Stats.BytesMoved += int64(bytes)
 		ep.markComplete(req, now)
-		arrivalT := f.transfer(now, ep.rank, dst, bytes)
-		src := ep.rank
-		ep.proc.Schedule(arrivalT, func(t int64, w vclock.Waker) {
-			f.eps[dst].deliver(src, tag, bytes, false, nil, t, wakerCtx{w})
-		})
+		req.stage = eagerArrives
+		_, arrival := f.transfer(now, ep.rank, dst, bytes)
+		ep.proc.ScheduleEvent(arrival, req)
 	} else {
 		// Rendezvous: RTS control message (latency only).
 		f.Stats.RendezvousMsgs++
-		f.Stats.BytesMoved += int64(bytes)
-		rtsArr := now + f.Mach.Latency(ep.rank, dst)
-		src := ep.rank
-		ep.proc.Schedule(rtsArr, func(t int64, w vclock.Waker) {
-			f.eps[dst].deliver(src, tag, bytes, true, req, t, wakerCtx{w})
-		})
+		req.stage = rtsArrives
+		ep.proc.ScheduleEvent(now+f.Mach.Latency(ep.rank, dst), req)
 	}
 	if grp != nil && !req.completed {
 		ep.open = append(ep.open, req)
@@ -292,24 +318,18 @@ func (ep *Endpoint) IsendGrp(dst, tag, bytes int, grp *Group) *Req {
 }
 
 // transfer books NIC injection and receiver drain for a data transfer
-// starting no earlier than `from`, and returns the arrival time. Each
-// message pays the per-message setup occupancy on both sides in addition
-// to its byte serialization, so tiny-message floods are rate-limited.
-func (f *Fabric) transfer(from int64, src, dst, bytes int) int64 {
-	txStart := from
-	if f.nicFree[src] > txStart {
-		txStart = f.nicFree[src]
-	}
-	txStart = f.faultTxStart(src, txStart)
+// starting no earlier than `from`, and returns when the injection ends and
+// when the data has arrived. Each message pays the per-message setup
+// occupancy on both sides in addition to its byte serialization, so
+// tiny-message floods are rate-limited.
+func (f *Fabric) transfer(from int64, src, dst, bytes int) (txEnd, arrival int64) {
+	txStart := f.faultTxStart(src, max(from, f.nicFree[src]))
 	dur := f.Mach.Net.MsgSetupNs + int64(float64(bytes)*f.faultRate(src, dst, txStart))
-	f.nicFree[src] = txStart + dur
-	arr := txStart + f.Mach.Latency(src, dst)
-	if f.rxFree[dst] > arr {
-		arr = f.rxFree[dst]
-	}
-	arr += dur
-	f.rxFree[dst] = arr
-	return arr
+	txEnd = txStart + dur
+	f.nicFree[src] = txEnd
+	arrival = max(txStart+f.Mach.Latency(src, dst), f.rxFree[dst]) + dur
+	f.rxFree[dst] = arrival
+	return txEnd, arrival
 }
 
 // Irecv posts a non-blocking receive matching (src, tag). Charges the
@@ -325,27 +345,20 @@ func (ep *Endpoint) IrecvGrp(src, tag, bytes int, grp *Group) *Req {
 	}
 	ep.proc.Advance(int64(ep.f.Mach.Cmp.RecvPostNs))
 	now := ep.proc.Now()
-	req := &Req{ep: ep, peer: src, tag: tag, bytes: bytes, completedAt: never, group: grp}
+	req := ep.f.newReq()
+	*req = Req{ep: ep, peer: src, tag: tag, bytes: bytes, completedAt: never, group: grp}
 	if grp != nil {
 		grp.pending++
 	}
-	k := pkey{src, tag}
-	if q := ep.arrivals[k]; len(q) > 0 {
-		a := q[0]
-		ep.popArrival(k)
-		if a.rts {
-			// RTS already here: the CTS step becomes enabled now. Since
-			// posting is an MPI call, progress below fires it immediately.
-			ep.enable(now, ep.ctsAction(req, a.sendReq))
-		} else {
-			t := a.t
-			if now > t {
-				t = now
-			}
-			ep.markComplete(req, t)
-		}
+	if send := ep.take(src, tag, true); send == nil {
+		ep.put(src, req)
+	} else if send.stage == rtsArrives {
+		// RTS already here: the CTS step becomes enabled now. Since
+		// posting is an MPI call, progress below fires it immediately.
+		send.match, send.stage = req, sendCTS
+		ep.actions = append(ep.actions, action{enabledAt: now, send: send})
 	} else {
-		ep.postedRecvs[k] = append(ep.postedRecvs[k], req)
+		ep.markComplete(req, max(send.arrivedAt, now))
 	}
 	if grp != nil && !req.completed {
 		ep.open = append(ep.open, req)
@@ -354,152 +367,127 @@ func (ep *Endpoint) IrecvGrp(src, tag, bytes int, grp *Group) *Req {
 	return req
 }
 
-func (ep *Endpoint) popArrival(k pkey) {
-	q := ep.arrivals[k]
-	if len(q) == 1 {
-		delete(ep.arrivals, k)
-	} else {
-		ep.arrivals[k] = q[1:]
+// put queues r as the newest unmatched request for peer.
+func (ep *Endpoint) put(peer int, r *Req) {
+	link := &ep.unmatched[peer]
+	for *link != nil {
+		link = &(*link).next
 	}
+	*link = r
 }
 
-func (ep *Endpoint) popRecv(k pkey) *Req {
-	q := ep.postedRecvs[k]
-	if len(q) == 0 {
-		return nil
+// take unlinks and returns the oldest unmatched request for (peer, tag) if
+// it is of the wanted kind — a send that arrived, or a posted receive — and
+// nil otherwise.
+func (ep *Endpoint) take(peer, tag int, send bool) *Req {
+	for link := &ep.unmatched[peer]; *link != nil; link = &(*link).next {
+		if r := *link; r.tag == tag {
+			if r.isSend != send {
+				return nil
+			}
+			*link, r.next = r.next, nil
+			return r
+		}
 	}
-	r := q[0]
-	if len(q) == 1 {
-		delete(ep.postedRecvs, k)
-	} else {
-		ep.postedRecvs[k] = q[1:]
+	return nil
+}
+
+// Fire runs the request's pending event (vclock.Event).
+func (r *Req) Fire(now int64, w vclock.Waker) {
+	switch r.stage {
+	case eagerArrives, rtsArrives:
+		r.ep.f.eps[r.peer].deliver(r, now, w)
+	case ctsArrives:
+		// The data-start step is again progress-gated, at the sender.
+		r.stage = injectChunk
+		r.ep.enableFromEvent(now, r, w)
+	case chunkInjected:
+		// The next chunk became eligible when this one was injected, but
+		// continues only at the RECEIVER's next MPI call: after the
+		// sender-gated start, the pipeline is receiver-driven (an
+		// RDMA-get-style pull), so a receiving rank that computes without
+		// MPI_Test stalls its inbound transfers mid-flight — which is why
+		// the paper tunes Fu and Fx, the Test frequencies of the
+		// receive-side Unpack and FFTx phases.
+		r.stage = injectChunk
+		r.match.ep.enableFromEvent(now, r, w)
+	case finishes:
+		r.ep.complete(r, now, w)
 	}
-	return r
 }
 
 // deliver handles an inbound protocol message (eager data or RTS) at the
 // receiver, from event context.
-func (ep *Endpoint) deliver(src, tag, bytes int, rts bool, sendReq *Req, t int64, sc scheduler) {
-	k := pkey{src, tag}
-	if recv := ep.popRecv(k); recv != nil {
-		if rts {
-			ep.enableFromEvent(t, ep.ctsAction(recv, sendReq), sc)
-		} else {
-			ep.complete(recv, t, sc)
-		}
+func (ep *Endpoint) deliver(send *Req, t int64, sc scheduler) {
+	recv := ep.take(send.ep.rank, send.tag, false)
+	if recv == nil {
+		send.arrivedAt = t
+		ep.put(send.ep.rank, send)
+	} else if send.stage == rtsArrives {
+		send.match, send.stage = recv, sendCTS
+		ep.enableFromEvent(t, send, sc)
+	} else {
+		ep.complete(recv, t, sc)
+	}
+}
+
+// step runs the progression step a matched rendezvous send is waiting on.
+func (r *Req) step(now int64, sc scheduler) {
+	f := r.ep.f
+	src, dst := r.ep.rank, r.match.ep.rank
+	if r.stage == sendCTS {
+		// The receiver sends the CTS: it fires only when that rank is
+		// inside an MPI call, and reaches the sender a latency later.
+		r.stage = ctsArrives
+		sc.ScheduleEvent(now+f.Mach.Latency(dst, src), r)
 		return
 	}
-	ep.arrivals[k] = append(ep.arrivals[k], arrival{rts: rts, t: t, sendReq: sendReq, bytes: bytes})
-}
-
-// ctsAction returns the progression step "receiver sends CTS": it fires
-// only when this rank is inside an MPI call, then schedules the CTS arrival
-// at the sender, where the data-start step is again progress-gated.
-func (ep *Endpoint) ctsAction(recv, send *Req) func(now int64, sc scheduler) {
-	return func(now int64, sc scheduler) {
-		f := ep.f
-		ctsArr := now + f.Mach.Latency(ep.rank, send.ep.rank)
-		sender := send.ep
-		sc.Schedule(ctsArr, func(t int64, w vclock.Waker) {
-			sender.enableFromEvent(t, sender.dataAction(recv, send), wakerCtx{w})
-		})
+	// injectChunk. The transfer is chunked: the start is gated on the
+	// sender's MPI activity and every subsequent chunk on the receiver's,
+	// modelling the continuous two-sided progression real MPI rendezvous
+	// pipelines need — whichever rank computes without calling MPI_Test
+	// stalls its transfers, not just the handshake.
+	bytes := r.bytes - r.off
+	if chunk := f.Mach.Net.RendezvousChunkBytes; chunk > 0 && bytes > chunk {
+		bytes = chunk
 	}
-}
-
-// dataAction returns the progression step "sender starts the data
-// transfer" of a rendezvous message. The transfer is chunked: the start is
-// gated on the sender's MPI activity and every subsequent chunk on the
-// receiver's, modelling the continuous two-sided progression real MPI
-// rendezvous pipelines need — whichever rank computes without calling
-// MPI_Test stalls its transfers, not just the handshake.
-func (ep *Endpoint) dataAction(recv, send *Req) func(now int64, sc scheduler) {
-	return ep.chunkAction(recv, send, 0)
-}
-
-// chunkAction injects the chunk of send starting at byte offset off.
-func (ep *Endpoint) chunkAction(recv, send *Req, off int) func(now int64, sc scheduler) {
-	return func(now int64, sc scheduler) {
-		f := ep.f
-		chunk := f.Mach.Net.RendezvousChunkBytes
-		if chunk <= 0 {
-			chunk = send.bytes
-		}
-		bytes := send.bytes - off
-		if bytes > chunk {
-			bytes = chunk
-		}
-		txStart := now
-		if f.nicFree[ep.rank] > txStart {
-			txStart = f.nicFree[ep.rank]
-		}
-		txStart = f.faultTxStart(ep.rank, txStart)
-		dur := f.Mach.Net.MsgSetupNs + int64(float64(bytes)*f.faultRate(ep.rank, recv.ep.rank, txStart))
-		txEnd := txStart + dur
-		f.nicFree[ep.rank] = txEnd
-		arr := txStart + f.Mach.Latency(ep.rank, recv.ep.rank)
-		if f.rxFree[recv.ep.rank] > arr {
-			arr = f.rxFree[recv.ep.rank]
-		}
-		arr += dur
-		f.rxFree[recv.ep.rank] = arr
-		next := off + bytes
-		if next < send.bytes {
-			// The next chunk becomes eligible once this one is injected,
-			// but continues only at the RECEIVER's next MPI call: after the
-			// sender-gated start, the pipeline is receiver-driven (an
-			// RDMA-get-style pull), so a receiving rank that computes
-			// without MPI_Test stalls its inbound transfers mid-flight —
-			// which is why the paper tunes Fu and Fx, the Test frequencies
-			// of the receive-side Unpack and FFTx phases.
-			receiver := recv.ep
-			sc.Schedule(txEnd, func(t int64, w vclock.Waker) {
-				receiver.enableFromEvent(t, ep.chunkAction(recv, send, next), wakerCtx{w})
-			})
-			return
-		}
-		// Last chunk: local completion at injection end, remote at arrival.
-		sc.Schedule(txEnd, func(t int64, w vclock.Waker) {
-			ep.complete(send, t, wakerCtx{w})
-		})
-		receiver := recv.ep
-		sc.Schedule(arr, func(t int64, w vclock.Waker) {
-			receiver.complete(recv, t, wakerCtx{w})
-		})
+	txEnd, arrival := f.transfer(now, src, dst, bytes)
+	r.off += bytes
+	if r.off < r.bytes {
+		r.stage = chunkInjected
+		sc.ScheduleEvent(txEnd, r)
+		return
 	}
-}
-
-// enable records a progression step. If the rank is currently blocked in
-// Wait (which continuously progresses, like MPI_Wait's internal loop), the
-// step fires immediately.
-func (ep *Endpoint) enable(t int64, fire func(now int64, sc scheduler)) {
-	// Called from process context (the rank itself is inside an MPI call),
-	// so the step can fire right away via progress; queue it.
-	ep.actions = append(ep.actions, action{enabledAt: t, fire: fire})
+	// Last chunk: local completion at injection end, remote at arrival.
+	r.stage, r.match.stage = finishes, finishes
+	sc.ScheduleEvent(txEnd, r)
+	sc.ScheduleEvent(arrival, r.match)
 }
 
 // enableFromEvent records a progression step from event context; if the
-// rank is blocked in Wait the step fires immediately, otherwise it waits
-// for the rank's next MPI call.
-func (ep *Endpoint) enableFromEvent(t int64, fire func(now int64, sc scheduler), sc scheduler) {
+// rank is blocked in Wait (which continuously progresses, like MPI_Wait's
+// internal loop) the step fires immediately, otherwise it waits for the
+// rank's next MPI call.
+func (ep *Endpoint) enableFromEvent(t int64, send *Req, sc scheduler) {
 	if ep.inWait {
-		fire(t, sc)
+		send.step(t, sc)
 		return
 	}
-	ep.actions = append(ep.actions, action{enabledAt: t, fire: fire})
+	ep.actions = append(ep.actions, action{enabledAt: t, send: send})
 }
 
 // progress fires every enabled progression step. now is the rank's current
 // time: steps enabled earlier fire now — the gap is the manual-progression
 // delay the paper's Test-frequency parameters exist to shrink.
 func (ep *Endpoint) progress(now int64, sc scheduler) {
-	for len(ep.actions) > 0 {
-		a := ep.actions[0]
-		if a.enabledAt > now {
-			break
-		}
-		ep.actions = ep.actions[1:]
-		a.fire(now, sc)
+	n := 0
+	for n < len(ep.actions) && ep.actions[n].enabledAt <= now {
+		ep.actions[n].send.step(now, sc)
+		n++
 	}
+	// Close the gap in place: slicing the fired steps off the front would
+	// walk the backing array forward and reallocate it for ever.
+	ep.actions = ep.actions[:copy(ep.actions, ep.actions[n:])]
 }
 
 // markComplete records a request's completion without any wakeup (used on
@@ -626,17 +614,13 @@ func (ep *Endpoint) WaitGroups(groups ...*Group) int64 {
 // their completions decrement waitRemaining. Requests are tracked on the
 // endpoint's open request list.
 func (ep *Endpoint) flagGroupReqs(groups []*Group) {
-	want := make(map[*Group]bool, len(groups))
-	for _, g := range groups {
-		want[g] = true
-	}
 	kept := ep.open[:0]
 	for _, r := range ep.open {
 		if r.completed {
 			continue
 		}
 		kept = append(kept, r)
-		if r.group != nil && want[r.group] {
+		if slices.Contains(groups, r.group) {
 			r.waited = true
 		}
 	}

@@ -484,3 +484,81 @@ func TestBadFabricArgs(t *testing.T) {
 	}()
 	NewFabric(flat(), 0)
 }
+
+func TestUnmatchedReceivesMatchInPostingOrderPerTag(t *testing.T) {
+	// Rank 0 sends three eager messages back to back: tag 5 (100 B, arrives
+	// 200), tag 6 (200 B, arrives 400), tag 5 again (300 B, arrives 700).
+	// Rank 1 posts tag 5, tag 5, tag 6 at t=250, after the first arrival and
+	// before the others: the first receive takes the message already queued,
+	// the second waits for the later tag-5 message behind the tag-6 one, and
+	// the tag-6 receive is found behind both in the queue.
+	var done [3]int64
+	run(t, flat(), 2, func(ep *Endpoint) {
+		if ep.Rank() == 0 {
+			ep.WaitAll(ep.Isend(1, 5, 100), ep.Isend(1, 6, 200), ep.Isend(1, 5, 300))
+			return
+		}
+		ep.Proc().Advance(250)
+		reqs := []*Req{ep.Irecv(0, 5, 100), ep.Irecv(0, 5, 300), ep.Irecv(0, 6, 200)}
+		ep.WaitAll(reqs...)
+		for i, r := range reqs {
+			done[i] = r.CompletedAt()
+		}
+	})
+	if want := [3]int64{250, 700, 400}; done != want {
+		t.Errorf("receives completed at %v, want %v", done, want)
+	}
+}
+
+func TestUnmatchedArrivalsOfOtherTagsAreSkipped(t *testing.T) {
+	// An eager message (tag 5) and a rendezvous RTS (tag 6, arrives 100)
+	// both wait at rank 1, which posts the tag-6 receive first at t=1000:
+	// the RTS is taken from behind the eager message. CTS reaches the
+	// sender, parked in Wait, at 1100; 5000 B leave its NIC at 6100 and
+	// have arrived at 6200.
+	var sendDone, recv5, recv6 int64
+	run(t, flat(), 2, func(ep *Endpoint) {
+		if ep.Rank() == 0 {
+			eager, rdv := ep.Isend(1, 5, 100), ep.Isend(1, 6, 5000)
+			ep.WaitAll(eager, rdv)
+			sendDone = rdv.CompletedAt()
+			return
+		}
+		ep.Proc().Advance(1000)
+		r6, r5 := ep.Irecv(0, 6, 5000), ep.Irecv(0, 5, 100)
+		ep.WaitAll(r6, r5)
+		recv5, recv6 = r5.CompletedAt(), r6.CompletedAt()
+	})
+	if sendDone != 6100 || recv5 != 1000 || recv6 != 6200 {
+		t.Errorf("send done %d, tag-5 recv %d, tag-6 recv %d; want 6100, 1000, 6200", sendDone, recv5, recv6)
+	}
+}
+
+func TestStepQueueIsReusedInPlace(t *testing.T) {
+	// A receiver that progresses only through Test queues one step per
+	// rendezvous message (the CTS) and fires it at its next call. Dequeuing
+	// by slicing the front off would walk the backing array forward and
+	// reallocate it every few messages for the life of the world; the queue
+	// must still be the array it first grew.
+	var first, last *action
+	run(t, flat(), 2, func(ep *Endpoint) {
+		for i := 0; i < 100; i++ {
+			if ep.Rank() == 0 {
+				ep.WaitAll(ep.Isend(1, i, 5000))
+				continue
+			}
+			r := ep.Irecv(0, i, 5000)
+			for !ep.Test(r) {
+				ep.Proc().Advance(500)
+			}
+			if q := ep.actions[:1]; i == 0 {
+				first = &q[0]
+			} else {
+				last = &q[0]
+			}
+		}
+	})
+	if first != last {
+		t.Error("the step queue was reallocated while cycling")
+	}
+}
