@@ -124,6 +124,9 @@ func (f *Fabric) Endpoint(rank int, proc *vclock.Proc) *Endpoint {
 	return ep
 }
 
+// reqChunk is how many requests one allocation holds: large enough that
+// requests stop counting as objects, small enough (about 24 KiB) that a
+// two-message test world does not notice.
 const reqChunk = 256
 
 // newReq returns a zeroed request from the fabric's chunked storage.

@@ -395,3 +395,17 @@ func TestTunePencilNEWSearchesProcGrid(t *testing.T) {
 		t.Errorf("unexpected pencil grid space %v", space.Dims)
 	}
 }
+
+// BenchmarkTuneNEW is the benchmark's tune-sim-128-p16 op as a go test
+// benchmark: one whole tuning run of the paper's design on the simulator,
+// where vclock, simnet, mpi/sim and model do all the work and no FFT data
+// moves. ROADMAP's profile row is this under -cpuprofile.
+func BenchmarkTuneNEW(b *testing.B) {
+	m := machine.UMDCluster()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := TuneNEW(m, 16, 128, 40); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -27,6 +27,13 @@ go vet ./...
 go test ./...
 go test -race ./internal/mpi/... ./internal/pfft/... ./internal/telemetry/ ./internal/serve/ .
 
+# Simulator leg (PR 21): the whole virtual-time stack under the race
+# detector — vclock's driver loop and rank coroutines (iter.Pull carries the
+# happens-before edges), simnet, and model's cost runs on top of mpi/sim
+# (which the line above covers). One thread runs a simulation, so a report
+# here means state escaped it.
+go test -race ./internal/vclock/ ./internal/simnet/ ./internal/model/
+
 # Pencil leg of the race pass: the 2-D decomposition package plus the
 # pencil-named suites — the slab-vs-pencil property tests in the root
 # package and the serve lifecycle test (miss → hit → eviction over HTTP).
@@ -63,12 +70,17 @@ go test -count=1 -run 'FuzzDeliver|FuzzEnvelopeRoundTrip' ./internal/mpi/transpo
 # internal/harness/testdata/small.golden (an intended change is re-recorded
 # with `go test ./internal/harness -run TestGoldenSmallScale -update` and
 # noted in EXPERIMENTS.md "Known deviations"); TestVirtualTimesPinned holds
-# the benchmark's virt_ms_per_fft to the nanosecond; TestPipelineOrder
-# drives the one phase runner with a scripted communicator over every tile
-# count, window and downgrade point and checks Algorithm 1's call order,
-# Test windows and one post per tile in tile order.
+# the benchmark's virt_ms_per_fft to the nanosecond; TestScriptedTracePinned
+# holds the simulator's total order itself — the hash of every scheduler
+# trace line of a scripted 4-rank world over all four schedules, its final
+# clocks and fabric counters — and TestTracePinned a whole vclock trace as
+# text, both recorded before the scheduler became a single-threaded loop;
+# TestPipelineOrder drives the one phase runner with a scripted communicator
+# over every tile count, window and downgrade point and checks Algorithm 1's
+# call order, Test windows and one post per tile in tile order.
 go test -count=1 -run 'TestGoldenSmallScale' ./internal/harness/
 go test -count=1 -run 'TestVirtualTimesPinned' .
+go test -count=1 -run 'TestScriptedTracePinned|TestTracePinned' ./internal/mpi/sim/ ./internal/vclock/
 go test -count=1 -run 'TestPipelineOrder' ./internal/pfft/
 
 # Multi-process leg: spawn real offt-run -engine net children over
@@ -94,6 +106,14 @@ go test -run 'SteadyStateAllocs' -count=1 ./internal/pfft/
 # steady only while that holds). Not under -race: the instrumented runtime
 # allocates on its own.
 go test -run 'SteadyState|TestLargeClassLifetime' -count=1 . ./internal/arena/
+
+# Simulator allocation gate (PR 21): one SimulateCube(umd-cluster, 16,
+# 128-cubed, NEW, default parameters) must cost at most half a heap object
+# per simulated point-to-point message (0.28 measured; 21.8 before requests
+# became their own queue links and event records) — the benchmark's
+# model.allocs_per_eval over simnet.msgs_per_eval, and what a tuning run
+# pays 39 times.
+go test -run 'TestSimulateAllocs' -count=1 ./internal/model/
 
 # Flight-record ordering (PR 14): a client that has read its whole
 # response must find the request in the flight recorder at once. The race
