@@ -58,7 +58,18 @@ func (p *Plan) TransformRows(x []complex128, count, dist int) {
 	if dist < p.n {
 		panic(fmt.Sprintf("fft: TransformRows dist %d < length %d", dist, p.n))
 	}
-	p.rows(x, count, dist, 1)
+	p.rows(x, x, count, dist, 1)
+}
+
+// TransformRowsTo is TransformRows out of place: row i is read at
+// src[i*dist:] and its transform written at dst[i*dist:], with the same
+// bits TransformRows leaves on a copy of src. src is only read; dst may be
+// src, and may not overlap it otherwise.
+func (p *Plan) TransformRowsTo(dst, src []complex128, count, dist int) {
+	if dist < p.n {
+		panic(fmt.Sprintf("fft: TransformRowsTo dist %d < length %d", dist, p.n))
+	}
+	p.rows(dst, src, count, dist, 1)
 }
 
 // StridedRows transforms count strided lines in place: line r consists of
@@ -74,19 +85,19 @@ func (p *Plan) StridedRows(x []complex128, off, stride, count, rowOff int) {
 	if count <= 0 {
 		return
 	}
-	p.rows(x[off:], count, rowOff, stride)
+	p.rows(x[off:], x[off:], count, rowOff, stride)
 }
 
-// rows is the shared batched driver: line r element i lives at
-// x[r*rowOff + i*stride].
-func (p *Plan) rows(x []complex128, count, rowOff, stride int) {
-	if count <= 0 || p.n == 1 {
-		return // length-1 rows transform to themselves
+// rows is the shared batched driver: line r element i is read at
+// src[r*rowOff + i*stride] and written at the same index of dst.
+func (p *Plan) rows(dst, src []complex128, count, rowOff, stride int) {
+	if count <= 0 {
+		return
 	}
 	if p.blue != nil || len(p.stages) < 2 {
-		// Bluestein and single-stage plans have no separate head/tail
-		// stages to fuse; run them row by row.
-		p.rowsFallback(x, count, rowOff, stride)
+		// Bluestein, single-stage and length-1 plans have no separate
+		// head/tail stages to fuse; run them row by row.
+		p.rowsFallback(dst, src, count, rowOff, stride)
 		return
 	}
 	p.ensureBatch()
@@ -96,29 +107,28 @@ func (p *Plan) rows(x []complex128, count, rowOff, stride int) {
 		if r0+b > count {
 			b = count - r0
 		}
-		p.transformBlock(x[r0*rowOff:], b, rowOff, stride)
+		p.transformBlock(dst[r0*rowOff:], src[r0*rowOff:], b, rowOff, stride)
 	}
 }
 
 // rowsFallback runs the per-row path, gathering strided lines through the
 // plan's row buffer.
-func (p *Plan) rowsFallback(x []complex128, count, rowOff, stride int) {
+func (p *Plan) rowsFallback(dst, src []complex128, count, rowOff, stride int) {
 	for r := 0; r < count; r++ {
 		base := r * rowOff
 		if stride == 1 {
-			row := x[base : base+p.n]
-			p.Transform(row, row)
+			p.Transform(dst[base:base+p.n], src[base:base+p.n])
 			continue
 		}
 		if p.rowbuf == nil {
 			p.rowbuf = make([]complex128, p.n)
 		}
 		for i := 0; i < p.n; i++ {
-			p.rowbuf[i] = x[base+i*stride]
+			p.rowbuf[i] = src[base+i*stride]
 		}
 		p.Transform(p.rowbuf, p.rowbuf)
 		for i := 0; i < p.n; i++ {
-			x[base+i*stride] = p.rowbuf[i]
+			dst[base+i*stride] = p.rowbuf[i]
 		}
 	}
 }
@@ -133,14 +143,14 @@ func (p *Plan) ensureBatch() {
 }
 
 // transformBlock pushes one block of b rows through all stages. The head
-// stage reads the rows from x and writes the interleaved block; middle
+// stage reads the rows from src and writes the interleaved block; middle
 // stages ping-pong between the two interleaved buffers with the stage
-// stride scaled by b; the tail stage scatters straight back into x. All
-// reads of x complete before any write, so in-place blocks are safe.
-func (p *Plan) transformBlock(x []complex128, b, rowOff, stride int) {
+// stride scaled by b; the tail stage scatters straight into dst. All
+// reads of src complete before any write, so in-place blocks are safe.
+func (p *Plan) transformBlock(dst, src []complex128, b, rowOff, stride int) {
 	k := len(p.stages)
 	cur := p.batchA
-	runHead(&p.stages[0], x, cur, b, rowOff, stride, p.dir)
+	runHead(&p.stages[0], src, cur, b, rowOff, stride, p.dir)
 	for i := 1; i < k-1; i++ {
 		out := p.batchB
 		if i%2 == 0 {
@@ -149,7 +159,7 @@ func (p *Plan) transformBlock(x []complex128, b, rowOff, stride int) {
 		runStageBatch(&p.stages[i], cur[:p.n*b], out[:p.n*b], b, p.dir)
 		cur = out
 	}
-	runTail(&p.stages[k-1], cur, x, b, rowOff, stride, p.dir)
+	runTail(&p.stages[k-1], cur, dst, b, rowOff, stride, p.dir)
 }
 
 // runHead applies the first Stockham pass (stage stride 1) reading row r's

@@ -222,3 +222,36 @@ func TestRowBlockForBounds(t *testing.T) {
 		t.Error("block size must not grow with n")
 	}
 }
+
+// TestTransformRowsToBitIdentical: the out-of-place form leaves in dst the
+// bits TransformRows leaves on a copy of src — over multi-stage, single-
+// stage, length-1 and Bluestein (97) plans, row counts on both sides of
+// rowBlockFor and padded rows — whether dst is src or a distinct slice, and
+// a distinct src is unchanged bit for bit.
+func TestTransformRowsToBitIdentical(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 12, 64, 97, 128} {
+		for _, dir := range []Direction{Forward, Backward} {
+			for _, count := range []int{0, 1, 3, 17, 40} {
+				for _, dist := range []int{n, n + 3} {
+					name := fmt.Sprintf("n=%d/%v/count=%d/dist=%d", n, dir, count, dist)
+					p := NewPlan(n, dir)
+					src := make([]complex128, count*dist)
+					for i := range src {
+						src[i] = complex(float64(i%13)-6.25, float64(i%7)*0.5-1)
+					}
+					want := append([]complex128(nil), src...)
+					p.Clone().TransformRows(want, count, dist)
+
+					orig := append([]complex128(nil), src...)
+					dst := append([]complex128(nil), src...) // row padding carries over
+					p.TransformRowsTo(dst, src, count, dist)
+					assertBitIdentical(t, dst, want, name+" distinct")
+					assertBitIdentical(t, src, orig, name+" src after a distinct dst")
+
+					p.TransformRowsTo(src, src, count, dist)
+					assertBitIdentical(t, src, want, name+" dst == src")
+				}
+			}
+		}
+	}
+}
