@@ -11,19 +11,24 @@ func ScatterX(full []complex128, g Grid) []complex128 {
 	return slab
 }
 
+// XSlab returns this rank's input x-slab inside a full Nx×Ny×Nz array in
+// x-y-z layout: x is the slowest dimension, so the slab is the contiguous
+// range a rank can read, or write, where the caller keeps it.
+func (g Grid) XSlab(full []complex128) []complex128 {
+	if len(full) != g.Nx*g.Ny*g.Nz {
+		panic(fmt.Sprintf("layout: XSlab: full array length %d != %d", len(full), g.Nx*g.Ny*g.Nz))
+	}
+	return full[g.X0()*g.Ny*g.Nz:][:g.InSize()]
+}
+
 // ScatterXInto is ScatterX into a caller-provided slab of length
 // g.InSize(), so steady-state callers re-feed a reusable buffer instead of
 // allocating per transform.
 func ScatterXInto(slab, full []complex128, g Grid) {
-	if len(full) != g.Nx*g.Ny*g.Nz {
-		panic(fmt.Sprintf("layout: ScatterX: full array length %d != %d", len(full), g.Nx*g.Ny*g.Nz))
+	if len(slab) != g.InSize() {
+		panic(fmt.Sprintf("layout: ScatterX: slab length %d != %d", len(slab), g.InSize()))
 	}
-	n := g.InSize()
-	if len(slab) != n {
-		panic(fmt.Sprintf("layout: ScatterX: slab length %d != %d", len(slab), n))
-	}
-	x0 := g.X0()
-	copy(slab, full[x0*g.Ny*g.Nz:x0*g.Ny*g.Nz+n])
+	copy(slab, g.XSlab(full))
 }
 
 // GatherY assembles a full Nx×Ny×Nz array in x-y-z layout from the per-rank
@@ -50,30 +55,44 @@ const (
 // GatherYInto is GatherY into a caller-provided full array of length
 // nx·ny·nz (every element is overwritten).
 func GatherYInto(full []complex128, slabs [][]complex128, nx, ny, nz, p int, fast bool) {
-	if len(full) != nx*ny*nz {
-		panic(fmt.Sprintf("layout: GatherY: full array length %d != %d", len(full), nx*ny*nz))
+	g := mustGrid(nx, ny, nz, p)
+	for g.Rank = 0; g.Rank < p; g.Rank++ {
+		GatherYRank(full, slabs[g.Rank], g, fast)
 	}
-	for r := 0; r < p; r++ {
-		g, err := NewGrid(nx, ny, nz, p, r)
-		if err != nil {
-			panic(err)
-		}
-		slab := slabs[r]
-		if len(slab) < g.OutSize() {
-			panic(fmt.Sprintf("layout: GatherY: rank %d slab length %d < %d", r, len(slab), g.OutSize()))
-		}
-		y0, yc := g.Y0(), g.YC()
-		for ly := 0; ly < yc; ly++ {
-			y := y0 + ly
-			for xb := 0; xb < nx; xb += assembleTileX {
-				x1 := min(xb+assembleTileX, nx)
-				for zb := 0; zb < nz; zb += assembleTileZ {
-					z1 := min(zb+assembleTileZ, nz)
-					for x := xb; x < x1; x++ {
-						fb := (x*ny + y) * nz
-						for z := zb; z < z1; z++ {
-							full[fb+z] = slab[g.RowXBase(fast, ly, z)+x]
-						}
+}
+
+// mustGrid is rank 0's geometry of a decomposition the caller has already
+// planned on; the whole-array helpers step its Rank over the ranks.
+func mustGrid(nx, ny, nz, p int) Grid {
+	g, err := NewGrid(nx, ny, nz, p, 0)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// GatherYRank writes rank g.Rank's output y-slab (z-y-x, or y-z-x when
+// fast) into its y-range of the full x-y-z array: the corner turn of the
+// forward output, which each rank can run on its own slab because the
+// ranks' y-ranges are disjoint. It is the inverse of ScatterYInto.
+func GatherYRank(full, slab []complex128, g Grid, fast bool) {
+	if len(full) != g.Nx*g.Ny*g.Nz {
+		panic(fmt.Sprintf("layout: GatherY: full array length %d != %d", len(full), g.Nx*g.Ny*g.Nz))
+	}
+	if len(slab) < g.OutSize() {
+		panic(fmt.Sprintf("layout: GatherY: rank %d slab length %d < %d", g.Rank, len(slab), g.OutSize()))
+	}
+	y0, yc := g.Y0(), g.YC()
+	for ly := 0; ly < yc; ly++ {
+		y := y0 + ly
+		for xb := 0; xb < g.Nx; xb += assembleTileX {
+			x1 := min(xb+assembleTileX, g.Nx)
+			for zb := 0; zb < g.Nz; zb += assembleTileZ {
+				z1 := min(zb+assembleTileZ, g.Nz)
+				for x := xb; x < x1; x++ {
+					fb := (x*g.Ny + y) * g.Nz
+					for z := zb; z < z1; z++ {
+						full[fb+z] = slab[g.RowXBase(fast, ly, z)+x]
 					}
 				}
 			}
@@ -128,16 +147,8 @@ func GatherX(slabs [][]complex128, nx, ny, nz, p int) []complex128 {
 // GatherXInto is GatherX into a caller-provided full array of length
 // nx·ny·nz (every element is overwritten).
 func GatherXInto(full []complex128, slabs [][]complex128, nx, ny, nz, p int) {
-	if len(full) != nx*ny*nz {
-		panic(fmt.Sprintf("layout: GatherX: full array length %d != %d", len(full), nx*ny*nz))
-	}
-	for r := 0; r < p; r++ {
-		g, err := NewGrid(nx, ny, nz, p, r)
-		if err != nil {
-			panic(err)
-		}
-		x0 := g.X0()
-		n := g.XC() * ny * nz
-		copy(full[x0*ny*nz:x0*ny*nz+n], slabs[r][:n])
+	g := mustGrid(nx, ny, nz, p)
+	for g.Rank = 0; g.Rank < p; g.Rank++ {
+		copy(g.XSlab(full), slabs[g.Rank][:g.InSize()])
 	}
 }
