@@ -146,6 +146,43 @@ func (p *Plan) Forward(slab []complex128) ([]complex128, pfft.Breakdown, error) 
 	return p.out, p.last, nil
 }
 
+// ForwardFull is Forward between full Nx×Ny×Nz arrays in x-y-z layout that
+// every rank of the world is handed (the counterpart of
+// pfft.Plan.ForwardFull): the rank copies its z-pencil of src into the
+// plan's — Backward's result buffer, which no forward kernel touches past
+// phase A's FFTz and pack — transforms it and writes its x-pencil of the
+// spectrum into dst, which may be src. The two times are the copies', on
+// the communicator's clock.
+func (p *Plan) ForwardFull(dst, src []complex128) (b pfft.Breakdown, scatterNs, gatherNs int64, err error) {
+	if p.in == nil {
+		p.in = make([]complex128, p.g.InSize())
+	}
+	t := p.c.Now()
+	ScatterPencilInto(p.in, src, p.g)
+	scatterNs = p.c.Now() - t
+	out, b, err := p.Forward(p.in)
+	t = p.c.Now()
+	if err == nil {
+		GatherPencilInto(dst, out, p.g)
+	}
+	return b, scatterNs, p.c.Now() - t, err
+}
+
+// BackwardFull is the inverse of ForwardFull. The spectrum x-pencil is
+// staged in the forward output buffer, which no inverse kernel touches past
+// phase B's FFTx⁻¹ and pack.
+func (p *Plan) BackwardFull(dst, src []complex128) (b pfft.Breakdown, scatterNs, gatherNs int64, err error) {
+	t := p.c.Now()
+	ScatterSpectrumInto(p.out, src, p.g)
+	scatterNs = p.c.Now() - t
+	in, b, err := p.Backward(p.out)
+	t = p.c.Now()
+	if err == nil {
+		GatherInputInto(dst, in, p.g)
+	}
+	return b, scatterNs, p.c.Now() - t, err
+}
+
 // ---- Forward phase A: tiles along x, exchange within the row group ----
 
 func (p *Plan) fftzPackA(i, slot int, win []mpi.Request) {
@@ -281,7 +318,9 @@ func (p *Plan) ensureBackward() {
 	p.bz = fft.Plan1DCached(g.Nz, fft.Backward, p.flag).Clone()
 	p.by = fft.Plan1DCached(g.Ny, fft.Backward, p.flag).Clone()
 	p.bx = fft.Plan1DCached(g.Nx, fft.Backward, p.flag).Clone()
-	p.in = make([]complex128, g.InSize())
+	if p.in == nil {
+		p.in = make([]complex128, g.InSize())
+	}
 	sendMax := g.OutSize()
 	if g.MidSize() > sendMax {
 		sendMax = g.MidSize()

@@ -24,15 +24,16 @@ func Backward3D(c mpi.Comm, g layout.Grid, slab []complex128, v Variant, prm Par
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	e, err := newBackEngine(NewPipeline(c), g, v, prm, flag)
+	e, err := newBackEngine(NewPipeline(c), g, v, prm, flag, slab)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	b, err := e.run(slab)
+	in := make([]complex128, g.InSize())
+	b, err := e.run(in, slab)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	return e.in, b, nil
+	return in, b, nil
 }
 
 // backEngine is the slab backward transform of one rank bound to one
@@ -41,8 +42,9 @@ func Backward3D(c mpi.Comm, g layout.Grid, slab []complex128, v Variant, prm Par
 // the inverse transpose and FFTz⁻¹. In the breakdown, Repack time is
 // accounted under Pack and Scatter under Unpack (they are the
 // corresponding copy steps of the reverse direction). A backEngine is
-// reusable: run may be called many times with fresh slabs, which is how a
-// Plan serves repeated inverse transforms without allocating.
+// reusable: run may be called many times with fresh slabs and
+// destinations, which is how a Plan serves repeated inverse transforms
+// without allocating.
 type backEngine struct {
 	pl    *Pipeline
 	g     layout.Grid
@@ -52,9 +54,10 @@ type backEngine struct {
 	fast  bool
 	phase Phase
 
-	out  []complex128 // input y-slab (forward output), consumed by FFTx⁻¹
+	src  []complex128 // this run's input y-slab (forward output); read by FFTx⁻¹ only
+	out  []complex128 // FFTx⁻¹'s output, same layout; may be src itself
 	work []complex128 // post-scatter z-x-y (or x-z-y) slab
-	in   []complex128 // final x-y-z slab; owned by the engine, reused per run
+	in   []complex128 // this run's destination, the final x-y-z slab
 
 	planZ, planY, planX *fft.Plan
 
@@ -66,8 +69,9 @@ type backEngine struct {
 // newBackEngine binds the backward transform of variant v with expanded
 // parameters prm to pipeline pl and pre-sizes its communication slots (one
 // more than the window, each for the largest tile) so steady-state
-// execution never allocates.
-func newBackEngine(pl *Pipeline, g layout.Grid, v Variant, prm Params, flag fft.Flag) (*backEngine, error) {
+// execution never allocates. out is the y-slab (length g.OutSize()) FFTx⁻¹
+// writes and Repack reads.
+func newBackEngine(pl *Pipeline, g layout.Grid, v Variant, prm Params, flag fft.Flag, out []complex128) (*backEngine, error) {
 	if v == TH || v == TH0 {
 		return nil, fmt.Errorf("pfft: backward transform does not support the %v comparison model", v)
 	}
@@ -81,8 +85,8 @@ func newBackEngine(pl *Pipeline, g layout.Grid, v Variant, prm Params, flag fft.
 	}
 	e := &backEngine{
 		pl: pl, g: g, v: v, prm: prm, tl: tl, fast: OutputFast(v, g),
+		out:   out,
 		work:  make([]complex128, g.InSize()),
-		in:    make([]complex128, g.InSize()),
 		planZ: fft.Plan1DCached(g.Nz, fft.Backward, flag).Clone(),
 		planY: fft.Plan1DCached(g.Ny, fft.Backward, flag).Clone(),
 		planX: fft.Plan1DCached(g.Nx, fft.Backward, flag).Clone(),
@@ -98,13 +102,16 @@ func newBackEngine(pl *Pipeline, g layout.Grid, v Variant, prm Params, flag fft.
 	return e, nil
 }
 
-// run executes one inverse transform on slab (this rank's y-slab in the
-// forward output layout; consumed) and leaves the x-y-z result in e.in.
-func (e *backEngine) run(slab []complex128) (Breakdown, error) {
-	if len(slab) != e.g.OutSize() {
-		return Breakdown{}, fmt.Errorf("pfft: backward slab length %d, want %d", len(slab), e.g.OutSize())
+// run executes one inverse transform of slab (this rank's y-slab in the
+// forward output layout; only read unless it is the engine's own out) and
+// lands the x-y-z result in dst, which the inverse transpose fills and
+// FFTz⁻¹ then transforms in place.
+func (e *backEngine) run(dst, slab []complex128) (Breakdown, error) {
+	if len(slab) != e.g.OutSize() || len(dst) != e.g.InSize() {
+		return Breakdown{}, fmt.Errorf("pfft: backward slab/destination lengths %d/%d, want %d/%d",
+			len(slab), len(dst), e.g.OutSize(), e.g.InSize())
 	}
-	e.out = slab
+	e.src, e.in = slab, dst
 	pl, c, g := e.pl, e.pl.c, e.g
 	pl.Begin(e.prm.Comm)
 	pl.Run(e.tl.NumTiles(), window(e.v, e.prm), &e.phase)
@@ -139,12 +146,12 @@ func (e *backEngine) fftxRepack(tile, slot int, win []mpi.Request) {
 			if fast {
 				for ly := y0; ly < y1; ly++ {
 					base := g.RowXBase(fast, ly, zt0+z0)
-					e.planX.TransformRows(e.out[base:], z1-z0, g.Nx)
+					e.planX.TransformRowsTo(e.out[base:], e.src[base:], z1-z0, g.Nx)
 				}
 			} else {
 				for z := zt0 + z0; z < zt0+z1; z++ {
 					base := g.RowXBase(fast, y0, z)
-					e.planX.TransformRows(e.out[base:], y1-y0, g.Nx)
+					e.planX.TransformRowsTo(e.out[base:], e.src[base:], y1-y0, g.Nx)
 				}
 			}
 			pl.Step(&pl.B.FFTx, "FFTx", t, tile)

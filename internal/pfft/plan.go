@@ -3,7 +3,6 @@ package pfft
 import (
 	"fmt"
 
-	"offt/internal/arena"
 	"offt/internal/fft"
 	"offt/internal/layout"
 	"offt/internal/mpi"
@@ -49,10 +48,13 @@ func WithTrace() PlanOpt {
 // Plan with identical variant/parameters and execute the same sequence of
 // Forward/Backward calls (SPMD).
 //
-// Buffer ownership: the slab passed to Forward/Backward is consumed
-// (overwritten) during the call; the returned slice is owned by the Plan
-// and is valid only until the next execution. Callers that need the result
-// past that point must copy it.
+// Buffer ownership: the slab passed to Forward/Backward is read, never
+// written — the first kernel (FFTz, FFTx⁻¹) runs out of place into a
+// plan-owned slab — so it may be a range of an array other ranks are
+// reading too; the returned slice is owned by the Plan and is valid only
+// until the next execution. Callers that need the result past that point
+// must copy it. ForwardFull/BackwardFull are the same transforms between
+// full arrays the ranks share.
 type Plan struct {
 	g    layout.Grid
 	v    Variant
@@ -64,6 +66,8 @@ type Plan struct {
 	fwd *forward
 	bwd *backEngine        // lazily built on first Backward
 	met *BreakdownObserver // nil unless WithTelemetry
+
+	back []complex128 // Backward's result x-slab (lazy; BackwardFull lands in the caller's)
 
 	last   Breakdown
 	closed bool
@@ -83,12 +87,9 @@ func NewPlan(c mpi.Comm, g layout.Grid, v Variant, prm Params, flag fft.Flag, op
 		o(&cfg)
 	}
 	p := &Plan{g: g, v: v, prm: expanded, flag: flag}
-	// The engine needs an input slab at construction; hand it a throwaway
-	// of the right length — Forward rebinds per call via Reset, and the
-	// engine never touches the slab in between.
-	init := arena.Get(g.InSize())
-	p.eng, err = NewRealEngine(g, c, init.Data, fft.Forward, flag, WithEngineWorkers(cfg.workers))
-	init.Release()
+	// The slab the engine is built on is the one FFTz fills; Forward points
+	// the engine at its input per call via Reset.
+	p.eng, err = NewRealEngine(g, c, make([]complex128, g.InSize()), fft.Forward, flag, WithEngineWorkers(cfg.workers))
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +120,8 @@ func (p *Plan) OutputFast() bool { return OutputFast(p.v, p.g) }
 func (p *Plan) Breakdown() Breakdown { return p.last }
 
 // Forward executes one forward transform. slab is this rank's input
-// x-slab in x-y-z layout (consumed); the returned y-slab (layout per
-// OutputFast) is owned by the plan and valid until the next execution.
+// x-slab in x-y-z layout (read, not modified); the returned y-slab (layout
+// per OutputFast) is owned by the plan and valid until the next execution.
 func (p *Plan) Forward(slab []complex128) ([]complex128, Breakdown, error) {
 	if p.closed {
 		return nil, Breakdown{}, fmt.Errorf("pfft: Forward on closed plan")
@@ -131,6 +132,21 @@ func (p *Plan) Forward(slab []complex128) ([]complex128, Breakdown, error) {
 	b := p.fwd.run()
 	p.observe(b)
 	return p.eng.Output(), b, nil
+}
+
+// ForwardFull is Forward between full Nx×Ny×Nz arrays in x-y-z layout that
+// every rank of the world is handed: the rank reads its x-slab of src where
+// it lies and corner-turns its y-slab of the spectrum into dst
+// (layout.GatherYRank), which may be src — see offt.Plan's runJob for why.
+// gatherNs is the time the corner turn took, on the communicator's clock.
+func (p *Plan) ForwardFull(dst, src []complex128) (b Breakdown, scatterNs, gatherNs int64, err error) {
+	out, b, err := p.Forward(p.g.XSlab(src))
+	if err != nil {
+		return b, 0, 0, err
+	}
+	t := p.pl.c.Now()
+	layout.GatherYRank(dst, out, p.g, p.OutputFast())
+	return b, 0, p.pl.c.Now() - t, nil
 }
 
 func (p *Plan) observe(b Breakdown) {
@@ -145,26 +161,53 @@ func (p *Plan) observe(b Breakdown) {
 func (p *Plan) Trace() []StepEvent { return p.pl.Events() }
 
 // Backward executes one inverse transform. slab is this rank's y-slab in
-// the plan's forward output layout (consumed); the returned x-slab (x-y-z
-// layout) is owned by the plan and valid until the next execution. Like
-// Backward3D, the round trip is unnormalized (×Nx·Ny·Nz).
+// the plan's forward output layout (read, not modified); the returned
+// x-slab (x-y-z layout) is owned by the plan and valid until the next
+// execution. Like Backward3D, the round trip is unnormalized (×Nx·Ny·Nz).
 func (p *Plan) Backward(slab []complex128) ([]complex128, Breakdown, error) {
-	if p.closed {
-		return nil, Breakdown{}, fmt.Errorf("pfft: Backward on closed plan")
+	if err := p.ensureBackward(); err != nil {
+		return nil, Breakdown{}, err
 	}
-	if p.bwd == nil {
-		e, err := newBackEngine(p.pl, p.g, p.v, p.prm, p.flag)
-		if err != nil {
-			return nil, Breakdown{}, err
-		}
-		p.bwd = e
+	if p.back == nil {
+		p.back = make([]complex128, p.g.InSize())
 	}
-	b, err := p.bwd.run(slab)
+	b, err := p.bwd.run(p.back, slab)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
 	p.observe(b)
-	return p.bwd.in, b, nil
+	return p.back, b, nil
+}
+
+// BackwardFull is Backward between full arrays (see ForwardFull): the rank
+// corner-turns its y-range of the spectrum src into the engine's y-slab
+// (layout.ScatterYInto), transforms it in place and lands its x-slab in
+// dst where the caller wants it. scatterNs is the corner turn's time.
+func (p *Plan) BackwardFull(dst, src []complex128) (b Breakdown, scatterNs, gatherNs int64, err error) {
+	if err := p.ensureBackward(); err != nil {
+		return b, 0, 0, err
+	}
+	t := p.pl.c.Now()
+	layout.ScatterYInto(p.bwd.out, src, p.g, p.bwd.fast)
+	scatterNs = p.pl.c.Now() - t
+	if b, err = p.bwd.run(p.g.XSlab(dst), p.bwd.out); err == nil {
+		p.observe(b)
+	}
+	return b, scatterNs, 0, err
+}
+
+// ensureBackward builds the backward engine, and the y-slab it works in, on
+// the first inverse transform, so forward-only plans pay nothing for them.
+func (p *Plan) ensureBackward() error {
+	if p.closed {
+		return fmt.Errorf("pfft: Backward on closed plan")
+	}
+	if p.bwd != nil {
+		return nil
+	}
+	e, err := newBackEngine(p.pl, p.g, p.v, p.prm, p.flag, make([]complex128, p.g.OutSize()))
+	p.bwd = e
+	return err
 }
 
 // Close releases the plan's worker goroutines. Result slabs handed out by

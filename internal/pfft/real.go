@@ -30,7 +30,8 @@ type RealEngine struct {
 	g    layout.Grid
 	comm mpi.Comm
 
-	in   []complex128 // input x-slab, x-y-z layout; clobbered by FFTz
+	src  []complex128 // input x-slab, x-y-z layout; FFTz reads it and nothing writes it
+	in   []complex128 // FFTz's output, same layout; src itself unless Reset split them
 	work []complex128 // post-transpose slab (z-x-y or x-z-y)
 	out  []complex128 // output y-slab (z-y-x or y-z-x)
 
@@ -51,7 +52,8 @@ var _ Engine = (*RealEngine)(nil)
 
 // NewRealEngine prepares a real-data engine for one rank. slab is the
 // rank's input x-slab in x-y-z layout (length g.InSize()); it is consumed
-// (overwritten during FFTz). flag selects the planner effort for the 1-D
+// (FFTz runs in place on it, and on what Reset points it at out of place
+// into it). flag selects the planner effort for the 1-D
 // FFT plans. dir is the transform direction of the 1-D kernels (Forward
 // for the usual forward 3-D FFT).
 func NewRealEngine(g layout.Grid, comm mpi.Comm, slab []complex128, dir fft.Direction, flag fft.Flag, opts ...EngineOpt) (*RealEngine, error) {
@@ -68,6 +70,7 @@ func NewRealEngine(g layout.Grid, comm mpi.Comm, slab []complex128, dir fft.Dire
 	e := &RealEngine{
 		g:     g,
 		comm:  comm,
+		src:   slab,
 		in:    slab,
 		work:  make([]complex128, g.InSize()),
 		out:   make([]complex128, g.OutSize()),
@@ -87,12 +90,14 @@ func NewRealEngine(g layout.Grid, comm mpi.Comm, slab []complex128, dir fft.Dire
 }
 
 // Reset points the engine at a new input slab so a Plan can execute many
-// transforms on one engine. The slab is consumed like NewRealEngine's.
+// transforms on one engine. The slab is only read: FFTz transforms it into
+// the slab the engine was built on, so it may lie in memory the engine's
+// owner shares with other ranks (a caller's full array).
 func (e *RealEngine) Reset(slab []complex128) error {
 	if len(slab) != e.g.InSize() {
 		return fmt.Errorf("pfft: slab length %d, want %d", len(slab), e.g.InSize())
 	}
-	e.in = slab
+	e.src = slab
 	return nil
 }
 
@@ -124,19 +129,19 @@ func (e *RealEngine) Comm() mpi.Comm { return e.comm }
 // the engine: a reused Plan overwrites it on the next execution.
 func (e *RealEngine) Output() []complex128 { return e.out }
 
-// FFTz transforms every z row of the input slab in place through the
-// batched multi-row engine.
+// FFTz transforms every z row of the input slab through the batched
+// multi-row engine, in place unless Reset pointed the engine elsewhere.
 func (e *RealEngine) FFTz() {
 	rows := e.g.XC() * e.g.Ny
 	if e.pool != nil {
 		nz := e.g.Nz
-		in := e.in
+		in, src := e.in, e.src
 		e.pool.parallel(rows, func(w, lo, hi int) {
-			e.planZs[w].TransformRows(in[lo*nz:hi*nz], hi-lo, nz)
+			e.planZs[w].TransformRowsTo(in[lo*nz:hi*nz], src[lo*nz:hi*nz], hi-lo, nz)
 		})
 		return
 	}
-	e.planZ.TransformRows(e.in, rows, e.g.Nz)
+	e.planZ.TransformRowsTo(e.in, e.src, rows, e.g.Nz)
 }
 
 // Transpose rearranges the slab into the post-FFTz layout. The

@@ -156,13 +156,17 @@ func TestObserveRequestSpanTree(t *testing.T) {
 
 			// Span closure: the per-phase durations (engine-clock time,
 			// averaged over ranks) against the exec latency (wall time
-			// around scatter, dispatch and gather). Taken from the second
+			// around the dispatch, in which the ranks also convert their
+			// pieces of the request's arrays). Taken from the second
 			// request of a 64³ plan: the first request of any plan builds
 			// it and runs cold, and at 16³ exec is mostly fixed dispatch
 			// cost, so that ratio wanders with scheduling (it failed a
-			// [0.3, 1.7] band in 7 of 120 runs). Here it read 0.54–0.80 in
-			// 400 idle runs and no lower than 0.42 beside another test
-			// process; the phases are a part of exec, so it cannot pass 1.
+			// [0.3, 1.7] band in 7 of 120 runs). Here it read 0.57–0.89
+			// (slab) and 0.59–0.80 (pencil) in 200 idle runs and no lower
+			// than 0.55 beside another test process — 0.44–0.77 while the
+			// caller's goroutine still scattered and gathered alone, with
+			// strays down to 0.16; the phases are a part of exec, so it
+			// cannot pass 1.
 			const big = 64
 			bigReq := TransformRequest{Nx: big, Ny: big, Nz: big, Ranks: tc.ranks, Decomp: tc.decomp}
 			var second telemetry.RequestRecord
@@ -176,8 +180,8 @@ func TestObserveRequestSpanTree(t *testing.T) {
 				}
 			}
 			ratio := float64(phaseSum(second)) / float64(second.ExecNs)
-			if ratio < 0.3 || ratio > 1.05 {
-				t.Errorf("64³ phase sum %d vs exec %d: ratio %.2f outside [0.3, 1.05]",
+			if ratio < 0.45 || ratio > 1.05 {
+				t.Errorf("64³ phase sum %d vs exec %d: ratio %.2f outside [0.45, 1.05]",
 					phaseSum(second), second.ExecNs, ratio)
 			}
 

@@ -1,0 +1,92 @@
+package offt_test
+
+import (
+	"context"
+	"testing"
+
+	"offt"
+)
+
+// intoCases are the plans the *Into contract tests run on: both
+// decompositions on a ragged grid, where every rank's piece of the caller's
+// arrays differs in size and the ranks' writes interleave.
+var intoCases = []struct {
+	name   string
+	decomp offt.Decomp
+	ranks  int
+}{
+	{"slab", offt.Slab, 3},
+	{"pencil", offt.Pencil, 6},
+}
+
+// eachInto runs fn once per *Into entry point of a plan of every intoCase.
+func eachInto(t *testing.T, fn func(t *testing.T, n int, into func(dst, data []complex128) error)) {
+	const nx, ny, nz = 12, 10, 9
+	for _, c := range intoCases {
+		plan, err := offt.NewPlan(offt.WithGrid(nx, ny, nz), offt.WithRanks(c.ranks), offt.WithDecomp(c.decomp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { plan.Close() })
+		ctx := context.Background()
+		entries := map[string]func(dst, data []complex128) error{
+			"ForwardInto":  plan.ForwardInto,
+			"BackwardInto": plan.BackwardInto,
+			"ForwardIntoCtx": func(dst, data []complex128) error {
+				_, err := plan.ForwardIntoCtx(ctx, dst, data)
+				return err
+			},
+			"BackwardIntoCtx": func(dst, data []complex128) error {
+				_, err := plan.BackwardIntoCtx(ctx, dst, data)
+				return err
+			},
+		}
+		for name, into := range entries {
+			t.Run(c.name+"/"+name, func(t *testing.T) { fn(t, nx*ny*nz, into) })
+		}
+	}
+}
+
+// TestIntoLeavesInputUntouched: the ranks hold the caller's input array
+// itself, so "read, not modified" is theirs to keep — bit for bit, on every
+// *Into entry point.
+func TestIntoLeavesInputUntouched(t *testing.T) {
+	eachInto(t, func(t *testing.T, n int, into func(dst, data []complex128) error) {
+		data := randData(n, 5)
+		orig := append([]complex128(nil), data...)
+		if err := into(make([]complex128, n), data); err != nil {
+			t.Fatal(err)
+		}
+		for i := range orig {
+			if data[i] != orig[i] {
+				t.Fatalf("input modified at %d: %v, was %v", i, data[i], orig[i])
+			}
+		}
+	})
+}
+
+// TestIntoInPlace: dst may be data. Every rank writes its piece of dst
+// while holding the array its peers read their input from, so this is the
+// ordering argument beside runJob under test (and, in verify.sh's -race
+// pass, under the race detector): the bits must be those of the same
+// transform between distinct arrays.
+func TestIntoInPlace(t *testing.T) {
+	eachInto(t, func(t *testing.T, n int, into func(dst, data []complex128) error) {
+		data := randData(n, 6)
+		want := make([]complex128, n)
+		if err := into(want, data); err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 3; rep++ { // scheduling differs run to run
+			buf := append([]complex128(nil), data...)
+			if err := into(buf, buf); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if buf[i] != want[i] {
+					t.Fatalf("in-place result differs at %d: %v vs %v", i, buf[i], want[i])
+				}
+			}
+		}
+	})
+}

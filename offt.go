@@ -389,7 +389,10 @@ func WithWatchdog(d time.Duration) Option {
 // keeps one long-lived world of rank goroutines, each holding a reusable
 // per-rank pfft.Plan with pre-sized communication slots and scratch, fed
 // through job channels — so repeated Forward/Backward calls allocate
-// nothing beyond the first execution.
+// nothing beyond the first execution. Every rank is handed the caller's
+// input and result arrays and converts its own piece of each: the input is
+// read where it lies, never written and never copied as a whole, and the
+// result is written straight into the caller's array.
 //
 // Plans are safe for concurrent use: executions are serialized on an
 // internal mutex (one transform at a time per plan — concurrent callers
@@ -402,24 +405,24 @@ type Plan struct {
 	mu     sync.Mutex // serializes executions, accessors, and Close
 	cfg    config
 	desc   PlanDescription
-	grids  []layout.Grid   // slab geometry (nil for pencil plans)
-	pgrids []pencil.Grid2D // pencil geometry (nil for slab plans)
-	fast   bool
+	pgrids []pencil.Grid2D // pencil geometry (nil for slab plans, whose ranks build their own)
 
 	// Mem engine state.
 	world   *mem.World
 	jobs    []chan job
 	runDone chan error
-	slabs   [][]complex128 // per-rank forward input scratch
-	bslabs  [][]complex128 // per-rank backward input scratch (lazy)
-	outs    [][]complex128 // per-rank results, written by rank bodies
+	wg      sync.WaitGroup // joins the ranks of the execution in flight
 	bds     []Breakdown
 	errs    []error
 	traces  [][]StepEvent // per-rank timelines of the last execution (WithTrace)
 	fullFwd []complex128  // reusable gathered spectrum (first copying Forward)
 	fullBwd []complex128  // reusable gathered backward result (first copying Backward)
 
-	// spanScratch is the reusable staging slice for emitExecSpans: the
+	// Time the ranks of the last execution spent converting between the
+	// caller's arrays and their own slabs, summed over ranks.
+	scatterNs, gatherNs atomic.Int64
+
+	// spanScratch is the reusable staging slice for run's trace: the
 	// span batch is assembled here (under the execution lock) and copied
 	// into the request's TraceContext in one AddBatch, so per-request
 	// span emission costs one lock acquisition and zero transient
@@ -448,9 +451,11 @@ const (
 	opBackward
 )
 
+// job is one execution as a rank sees it: the direction and the caller's
+// full arrays, of which the rank reads and writes its own piece.
 type job struct {
-	op jobOp
-	wg *sync.WaitGroup
+	op       jobOp
+	dst, src []complex128
 }
 
 // NewPlan builds a plan from functional options. All validation, variant
@@ -468,18 +473,7 @@ func NewPlan(opts ...Option) (*Plan, error) {
 	}
 	prm := desc.Params
 	p := &Plan{cfg: cfg, desc: desc}
-	switch desc.Decomp {
-	case Slab:
-		p.grids = make([]layout.Grid, cfg.ranks)
-		for r := 0; r < cfg.ranks; r++ {
-			g, err := layout.NewGrid(cfg.nx, cfg.ny, cfg.nz, cfg.ranks, r)
-			if err != nil {
-				return nil, err
-			}
-			p.grids[r] = g
-		}
-		p.fast = pfft.OutputFast(cfg.variant, p.grids[0])
-	case Pencil:
+	if desc.Decomp == Pencil {
 		p.pgrids = make([]pencil.Grid2D, cfg.ranks)
 		for r := 0; r < cfg.ranks; r++ {
 			g, err := pencil.NewGrid2D(cfg.nx, cfg.ny, cfg.nz, desc.ProcRows, desc.ProcCols(), r)
@@ -513,10 +507,11 @@ func (p *Plan) Describe() PlanDescription { return p.desc }
 
 // rankPlan is what a rank goroutine executes: the slab pfft.Plan or the
 // pencil.Plan, both reusable create-once/run-many per-rank plans with the
-// same execution surface.
+// same execution surface — a transform between the full arrays src and dst,
+// and the time the rank spent converting its piece of each.
 type rankPlan interface {
-	Forward(slab []complex128) ([]complex128, Breakdown, error)
-	Backward(slab []complex128) ([]complex128, Breakdown, error)
+	ForwardFull(dst, src []complex128) (b Breakdown, scatterNs, gatherNs int64, err error)
+	BackwardFull(dst, src []complex128) (b Breakdown, scatterNs, gatherNs int64, err error)
 	Trace() []StepEvent
 	Close()
 }
@@ -530,17 +525,8 @@ func (p *Plan) startWorld(prm Params) error {
 	for r := range p.jobs {
 		p.jobs[r] = make(chan job)
 	}
-	p.slabs = make([][]complex128, n)
-	p.outs = make([][]complex128, n)
 	p.bds = make([]Breakdown, n)
 	p.errs = make([]error, n)
-	for r := 0; r < n; r++ {
-		if p.desc.Decomp == Pencil {
-			p.slabs[r] = make([]complex128, p.pgrids[r].InSize())
-		} else {
-			p.slabs[r] = make([]complex128, p.grids[r].InSize())
-		}
-	}
 	p.cfg.params = &prm
 
 	var popts []pfft.PlanOpt
@@ -593,7 +579,10 @@ func (p *Plan) startWorld(prm Params) error {
 				}
 				plan = pp
 			} else {
-				plan, err = pfft.NewPlan(c, p.grids[rank], p.cfg.variant, prm, fft.Estimate, popts...)
+				var g layout.Grid
+				if g, err = layout.NewGrid(p.cfg.nx, p.cfg.ny, p.cfg.nz, n, rank); err == nil {
+					plan, err = pfft.NewPlan(c, g, p.cfg.variant, prm, fft.Estimate, popts...)
+				}
 			}
 			inits <- err
 			if err != nil {
@@ -620,13 +609,23 @@ func (p *Plan) startWorld(prm Params) error {
 
 // runJob executes one transform on a rank goroutine. The recover keeps a
 // rank failure (including a transport watchdog abort) from stranding
-// Forward's WaitGroup: the error is recorded and the rank keeps serving.
+// dispatch's WaitGroup: the error is recorded and the rank keeps serving.
 // Any recovered panic is classified as a world failure — either the
 // transport itself declared the world dead (transport.WorldFailure) or the
 // rank's state is unknowable mid-collective — so dispatch surfaces a
 // typed *WorldError instead of a wedged or half-poisoned plan.
+//
+// jb.dst may be jb.src. A rank reads src only in its first kernel (the
+// out-of-place FFTz of its x-slab, the corner turn or copy of its slab or
+// pencil into plan-owned memory) and writes dst only after its last Wait
+// (the gather; the inverse transpose and FFTz⁻¹). What it holds then was
+// computed from every rank's piece of src — directly on slab, through the
+// members of its second exchange group on pencil — and no rank posts a
+// block before its first kernel is done, so every peer's last read of src
+// happens before any rank's first write of dst. A transform added here
+// whose ranks write dst before their last Wait must stage its input.
 func (p *Plan) runJob(plan rankPlan, rank int, jb job) {
-	defer jb.wg.Done()
+	defer p.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			var we *WorldError
@@ -642,38 +641,35 @@ func (p *Plan) runJob(plan rankPlan, rank int, jb job) {
 			p.world.Fail(we.Cause)
 		}
 	}()
-	var out []complex128
-	var b Breakdown
-	var err error
-	switch jb.op {
-	case opForward:
-		out, b, err = plan.Forward(p.slabs[rank])
-	case opBackward:
-		out, b, err = plan.Backward(p.bslabs[rank])
+	var scatterNs, gatherNs int64
+	if jb.op == opBackward {
+		p.bds[rank], scatterNs, gatherNs, p.errs[rank] = plan.BackwardFull(jb.dst, jb.src)
+	} else {
+		p.bds[rank], scatterNs, gatherNs, p.errs[rank] = plan.ForwardFull(jb.dst, jb.src)
 	}
-	p.outs[rank] = out
-	p.bds[rank] = b
-	p.errs[rank] = err
+	p.scatterNs.Add(scatterNs)
+	p.gatherNs.Add(gatherNs)
 	if p.traces != nil {
 		p.traces[rank] = append(p.traces[rank][:0], plan.Trace()...)
 	}
 }
 
-// dispatch runs one op on every rank and joins. A world failure on any
-// rank is folded into one sticky *WorldError: later executions fail fast
-// with it instead of re-dispatching onto a dead world.
-func (p *Plan) dispatch(op jobOp) error {
-	var wg sync.WaitGroup
-	wg.Add(p.cfg.ranks)
+// dispatch runs one op from src into dst on every rank and joins. A world
+// failure on any rank is folded into one sticky *WorldError: later
+// executions fail fast with it instead of re-dispatching onto a dead world.
+func (p *Plan) dispatch(op jobOp, dst, src []complex128) error {
+	p.scatterNs.Store(0)
+	p.gatherNs.Store(0)
+	p.wg.Add(p.cfg.ranks)
 	for r := 0; r < p.cfg.ranks; r++ {
 		// Clear the previous execution's slots: a rank that panics mid-
 		// transform never reaches its assignments, and stale breakdowns
 		// would skew the downgrade accounting below.
 		p.bds[r] = Breakdown{}
 		p.errs[r] = nil
-		p.jobs[r] <- job{op: op, wg: &wg}
+		p.jobs[r] <- job{op: op, dst: dst, src: src}
 	}
-	wg.Wait()
+	p.wg.Wait()
 	var dg int64
 	for _, b := range p.bds {
 		dg += b.Downgrades
@@ -712,14 +708,16 @@ func (p *Plan) dispatch(op jobOp) error {
 func (p *Plan) Forward(data []complex128) ([]complex128, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.forwardLocked(data)
+	return p.forwardLockedInto(nil, data, nil)
 }
 
 // ForwardInto executes one forward 3-D FFT and assembles the spectrum into
 // dst (length Nx·Ny·Nz) before releasing the execution lock, so the
 // result cannot be overwritten by a concurrent caller's next transform.
-// The gather lands directly in dst — no intermediate plan-owned copy.
-// Mem engine only.
+// The ranks write their pieces of the spectrum directly into dst — no
+// intermediate plan-owned copy — and only read data, so dst may be data
+// (an in-place transform); otherwise data is left untouched. The same
+// holds for BackwardInto and the two Ctx forms. Mem engine only.
 func (p *Plan) ForwardInto(dst, data []complex128) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -734,10 +732,12 @@ func (p *Plan) ForwardInto(dst, data []complex128) error {
 }
 
 // ExecStats reports the stage structure of one context-aware execution:
-// wall time split across the scatter/dispatch/gather stages, the
-// rank-averaged per-step breakdown, and the downgrades this execution
-// (not the plan lifetime) took. The serve layer forwards these into the
-// flight recorder and per-request responses.
+// the rank-averaged time the ranks spent taking their pieces out of the
+// caller's input (ScatterNs) and writing them into its result (GatherNs),
+// the rest of the dispatch's wall time (DispatchNs; the three add up to
+// it), the rank-averaged per-step breakdown, and the downgrades this
+// execution (not the plan lifetime) took. The serve layer forwards these
+// into the flight recorder and per-request responses.
 type ExecStats struct {
 	TotalNs    int64
 	ScatterNs  int64
@@ -755,10 +755,10 @@ func (s ExecStats) OverlapEfficiency() float64 { return s.Breakdown.OverlapEffic
 // execution checks ctx for cancellation before dispatching (an execution
 // already in flight is never aborted — ranks run to completion), returns
 // per-stage ExecStats, and, when ctx carries a telemetry.TraceContext,
-// appends the execution's span tree to it — scatter/dispatch/gather
-// control spans, per-phase spans synthesized from the breakdown, and
-// (on WithTrace plans) per-rank step spans with tile attribution.
-// Mem engine only.
+// appends the execution's span tree to it — a dispatch control span, under
+// it the rank-averaged scatter and gather, per-phase spans synthesized
+// from the breakdown, and (on WithTrace plans) per-rank step spans with
+// tile attribution. Mem engine only.
 func (p *Plan) ForwardIntoCtx(ctx context.Context, dst, data []complex128) (ExecStats, error) {
 	return p.execIntoCtx(ctx, opForward, dst, data)
 }
@@ -794,73 +794,60 @@ func (p *Plan) execIntoCtx(ctx context.Context, op jobOp, dst, data []complex128
 		_, err = p.backwardLockedInto(dst, data, obs)
 	}
 	obs.tc.End(execID)
-	st := ExecStats{
-		TotalNs:    time.Since(start).Nanoseconds(),
-		ScatterNs:  obs.scatterNs,
-		DispatchNs: obs.dispatchNs,
-		GatherNs:   obs.gatherNs,
-		Downgrades: p.downgrades.Load() - before,
-	}
+	obs.TotalNs = time.Since(start).Nanoseconds()
+	obs.Downgrades = p.downgrades.Load() - before
 	if err == nil {
-		st.Breakdown = p.last
+		obs.Breakdown = p.last
 	}
-	return st, err
+	return obs.ExecStats, err
 }
 
-// execObs times the scatter/dispatch/gather stages of one execution and
-// mirrors them into the request's trace. A nil observer is the untimed
-// fast path.
+// execObs collects one execution's ExecStats and mirrors its dispatch into
+// the request's trace. A nil observer is the untimed fast path.
 type execObs struct {
-	tc                              *telemetry.TraceContext
-	scatterNs, dispatchNs, gatherNs int64
-	dispStartNs                     int64
-	dispatchID                      int
+	tc *telemetry.TraceContext
+	ExecStats
 }
 
-// stage wraps one execution stage with wall timing and a trace span.
-func (o *execObs) stage(name string, fn func() error) error {
+// run dispatches op from src into dst. An observer gets the dispatch's wall
+// time split three ways — the ranks' mean scatter and gather time and the
+// rest — and, after a successful dispatch, its interior in the trace:
+// scatter at the start and gather at the end of the dispatch span (mean
+// durations, synthetic placement), between them per-phase spans
+// synthesized from the rank-averaged breakdown (laid out sequentially),
+// and, for WithTrace plans, every rank's step events rebased from the
+// engine's world-epoch clock into the request timeline (the earliest
+// event aligns with the dispatch start).
+func (p *Plan) run(op jobOp, dst, src []complex128, o *execObs) error {
 	if o == nil {
-		return fn()
+		return p.dispatch(op, dst, src)
 	}
-	id := o.tc.Begin(name)
-	if name == "dispatch" {
-		o.dispStartNs = o.tc.Elapsed()
-		o.dispatchID = id
-	}
-	start := time.Now()
-	err := fn()
-	d := time.Since(start).Nanoseconds()
+	id := o.tc.Begin("dispatch")
+	start := o.tc.Elapsed()
+	t := time.Now()
+	err := p.dispatch(op, dst, src)
+	wall := time.Since(t).Nanoseconds()
 	o.tc.End(id)
-	switch name {
-	case "scatter":
-		o.scatterNs = d
-	case "dispatch":
-		o.dispatchNs = d
-	case "gather":
-		o.gatherNs = d
+	ranks := int64(p.cfg.ranks)
+	o.ScatterNs, o.GatherNs = p.scatterNs.Load()/ranks, p.gatherNs.Load()/ranks
+	o.DispatchNs = wall - o.ScatterNs - o.GatherNs
+	if err != nil || o.tc == nil {
+		return err
 	}
-	return err
-}
-
-// emitExecSpans adds the dispatch stage's interior to the trace after a
-// successful dispatch: per-phase spans synthesized from the rank-averaged
-// breakdown (laid out sequentially — accurate durations, synthetic
-// placement), and, for WithTrace plans, every rank's step events rebased
-// from the engine's world-epoch clock into the request timeline (the
-// earliest event aligns with the dispatch start).
-func (p *Plan) emitExecSpans(o *execObs) {
-	if o == nil || o.tc == nil {
-		return
+	control := func(name string, from, to int64) telemetry.TraceSpan {
+		return telemetry.TraceSpan{Parent: id, Name: name, Start: from, End: to, Rank: -1, Tile: -1}
 	}
-	batch := p.spanScratch[:0]
-	cur := o.dispStartNs
+	batch := append(p.spanScratch[:0],
+		control("scatter", start, start+o.ScatterNs),
+		control("gather", start+wall-o.GatherNs, start+wall))
+	cur := start + o.ScatterNs
 	names := pfft.StepNames()
 	for i, v := range p.last.Steps() {
 		if v <= 0 {
 			continue
 		}
 		batch = append(batch, telemetry.TraceSpan{
-			Parent: o.dispatchID, Name: names[i], Kind: "phase",
+			Parent: id, Name: names[i], Kind: "phase",
 			Start: cur, End: cur + v, Rank: -1, Tile: -1,
 		})
 		cur += v
@@ -878,8 +865,8 @@ func (p *Plan) emitExecSpans(o *execObs) {
 			for r, evs := range p.traces {
 				for _, e := range evs {
 					batch = append(batch, telemetry.TraceSpan{
-						Parent: o.dispatchID, Name: e.Name, Kind: "step",
-						Start: o.dispStartNs + e.Start - min, End: o.dispStartNs + e.End - min,
+						Parent: id, Name: e.Name, Kind: "step",
+						Start: start + e.Start - min, End: start + e.End - min,
 						Rank: r, Tile: e.Tile,
 					})
 				}
@@ -888,15 +875,12 @@ func (p *Plan) emitExecSpans(o *execObs) {
 	}
 	o.tc.AddBatch(batch)
 	p.spanScratch = batch
+	return nil
 }
 
-func (p *Plan) forwardLocked(data []complex128) ([]complex128, error) {
-	return p.forwardLockedInto(nil, data, nil)
-}
-
-// forwardLockedInto runs the forward transform; the gather step assembles
-// into dst when non-nil, else into the plan-owned fullFwd buffer. obs,
-// when non-nil, times the stages and feeds the request trace.
+// forwardLockedInto runs the forward transform into dst when non-nil, else
+// into the plan-owned fullFwd buffer. obs, when non-nil, times the
+// execution and feeds the request trace.
 func (p *Plan) forwardLockedInto(dst, data []complex128, obs *execObs) ([]complex128, error) {
 	// World failure outranks the closed flag: quarantine teardown Closes a
 	// failed plan while stragglers may still race in, and they must see
@@ -926,40 +910,27 @@ func (p *Plan) forwardLockedInto(dst, data []complex128, obs *execObs) ([]comple
 		res.Net.Publish(p.cfg.reg)
 		return nil, nil
 	}
-	if len(data) != p.cfg.nx*p.cfg.ny*p.cfg.nz {
-		return nil, fmt.Errorf("offt: data length %d, want %d", len(data), p.cfg.nx*p.cfg.ny*p.cfg.nz)
+	return p.execMem(opForward, &p.fullFwd, dst, data, obs)
+}
+
+// execMem runs op on the Mem world from data into dst — when dst is nil,
+// into *own, the plan-owned result buffer of that direction, allocated on
+// first use — and returns the array the result is in.
+func (p *Plan) execMem(op jobOp, own *[]complex128, dst, data []complex128, obs *execObs) ([]complex128, error) {
+	n := p.cfg.nx * p.cfg.ny * p.cfg.nz
+	if len(data) != n {
+		return nil, fmt.Errorf("offt: data length %d, want %d", len(data), n)
 	}
-	obs.stage("scatter", func() error {
-		for r := 0; r < p.cfg.ranks; r++ {
-			if p.desc.Decomp == Pencil {
-				pencil.ScatterPencilInto(p.slabs[r], data, p.pgrids[r])
-			} else {
-				layout.ScatterXInto(p.slabs[r], data, p.grids[r])
-			}
+	if dst == nil {
+		if *own == nil {
+			*own = make([]complex128, n)
 		}
-		return nil
-	})
-	if err := obs.stage("dispatch", func() error { return p.dispatch(opForward) }); err != nil {
+		dst = *own
+	}
+	if err := p.run(op, dst, data, obs); err != nil {
 		return nil, err
 	}
-	p.emitExecSpans(obs)
-	if dst == nil {
-		if p.fullFwd == nil {
-			p.fullFwd = make([]complex128, p.cfg.nx*p.cfg.ny*p.cfg.nz)
-		}
-		dst = p.fullFwd
-	}
-	err := obs.stage("gather", func() error {
-		if p.desc.Decomp == Pencil {
-			for r := 0; r < p.cfg.ranks; r++ {
-				pencil.GatherPencilInto(dst, p.outs[r], p.pgrids[r])
-			}
-			return nil
-		}
-		layout.GatherYInto(dst, p.outs, p.cfg.nx, p.cfg.ny, p.cfg.nz, p.cfg.ranks, p.fast)
-		return nil
-	})
-	return dst, err
+	return dst, nil
 }
 
 // simulatePencil charges one pencil transform on the machine model: the
@@ -994,7 +965,7 @@ func (p *Plan) simulatePencil() error {
 func (p *Plan) Backward(data []complex128) ([]complex128, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.backwardLocked(data)
+	return p.backwardLockedInto(nil, data, nil)
 }
 
 // BackwardInto executes one inverse 3-D FFT and assembles the result into
@@ -1010,13 +981,9 @@ func (p *Plan) BackwardInto(dst, data []complex128) error {
 	return err
 }
 
-func (p *Plan) backwardLocked(data []complex128) ([]complex128, error) {
-	return p.backwardLockedInto(nil, data, nil)
-}
-
-// backwardLockedInto runs the backward transform; the gather step assembles
-// into dst when non-nil, else into the plan-owned fullBwd buffer. obs,
-// when non-nil, times the stages and feeds the request trace.
+// backwardLockedInto runs the backward transform into dst when non-nil,
+// else into the plan-owned fullBwd buffer. obs, when non-nil, times the
+// execution and feeds the request trace.
 func (p *Plan) backwardLockedInto(dst, data []complex128, obs *execObs) ([]complex128, error) {
 	if err := p.worldCheck(); err != nil {
 		return nil, err
@@ -1030,50 +997,7 @@ func (p *Plan) backwardLockedInto(dst, data []complex128, obs *execObs) ([]compl
 	if p.cfg.variant == TH || p.cfg.variant == TH0 {
 		return nil, fmt.Errorf("offt: backward transform does not support the %v comparison model", p.cfg.variant)
 	}
-	if len(data) != p.cfg.nx*p.cfg.ny*p.cfg.nz {
-		return nil, fmt.Errorf("offt: data length %d, want %d", len(data), p.cfg.nx*p.cfg.ny*p.cfg.nz)
-	}
-	if p.bslabs == nil {
-		p.bslabs = make([][]complex128, p.cfg.ranks)
-		for r := 0; r < p.cfg.ranks; r++ {
-			if p.desc.Decomp == Pencil {
-				p.bslabs[r] = make([]complex128, p.pgrids[r].OutSize())
-			} else {
-				p.bslabs[r] = make([]complex128, p.grids[r].OutSize())
-			}
-		}
-	}
-	if dst == nil {
-		if p.fullBwd == nil {
-			p.fullBwd = make([]complex128, p.cfg.nx*p.cfg.ny*p.cfg.nz)
-		}
-		dst = p.fullBwd
-	}
-	obs.stage("scatter", func() error {
-		for r := 0; r < p.cfg.ranks; r++ {
-			if p.desc.Decomp == Pencil {
-				pencil.ScatterSpectrumInto(p.bslabs[r], data, p.pgrids[r])
-			} else {
-				layout.ScatterYInto(p.bslabs[r], data, p.grids[r], p.fast)
-			}
-		}
-		return nil
-	})
-	if err := obs.stage("dispatch", func() error { return p.dispatch(opBackward) }); err != nil {
-		return nil, err
-	}
-	p.emitExecSpans(obs)
-	err := obs.stage("gather", func() error {
-		if p.desc.Decomp == Pencil {
-			for r := 0; r < p.cfg.ranks; r++ {
-				pencil.GatherInputInto(dst, p.outs[r], p.pgrids[r])
-			}
-			return nil
-		}
-		layout.GatherXInto(dst, p.outs, p.cfg.nx, p.cfg.ny, p.cfg.nz, p.cfg.ranks)
-		return nil
-	})
-	return dst, err
+	return p.execMem(opBackward, &p.fullBwd, dst, data, obs)
 }
 
 // worldCheck fails an execution fast when the plan's world is already

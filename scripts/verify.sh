@@ -77,9 +77,14 @@ go test -count=1 -run 'FuzzDeliver|FuzzEnvelopeRoundTrip' ./internal/mpi/transpo
 # text, both recorded before the scheduler became a single-threaded loop;
 # TestPipelineOrder drives the one phase runner with a scripted communicator
 # over every tile count, window and downgrade point and checks Algorithm 1's
-# call order, Test windows and one post per tile in tile order.
+# call order, Test windows and one post per tile in tile order;
+# TestDataPathMatchesByHand holds offt.Plan's ForwardInto/BackwardInto bit
+# for bit to scatter, per-rank plan, gather composed by hand (recorded
+# before the ranks took the scatter and gather over), and TestIntoInPlace
+# the ordering that lets dst be data now that they hold the caller's arrays
+# (the root package's -race pass above runs both under the detector).
 go test -count=1 -run 'TestGoldenSmallScale' ./internal/harness/
-go test -count=1 -run 'TestVirtualTimesPinned' .
+go test -count=1 -run 'TestVirtualTimesPinned|TestDataPathMatchesByHand|TestIntoInPlace' .
 go test -count=1 -run 'TestScriptedTracePinned|TestTracePinned' ./internal/mpi/sim/ ./internal/vclock/
 go test -count=1 -run 'TestPipelineOrder' ./internal/pfft/
 
@@ -122,7 +127,7 @@ go test -run 'TestObserveRequestIDEcho' -count=50 ./internal/serve/
 
 # Span closure: the share of a request's exec span its per-phase spans
 # explain, taken from the second request of a 64-cubed plan where it is
-# stable (about 0.65 slab, 0.61 pencil). It used to be read off the first
+# stable (about 0.80 slab, 0.72 pencil). It used to be read off the first
 # 16-cubed request and lost 7 to 10 runs in a hundred.
 go test -run 'TestObserveRequestSpanTree' -count=50 ./internal/serve/
 
