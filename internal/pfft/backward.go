@@ -128,6 +128,7 @@ func (e *backEngine) run(dst, slab []complex128) (Breakdown, error) {
 	t = c.Now()
 	e.planZ.TransformRows(e.in, g.XC()*g.Ny, g.Nz)
 	pl.Step(&pl.B.FFTz, "FFTz", t, -1)
+	e.src, e.in = nil, nil // the caller's memory is not the engine's to keep alive
 	return pl.End(), nil
 }
 

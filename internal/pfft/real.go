@@ -52,10 +52,9 @@ var _ Engine = (*RealEngine)(nil)
 
 // NewRealEngine prepares a real-data engine for one rank. slab is the
 // rank's input x-slab in x-y-z layout (length g.InSize()); it is consumed
-// (FFTz runs in place on it, and on what Reset points it at out of place
-// into it). flag selects the planner effort for the 1-D
-// FFT plans. dir is the transform direction of the 1-D kernels (Forward
-// for the usual forward 3-D FFT).
+// (FFTz runs in place on it; after a Reset, out of place into it). flag
+// selects the planner effort for the 1-D FFT plans. dir is the transform
+// direction of the 1-D kernels (Forward for the usual forward 3-D FFT).
 func NewRealEngine(g layout.Grid, comm mpi.Comm, slab []complex128, dir fft.Direction, flag fft.Flag, opts ...EngineOpt) (*RealEngine, error) {
 	if len(slab) != g.InSize() {
 		return nil, fmt.Errorf("pfft: slab length %d, want %d", len(slab), g.InSize())
@@ -130,18 +129,21 @@ func (e *RealEngine) Comm() mpi.Comm { return e.comm }
 func (e *RealEngine) Output() []complex128 { return e.out }
 
 // FFTz transforms every z row of the input slab through the batched
-// multi-row engine, in place unless Reset pointed the engine elsewhere.
+// multi-row engine, in place unless Reset pointed the engine elsewhere —
+// at memory FFTz is the last to read, so the engine lets go of it here
+// instead of keeping a caller's array alive until the next Reset.
 func (e *RealEngine) FFTz() {
 	rows := e.g.XC() * e.g.Ny
+	in, src := e.in, e.src
+	e.src = in
 	if e.pool != nil {
 		nz := e.g.Nz
-		in, src := e.in, e.src
 		e.pool.parallel(rows, func(w, lo, hi int) {
 			e.planZs[w].TransformRowsTo(in[lo*nz:hi*nz], src[lo*nz:hi*nz], hi-lo, nz)
 		})
 		return
 	}
-	e.planZ.TransformRowsTo(e.in, e.src, rows, e.g.Nz)
+	e.planZ.TransformRowsTo(in, src, rows, e.g.Nz)
 }
 
 // Transpose rearranges the slab into the post-FFTz layout. The

@@ -2,7 +2,9 @@ package offt_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"weak"
 
 	"offt"
 )
@@ -86,6 +88,28 @@ func TestIntoInPlace(t *testing.T) {
 				if buf[i] != want[i] {
 					t.Fatalf("in-place result differs at %d: %v vs %v", i, buf[i], want[i])
 				}
+			}
+		}
+	})
+}
+
+// TestIntoLetsGoOfCallerArrays: the ranks are handed the caller's arrays
+// for one execution, not to keep. A plan that still pointed into them
+// afterwards would hold a finished request's buffers alive until its next
+// one (offt-serve's pooled 4 MiB request buffers, for as long as the plan
+// sat in the registry).
+func TestIntoLetsGoOfCallerArrays(t *testing.T) {
+	eachInto(t, func(t *testing.T, n int, into func(dst, data []complex128) error) {
+		data, dst := randData(n, 7), make([]complex128, n)
+		held := map[string]weak.Pointer[complex128]{"data": weak.Make(&data[0]), "dst": weak.Make(&dst[0])}
+		if err := into(dst, data); err != nil {
+			t.Fatal(err)
+		}
+		data, dst = nil, nil
+		runtime.GC()
+		for name, w := range held {
+			if w.Value() != nil {
+				t.Errorf("%s is still reachable after the execution", name)
 			}
 		}
 	})

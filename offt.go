@@ -399,8 +399,8 @@ func WithWatchdog(d time.Duration) Option {
 // queue), and Close is idempotent and drains any in-flight transform
 // before shutting the world down. Note that Forward/Backward return a
 // plan-owned result slice that the *next* execution overwrites;
-// concurrent callers should use ForwardInto/BackwardInto, which copy the
-// result out while still holding the execution lock.
+// concurrent callers should use ForwardInto/BackwardInto, whose result
+// lands in the caller's own array before the execution lock is released.
 type Plan struct {
 	mu     sync.Mutex // serializes executions, accessors, and Close
 	cfg    config
@@ -700,8 +700,8 @@ func (p *Plan) dispatch(op jobOp, dst, src []complex128) error {
 // Mem engine: data is the full Nx·Ny·Nz array in x-y-z layout (read, not
 // modified); the returned spectrum, same shape and layout, is owned by the
 // plan and valid until the next Forward call. Concurrent callers should
-// use ForwardInto instead, which copies the result under the execution
-// lock.
+// use ForwardInto instead, which writes the result into their own array
+// under the execution lock.
 //
 // Sim engine: data must be nil; the transform is charged in virtual time
 // (see Breakdown, PerRank, VirtualTimes) and the result slice is nil.
