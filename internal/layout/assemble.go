@@ -61,8 +61,7 @@ func GatherYInto(full []complex128, slabs [][]complex128, nx, ny, nz, p int, fas
 	}
 }
 
-// mustGrid is rank 0's geometry of a decomposition the caller has already
-// planned on; the whole-array helpers step its Rank over the ranks.
+// mustGrid is rank 0's geometry of a decomposition the caller already runs.
 func mustGrid(nx, ny, nz, p int) Grid {
 	g, err := NewGrid(nx, ny, nz, p, 0)
 	if err != nil {
@@ -83,8 +82,9 @@ func GatherYRank(full, slab []complex128, g Grid, fast bool) {
 		panic(fmt.Sprintf("layout: GatherY: rank %d slab length %d < %d", g.Rank, len(slab), g.OutSize()))
 	}
 	y0, yc := g.Y0(), g.YC()
+	zstep := g.RowXBase(fast, 0, 1) // a slab row's stride per z, either layout
 	for ly := 0; ly < yc; ly++ {
-		y := y0 + ly
+		y, rb := y0+ly, g.RowXBase(fast, ly, 0)
 		for xb := 0; xb < g.Nx; xb += assembleTileX {
 			x1 := min(xb+assembleTileX, g.Nx)
 			for zb := 0; zb < g.Nz; zb += assembleTileZ {
@@ -92,7 +92,7 @@ func GatherYRank(full, slab []complex128, g Grid, fast bool) {
 				for x := xb; x < x1; x++ {
 					fb := (x*g.Ny + y) * g.Nz
 					for z := zb; z < z1; z++ {
-						full[fb+z] = slab[g.RowXBase(fast, ly, z)+x]
+						full[fb+z] = slab[rb+z*zstep+x]
 					}
 				}
 			}
@@ -119,8 +119,9 @@ func ScatterYInto(slab, full []complex128, g Grid, fast bool) {
 		panic(fmt.Sprintf("layout: ScatterY: slab length %d != %d", len(slab), g.OutSize()))
 	}
 	y0, yc := g.Y0(), g.YC()
+	zstep := g.RowXBase(fast, 0, 1) // see GatherYRank
 	for ly := 0; ly < yc; ly++ {
-		y := y0 + ly
+		y, rb := y0+ly, g.RowXBase(fast, ly, 0)
 		for xb := 0; xb < g.Nx; xb += assembleTileX {
 			x1 := min(xb+assembleTileX, g.Nx)
 			for zb := 0; zb < g.Nz; zb += assembleTileZ {
@@ -128,7 +129,7 @@ func ScatterYInto(slab, full []complex128, g Grid, fast bool) {
 				for x := xb; x < x1; x++ {
 					fb := (x*g.Ny + y) * g.Nz
 					for z := zb; z < z1; z++ {
-						slab[g.RowXBase(fast, ly, z)+x] = full[fb+z]
+						slab[rb+z*zstep+x] = full[fb+z]
 					}
 				}
 			}

@@ -67,8 +67,7 @@ type Plan struct {
 	bwd *backEngine        // lazily built on first Backward
 	met *BreakdownObserver // nil unless WithTelemetry
 
-	back []complex128 // Backward's result x-slab (lazy; BackwardFull lands in the caller's)
-
+	back   []complex128 // Backward's result x-slab (lazy; BackwardFull lands in the caller's)
 	last   Breakdown
 	closed bool
 }

@@ -129,9 +129,8 @@ func (e *RealEngine) Comm() mpi.Comm { return e.comm }
 func (e *RealEngine) Output() []complex128 { return e.out }
 
 // FFTz transforms every z row of the input slab through the batched
-// multi-row engine, in place unless Reset pointed the engine elsewhere —
-// at memory FFTz is the last to read, so the engine lets go of it here
-// instead of keeping a caller's array alive until the next Reset.
+// multi-row engine, in place unless Reset pointed the engine elsewhere — at
+// a caller's array, which the engine lets go of here, its last reader.
 func (e *RealEngine) FFTz() {
 	rows := e.g.XC() * e.g.Ny
 	in, src := e.in, e.src

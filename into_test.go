@@ -9,22 +9,16 @@ import (
 	"offt"
 )
 
-// intoCases are the plans the *Into contract tests run on: both
-// decompositions on a ragged grid, where every rank's piece of the caller's
-// arrays differs in size and the ranks' writes interleave.
-var intoCases = []struct {
-	name   string
-	decomp offt.Decomp
-	ranks  int
-}{
-	{"slab", offt.Slab, 3},
-	{"pencil", offt.Pencil, 6},
-}
-
-// eachInto runs fn once per *Into entry point of a plan of every intoCase.
+// eachInto runs fn once per *Into entry point of a slab and of a pencil plan
+// on a ragged grid, where every rank's piece of the caller's arrays differs
+// in size and the ranks' writes interleave.
 func eachInto(t *testing.T, fn func(t *testing.T, n int, into func(dst, data []complex128) error)) {
 	const nx, ny, nz = 12, 10, 9
-	for _, c := range intoCases {
+	for _, c := range []struct {
+		name   string
+		decomp offt.Decomp
+		ranks  int
+	}{{"slab", offt.Slab, 3}, {"pencil", offt.Pencil, 6}} {
 		plan, err := offt.NewPlan(offt.WithGrid(nx, ny, nz), offt.WithRanks(c.ranks), offt.WithDecomp(c.decomp))
 		if err != nil {
 			t.Fatal(err)

@@ -391,8 +391,7 @@ func WithWatchdog(d time.Duration) Option {
 // through job channels — so repeated Forward/Backward calls allocate
 // nothing beyond the first execution. Every rank is handed the caller's
 // input and result arrays and converts its own piece of each: the input is
-// read where it lies, never written and never copied as a whole, and the
-// result is written straight into the caller's array.
+// only read, where it lies, and the result written where the caller wants.
 //
 // Plans are safe for concurrent use: executions are serialized on an
 // internal mutex (one transform at a time per plan — concurrent callers
@@ -418,8 +417,8 @@ type Plan struct {
 	fullFwd []complex128  // reusable gathered spectrum (first copying Forward)
 	fullBwd []complex128  // reusable gathered backward result (first copying Backward)
 
-	// Time the ranks of the last execution spent converting between the
-	// caller's arrays and their own slabs, summed over ranks.
+	// What the last execution's ranks spent taking their pieces out of the
+	// caller's input and putting them into its result, summed over ranks.
 	scatterNs, gatherNs atomic.Int64
 
 	// spanScratch is the reusable staging slice for run's trace: the
@@ -732,12 +731,11 @@ func (p *Plan) ForwardInto(dst, data []complex128) error {
 }
 
 // ExecStats reports the stage structure of one context-aware execution:
-// the rank-averaged time the ranks spent taking their pieces out of the
-// caller's input (ScatterNs) and writing them into its result (GatherNs),
-// the rest of the dispatch's wall time (DispatchNs; the three add up to
-// it), the rank-averaged per-step breakdown, and the downgrades this
-// execution (not the plan lifetime) took. The serve layer forwards these
-// into the flight recorder and per-request responses.
+// the ranks' mean time taking their pieces out of the caller's input
+// (ScatterNs) and writing them into its result (GatherNs), the rest of the
+// dispatch's wall time (DispatchNs), the rank-averaged per-step breakdown,
+// and the downgrades this execution (not the plan lifetime) took. The serve
+// layer forwards these into the flight recorder and per-request responses.
 type ExecStats struct {
 	TotalNs    int64
 	ScatterNs  int64
@@ -812,12 +810,11 @@ type execObs struct {
 // run dispatches op from src into dst. An observer gets the dispatch's wall
 // time split three ways — the ranks' mean scatter and gather time and the
 // rest — and, after a successful dispatch, its interior in the trace:
-// scatter at the start and gather at the end of the dispatch span (mean
-// durations, synthetic placement), between them per-phase spans
-// synthesized from the rank-averaged breakdown (laid out sequentially),
-// and, for WithTrace plans, every rank's step events rebased from the
-// engine's world-epoch clock into the request timeline (the earliest
-// event aligns with the dispatch start).
+// scatter at the start and gather at the end of the dispatch span, between
+// them per-phase spans synthesized from the rank-averaged breakdown
+// (accurate durations, sequential placement), and, for WithTrace plans,
+// every rank's step events rebased from the engine's world-epoch clock
+// (the earliest event aligns with the dispatch start).
 func (p *Plan) run(op jobOp, dst, src []complex128, o *execObs) error {
 	if o == nil {
 		return p.dispatch(op, dst, src)
