@@ -28,10 +28,9 @@ func runWithPlan(t *testing.T, full []complex128, nx, ny, nz, p, iters int, v Va
 			panic(err)
 		}
 		defer plan.Close()
-		slab := make([]complex128, g.InSize())
+		slab := layout.ScatterX(full, g) // read, not consumed, by every Forward
 		var out []complex128
 		for it := 0; it < iters; it++ {
-			layout.ScatterXInto(slab, full, g)
 			out, _, err = plan.Forward(slab)
 			if err != nil {
 				panic(err)
@@ -86,16 +85,15 @@ func TestPlanForwardBackwardRoundTrip(t *testing.T) {
 			panic(err)
 		}
 		defer plan.Close()
-		slab := make([]complex128, g.InSize())
+		slab := layout.ScatterX(full, g)
 		bslab := make([]complex128, g.OutSize())
 		var back []complex128
 		for it := 0; it < 2; it++ {
-			layout.ScatterXInto(slab, full, g)
 			spec, _, err := plan.Forward(slab)
 			if err != nil {
 				panic(err)
 			}
-			copy(bslab, spec) // Forward's output is plan-owned; Backward consumes
+			copy(bslab, spec) // Forward's output is plan-owned until the next execution
 			back, _, err = plan.Backward(bslab)
 			if err != nil {
 				panic(err)

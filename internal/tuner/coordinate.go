@@ -33,18 +33,18 @@ func CoordinateDescent(space Space, obj Objective, start []int, maxEvals int) Re
 			if !st.budgetLeft() {
 				break
 			}
-			bestV, bestC := cur[d], curCost
+			var line [][]int
 			for _, v := range dim.Values {
-				if v == cur[d] {
-					continue
+				if v != cur[d] {
+					cand := append([]int(nil), cur...)
+					cand[d] = v
+					line = append(line, cand)
 				}
-				cand := append([]int(nil), cur...)
-				cand[d] = v
-				if c := st.evalCfg(cand); c < bestC {
-					bestV, bestC = v, c
-				}
-				if !st.budgetLeft() {
-					break
+			}
+			bestV, bestC := cur[d], curCost
+			for i, c := range st.evalBatch(line, true) {
+				if c < bestC {
+					bestV, bestC = line[i][d], c
 				}
 			}
 			if bestV != cur[d] {

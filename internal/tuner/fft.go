@@ -37,7 +37,7 @@ func PinComm(space Space, alg mpi.CommAlg) Space {
 			dims[i] = Dim{Name: "Comm", Values: []int{int(alg)}}
 		}
 	}
-	return Space{Dims: dims}
+	return Space{Dims: dims, prefetch: space.prefetch}
 }
 
 // FFTSpace builds the eleven-dimensional log-reduced search space of the
@@ -159,10 +159,7 @@ type Strategy func(space Space, obj Objective, def []int, budget int) Result
 // NelderMeadStrategy adapts NelderMead (with the §4.4 initial simplex) to
 // the Strategy signature.
 func NelderMeadStrategy(space Space, obj Objective, def []int, budget int) Result {
-	return NelderMead(space, obj, Options{
-		MaxEvals:       budget,
-		InitialSimplex: InitialSimplex(space, def),
-	})
+	return NelderMeadTelemetry(nil)(space, obj, def, budget)
 }
 
 // NelderMeadTelemetry returns NelderMeadStrategy with per-evaluation
@@ -208,26 +205,46 @@ func TuneNEWPinned(m machine.Machine, p, n, maxEvals int, strat Strategy, pin *m
 	if pin != nil {
 		space = PinComm(space, *pin)
 	}
-	var virtual int64
-	obj := func(cfg []int) float64 {
-		prm := DecodeParams(cfg)
-		if prm.Validate(g) != nil {
-			return math.Inf(1)
+	return tune(space, strat, EncodeParams(pfft.DefaultParams(g)), maxEvals, DecodeParams, simNEW(m, g))
+}
+
+// simNEW is the cost of the paper's design with parameters prm: its
+// TunedPortion simulated on m over grid g, ns.
+func simNEW(m machine.Machine, g layout.Grid) func(prm pfft.Params) (int64, error) {
+	return func(prm pfft.Params) (int64, error) {
+		if err := prm.Validate(g); err != nil {
+			return 0, err
 		}
-		res, err := model.SimulateCube(m, p, n, model.Spec{Variant: pfft.NEW, Params: prm})
+		res, err := model.SimulateCube(m, g.P, g.Nx, model.Spec{Variant: pfft.NEW, Params: prm})
+		return res.MaxTuned, err
+	}
+}
+
+// tune runs strat over space from def with the cost of each decoded
+// configuration as the objective, an error marking it infeasible, and
+// decodes the best point. A batch the search fixes in advance is computed
+// on a lookahead, so cost must be safe for concurrent use; VirtualNs counts
+// only the costs the search asked for, and every goroutine is joined first.
+func tune[P any](space Space, strat Strategy, def []int, budget int, decode func(cfg []int) P, cost func(prm P) (int64, error)) (P, TuneOutcome, error) {
+	prefetch, get, join := lookahead(func(cfg []int) (int64, error) { return cost(decode(cfg)) })
+	defer join()
+	space.prefetch = prefetch
+	var virtual int64
+	start := time.Now()
+	sr := strat(space, func(cfg []int) float64 {
+		ns, err := get(cfg)
 		if err != nil {
 			return math.Inf(1)
 		}
-		virtual += res.MaxTuned
-		return float64(res.MaxTuned)
-	}
-	start := time.Now()
-	sr := strat(space, obj, EncodeParams(pfft.DefaultParams(g)), maxEvals)
+		virtual += ns
+		return float64(ns)
+	}, def, budget)
 	out := TuneOutcome{Search: sr, VirtualNs: virtual, WallNs: time.Since(start).Nanoseconds()}
 	if sr.Best == nil {
-		return pfft.Params{}, out, fmt.Errorf("tuner: no feasible configuration found")
+		var none P
+		return none, out, fmt.Errorf("tuner: no feasible configuration found")
 	}
-	return DecodeParams(sr.Best), out, nil
+	return decode(sr.Best), out, nil
 }
 
 // TuneTH auto-tunes the TH comparison model's three parameters.
@@ -236,31 +253,14 @@ func TuneTH(m machine.Machine, p, n, maxEvals int) (pfft.THParams, TuneOutcome, 
 	if err != nil {
 		return pfft.THParams{}, TuneOutcome{}, err
 	}
-	space := THSpace(g)
-	var virtual int64
-	obj := func(cfg []int) float64 {
-		prm := DecodeTHParams(cfg)
-		if prm.Validate(g) != nil {
-			return math.Inf(1)
+	def := pfft.DefaultTHParams(g)
+	return tune(THSpace(g), NelderMeadStrategy, []int{def.T, def.W, def.F}, maxEvals, DecodeTHParams, func(prm pfft.THParams) (int64, error) {
+		if err := prm.Validate(g); err != nil {
+			return 0, err
 		}
 		res, err := model.SimulateCube(m, p, n, model.Spec{Variant: pfft.TH, TH: prm})
-		if err != nil {
-			return math.Inf(1)
-		}
-		virtual += res.MaxTuned
-		return float64(res.MaxTuned)
-	}
-	def := pfft.DefaultTHParams(g)
-	start := time.Now()
-	sr := NelderMead(space, obj, Options{
-		MaxEvals:       maxEvals,
-		InitialSimplex: InitialSimplex(space, []int{def.T, def.W, def.F}),
+		return res.MaxTuned, err
 	})
-	out := TuneOutcome{Search: sr, VirtualNs: virtual, WallNs: time.Since(start).Nanoseconds()}
-	if sr.Best == nil {
-		return pfft.THParams{}, out, fmt.Errorf("tuner: no feasible configuration found")
-	}
-	return DecodeTHParams(sr.Best), out, nil
 }
 
 // RandomNEW evaluates n random configurations (the §5.3.1 comparison and
@@ -270,23 +270,11 @@ func RandomNEW(m machine.Machine, p, n, samples int, seed int64) (TuneOutcome, e
 	if err != nil {
 		return TuneOutcome{}, err
 	}
-	space := FFTSpace(g)
-	var virtual int64
-	obj := func(cfg []int) float64 {
-		prm := DecodeParams(cfg)
-		if prm.Validate(g) != nil {
-			return math.Inf(1)
-		}
-		res, err := model.SimulateCube(m, p, n, model.Spec{Variant: pfft.NEW, Params: prm})
-		if err != nil {
-			return math.Inf(1)
-		}
-		virtual += res.MaxTuned
-		return float64(res.MaxTuned)
+	random := func(space Space, obj Objective, _ []int, budget int) Result {
+		return RandomSearch(space, obj, budget, seed)
 	}
-	start := time.Now()
-	sr := RandomSearch(space, obj, samples, seed)
-	return TuneOutcome{Search: sr, VirtualNs: virtual, WallNs: time.Since(start).Nanoseconds()}, nil
+	_, out, _ := tune(FFTSpace(g), random, nil, samples, DecodeParams, simNEW(m, g)) // a record even with no feasible sample
+	return out, nil
 }
 
 // PencilSpace builds the search space for the overlapped 2-D pencil
@@ -376,21 +364,6 @@ func TunePencilNEWPinned(m machine.Machine, ranks, n, maxEvals int, pin *mpi.Com
 	if pin != nil {
 		space = PinComm(space, *pin)
 	}
-	var virtual int64
-	obj := func(cfg []int) float64 {
-		prm := DecodePencilGridParams(cfg)
-		pr, pc := prm.Pr, ranks/prm.Pr
-		g, err := pencil.NewGrid2D(n, n, n, pr, pc, 0)
-		if err != nil {
-			return math.Inf(1)
-		}
-		v, err := pencil.SimulateOverlappedGrid(m, pr, pc, n, n, n, pencil.FromParams(prm, g))
-		if err != nil {
-			return math.Inf(1)
-		}
-		virtual += v
-		return float64(v)
-	}
 	dpr, dpc, err := pencil.DefaultProcGrid(n, n, n, ranks)
 	if err != nil {
 		return pfft.Params{}, TuneOutcome{}, err
@@ -400,16 +373,15 @@ func TunePencilNEWPinned(m machine.Machine, ranks, n, maxEvals int, pin *mpi.Com
 		return pfft.Params{}, TuneOutcome{}, err
 	}
 	d2 := pencil.DefaultParams2D(g0)
-	start := time.Now()
-	sr := NelderMead(space, obj, Options{
-		MaxEvals:       maxEvals,
-		InitialSimplex: InitialSimplex(space, []int{dpr, d2.TA, d2.WA, d2.F, int(mpi.CommPairwise)}),
+	def := []int{dpr, d2.TA, d2.WA, d2.F, int(mpi.CommPairwise)}
+	return tune(space, NelderMeadStrategy, def, maxEvals, DecodePencilGridParams, func(prm pfft.Params) (int64, error) {
+		pr, pc := prm.Pr, ranks/prm.Pr
+		g, err := pencil.NewGrid2D(n, n, n, pr, pc, 0)
+		if err != nil {
+			return 0, err
+		}
+		return pencil.SimulateOverlappedGrid(m, pr, pc, n, n, n, pencil.FromParams(prm, g))
 	})
-	out := TuneOutcome{Search: sr, VirtualNs: virtual, WallNs: time.Since(start).Nanoseconds()}
-	if sr.Best == nil {
-		return pfft.Params{}, out, fmt.Errorf("tuner: no feasible configuration found")
-	}
-	return DecodePencilGridParams(sr.Best), out, nil
 }
 
 // TunePencil auto-tunes the overlapped pencil transform for a pr×pc grid
@@ -419,29 +391,7 @@ func TunePencil(m machine.Machine, pr, pc, n, maxEvals int) (pencil.Params2D, Tu
 	if err != nil {
 		return pencil.Params2D{}, TuneOutcome{}, err
 	}
-	space := PencilSpace(g)
-	var virtual int64
-	obj := func(cfg []int) float64 {
-		prm := DecodePencilParams(cfg)
-		if prm.Validate(g) != nil {
-			return math.Inf(1)
-		}
-		v, err := pencil.SimulateOverlapped(m, pr, pc, n, prm)
-		if err != nil {
-			return math.Inf(1)
-		}
-		virtual += v
-		return float64(v)
-	}
 	def := pencil.DefaultParams2D(g)
-	start := time.Now()
-	sr := NelderMead(space, obj, Options{
-		MaxEvals:       maxEvals,
-		InitialSimplex: InitialSimplex(space, []int{def.TA, def.WA, def.TB, def.WB, def.F}),
-	})
-	out := TuneOutcome{Search: sr, VirtualNs: virtual, WallNs: time.Since(start).Nanoseconds()}
-	if sr.Best == nil {
-		return pencil.Params2D{}, out, fmt.Errorf("tuner: no feasible configuration found")
-	}
-	return DecodePencilParams(sr.Best), out, nil
+	simulate := func(prm pencil.Params2D) (int64, error) { return pencil.SimulateOverlapped(m, pr, pc, n, prm) } // rejects invalid prm unsimulated
+	return tune(PencilSpace(g), NelderMeadStrategy, []int{def.TA, def.WA, def.TB, def.WB, def.F}, maxEvals, DecodePencilParams, simulate)
 }

@@ -16,7 +16,6 @@ package tuner
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Dim is one tunable parameter: a name and its candidate values in
@@ -29,6 +28,8 @@ type Dim struct {
 // Space is a discrete search space.
 type Space struct {
 	Dims []Dim
+	// prefetch, set by tune, starts the costs of a batch before it is committed.
+	prefetch func(cfgs [][]int)
 }
 
 // Size returns the number of configurations in the space.
@@ -84,15 +85,18 @@ func (s Space) IndexOf(cfg []int) ([]float64, error) {
 }
 
 // Key renders a configuration as a cache key.
-func Key(cfg []int) string {
-	var b strings.Builder
+func Key(cfg []int) string { return string(AppendKey(nil, cfg)) }
+
+// AppendKey appends cfg's cache key to b. A lookup through
+// m[string(AppendKey(buf[:0], cfg))] into a reused buffer allocates nothing.
+func AppendKey(b []byte, cfg []int) []byte {
 	for i, v := range cfg {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return b
 }
 
 // PowersOfTwoUpTo returns the §4.4 log-reduced value list: 1, 2, 4, ... up

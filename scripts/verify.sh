@@ -31,8 +31,10 @@ go test -race ./internal/mpi/... ./internal/pfft/... ./internal/telemetry/ ./int
 # detector — vclock's driver loop and rank coroutines (iter.Pull carries the
 # happens-before edges), simnet, and model's cost runs on top of mpi/sim
 # (which the line above covers). One thread runs a simulation, so a report
-# here means state escaped it.
-go test -race ./internal/vclock/ ./internal/simnet/ ./internal/model/
+# here means state escaped it. The tuner computes a batch of simulations on
+# GOMAXPROCS goroutines beneath an objective called from one goroutine: its
+# lookahead, budget-crossing and commit-order tests run here too.
+go test -race ./internal/vclock/ ./internal/simnet/ ./internal/model/ ./internal/tuner/
 
 # Pencil leg of the race pass: the 2-D decomposition package plus the
 # pencil-named suites — the slab-vs-pencil property tests in the root
@@ -75,6 +77,9 @@ go test -count=1 -run 'FuzzDeliver|FuzzEnvelopeRoundTrip' ./internal/mpi/transpo
 # trace line of a scripted 4-rank world over all four schedules, its final
 # clocks and fabric counters — and TestTracePinned a whole vclock trace as
 # text, both recorded before the scheduler became a single-threaded loop;
+# TestTuneSequencePinned holds every tuning entry point's committed sequence
+# (history hash, counters, best point, virtual tuning time, tuner.* metrics),
+# recorded before batches were computed concurrently;
 # TestPipelineOrder drives the one phase runner with a scripted communicator
 # over every tile count, window and downgrade point and checks Algorithm 1's
 # call order, Test windows and one post per tile in tile order;
@@ -87,6 +92,7 @@ go test -count=1 -run 'TestGoldenSmallScale' ./internal/harness/
 go test -count=1 -run 'TestVirtualTimesPinned|TestDataPathMatchesByHand|TestIntoInPlace' .
 go test -count=1 -run 'TestScriptedTracePinned|TestTracePinned' ./internal/mpi/sim/ ./internal/vclock/
 go test -count=1 -run 'TestPipelineOrder' ./internal/pfft/
+go test -count=1 -run 'TestTuneSequencePinned' ./internal/tuner/
 
 # Multi-process leg: spawn real offt-run -engine net children over
 # 127.0.0.1, assert the forward/backward round-trip at 1e-9 and
