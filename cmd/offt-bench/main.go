@@ -31,7 +31,6 @@ func run() int {
 	verbose := flag.Bool("v", false, "print progress while tuning")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csvDir := flag.String("csv", "", "also write times/breakdowns/params/tuning CSVs to this directory")
-	benchOut := flag.String("bench-out", "", "JSON verdict path for gate-bearing experiments (crossover writes BENCH_PR7, comm-crossover writes BENCH_PR9)")
 	var obs telemetry.CLI
 	obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -68,7 +67,6 @@ func run() int {
 		Seed:      *seed,
 		Verbose:   *verbose,
 		Telemetry: obs.Registry(),
-		BenchOut:  *benchOut,
 	})
 
 	var exps []harness.Experiment

@@ -2,29 +2,23 @@
 // drives POST /v1/transform with a fixed transform shape at a ladder of
 // concurrency multipliers (closed loop: each worker keeps exactly one
 // request in flight), records per-phase latency percentiles, throughput
-// and shed rate, scrapes the service's /metrics.json, and emits a single
-// BENCH_PR5.json verdict with pass/fail gates.
+// and shed rate, scrapes the service's /metrics.json, and emits one JSON
+// report with pass/fail gates on counts: a clean 1× phase, 429 shedding
+// without hard failures at the top multiplier, and a warm plan cache.
 //
 // -addr accepts a comma-separated list of replicas (a sharded offt-serve
 // fleet): requests round-robin across them and the scraped counters are
 // summed fleet-wide, so the hit-rate gate sees the fleet as one service.
 //
 // With no -addr it self-hosts: it starts an in-process serve.Server on a
-// loopback listener with deliberately small admission capacity (so the
-// top of the concurrency ladder sheds), and first calibrates the raw
-// in-process transform rate of the same plan. The calibration anchors the
-// throughput gate to the machine: the served rate at 1× must stay within
-// -min-frac of the raw rate, so the gate scales from laptops to the
-// paper's reference nodes. An absolute floor can be layered on with
-// -min-rps (on reference hardware, -min-rps 100 is the PR5 target for
-// cached 64³/p=4 requests).
+// loopback listener with deliberately small admission capacity, so the
+// top of the concurrency ladder sheds.
 //
 // Usage:
 //
 //	offt-load [-addr host:port] [-grid 64] [-ranks 4] [-variant new]
 //	          [-conc 1,4,16] [-duration 3s] [-warmup 8]
-//	          [-min-rps 0] [-min-frac 0.45] [-min-hit 0.9] [-gate auto]
-//	          [-out BENCH_PR5.json]
+//	          [-min-hit 0.9] [-gate auto] [-out -]
 package main
 
 import (
@@ -45,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"offt"
 	"offt/internal/serve"
 	"offt/internal/telemetry"
 )
@@ -95,7 +88,6 @@ type report struct {
 	Variant  string             `json:"variant"`
 	Engine   string             `json:"engine"`
 	SelfHost bool               `json:"self_host"`
-	RawRPS   float64            `json:"raw_rps,omitempty"`
 	Phases   []phaseResult      `json:"phases"`
 	HitRate  float64            `json:"plan_cache_hit_rate"`
 	Counters map[string]int64   `json:"counters"`
@@ -115,25 +107,15 @@ func run() error {
 	concList := flag.String("conc", "1,4,16", "comma-separated concurrency multipliers (closed-loop workers per phase)")
 	duration := flag.Duration("duration", 3*time.Second, "wall-clock length of each phase")
 	warmup := flag.Int("warmup", 8, "warm-up requests before the first phase (build + warm the plan)")
-	minRPS := flag.Float64("min-rps", 0, "absolute 1×-phase throughput floor (0 = rely on -min-frac; 100 is the reference-hardware target)")
-	minFrac := flag.Float64("min-frac", 0.45, "1×-phase served throughput must be ≥ this fraction of the calibrated raw in-process rate (self-host only)")
 	minHit := flag.Float64("min-hit", 0.9, "steady-state plan-cache hit-rate floor")
 	gate := flag.String("gate", "auto", "auto applies pass/fail gates and exits 1 on failure; off records only")
-	out := flag.String("out", "BENCH_PR5.json", "output report path (- for stdout)")
+	out := flag.String("out", "-", "output report path (- for stdout)")
 	waitReady := flag.Duration("wait-ready", 5*time.Second, "with -addr: how long to poll /healthz before starting")
 	serveInflight := flag.Int("serve-inflight", 0, "self-host admission capacity in rank units (0 = 2×ranks×workers)")
 	serveQueue := flag.Int("serve-queue", 4, "self-host admission queue length")
 	timeoutMs := flag.Int("timeout-ms", 8000, "per-request deadline forwarded in the transform header")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the load run (self-host: covers both sides)")
-	obsBench := flag.Bool("obs-bench", false,
-		"observability A/B benchmark: self-host two servers (full tracing+logging vs plain), gate the throughput overhead, and verify the captured span trees; ignores -addr/-conc")
-	maxOverhead := flag.Float64("max-overhead", 0.05,
-		"with -obs-bench: traced throughput must be ≥ (1−frac) × plain throughput")
 	flag.Parse()
-
-	if *obsBench {
-		return runObsBench(*grid, *ranks, *workers, *variant, *duration, *warmup, *timeoutMs, *maxOverhead, *out)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -188,13 +170,6 @@ func run() error {
 		go func() { _ = httpSrv.Serve(ln) }()
 		tg = newTargets(ln.Addr().String())
 		fmt.Printf("self-hosted offt-serve on %s (inflight=%d queue=%d)\n", tg.addrs[0], inflight, *serveQueue)
-
-		raw, err := calibrate(*grid, *ranks, *decomp, *comm, *variant, *workers)
-		if err != nil {
-			return fmt.Errorf("calibrate raw transform rate: %w", err)
-		}
-		rep.RawRPS = round2(raw)
-		fmt.Printf("calibrated raw in-process rate: %.1f transforms/s\n", raw)
 	}
 
 	client := &http.Client{Transport: &http.Transport{
@@ -247,7 +222,7 @@ func run() error {
 	}
 
 	if *gate == "auto" {
-		applyGates(&rep, mults, *minRPS, *minFrac, *minHit)
+		applyGates(&rep, *minHit)
 	}
 
 	if srv != nil {
@@ -285,10 +260,10 @@ func run() error {
 }
 
 // applyGates fills rep.Gates and rep.Pass. The 1× phase must be clean
-// (zero failures, zero sheds) and fast enough; the top multiplier must
-// shed (the admission queue is sized so a 16× closed loop overflows it)
-// without hard failures; and the plan cache must be effectively warm.
-func applyGates(rep *report, mults []int, minRPS, minFrac, minHit float64) {
+// (zero failures, zero sheds); the top multiplier must shed (the admission
+// queue is sized so a 16× closed loop overflows it) without hard failures;
+// and the plan cache must be effectively warm.
+func applyGates(rep *report, minHit float64) {
 	fail := func(name, msg string) { rep.Gates[name] = "FAIL: " + msg; rep.Pass = false }
 	pass := func(name, msg string) { rep.Gates[name] = "ok: " + msg }
 
@@ -303,12 +278,6 @@ func applyGates(rep *report, mults []int, minRPS, minFrac, minHit float64) {
 		}
 	}
 	if base != nil {
-		want := minRPS
-		if rep.SelfHost && rep.RawRPS > 0 {
-			if frac := minFrac * rep.RawRPS; frac > want {
-				want = frac
-			}
-		}
 		switch {
 		case base.Failed > 0:
 			fail("base_clean", fmt.Sprintf("%d failed requests at 1×", base.Failed))
@@ -316,11 +285,6 @@ func applyGates(rep *report, mults []int, minRPS, minFrac, minHit float64) {
 			fail("base_clean", fmt.Sprintf("%d shed requests at 1×", base.Shed))
 		default:
 			pass("base_clean", "zero failures and zero sheds at 1×")
-		}
-		if base.RPS < want {
-			fail("base_rps", fmt.Sprintf("%.1f rps at 1× < floor %.1f", base.RPS, want))
-		} else {
-			pass("base_rps", fmt.Sprintf("%.1f rps at 1× ≥ floor %.1f", base.RPS, want))
 		}
 	}
 	if top != nil && top.Mult > 1 {
@@ -338,51 +302,6 @@ func applyGates(rep *report, mults []int, minRPS, minFrac, minHit float64) {
 	} else {
 		pass("cache_hit", fmt.Sprintf("plan-cache hit rate %.3f ≥ %.2f", rep.HitRate, minHit))
 	}
-}
-
-// calibrate measures the raw in-process transform rate of the same plan
-// the service will execute, to anchor the relative throughput gate.
-func calibrate(n, ranks int, decomp, comm, variant string, workers int) (float64, error) {
-	v, err := offt.ParseVariant(variant)
-	if err != nil {
-		return 0, err
-	}
-	d, err := offt.ParseDecomp(decomp)
-	if err != nil {
-		return 0, err
-	}
-	opts := []offt.Option{
-		offt.WithGrid(n, n, n), offt.WithRanks(ranks),
-		offt.WithDecomp(d), offt.WithVariant(v), offt.WithWorkers(workers),
-	}
-	if comm != "" {
-		alg, err := offt.ParseComm(comm)
-		if err != nil {
-			return 0, err
-		}
-		opts = append(opts, offt.WithComm(alg))
-	}
-	plan, err := offt.NewPlan(opts...)
-	if err != nil {
-		return 0, err
-	}
-	defer plan.Close()
-	data := makeInput(n * n * n)
-	dst := make([]complex128, n*n*n)
-	for i := 0; i < 3; i++ {
-		if err := plan.ForwardInto(dst, data); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	iters := 0
-	for time.Since(start) < 700*time.Millisecond {
-		if err := plan.ForwardInto(dst, data); err != nil {
-			return 0, err
-		}
-		iters++
-	}
-	return float64(iters) / time.Since(start).Seconds(), nil
 }
 
 // targets round-robins requests across one or more offt-serve replicas.
@@ -597,302 +516,3 @@ func parseConc(s string) ([]int, error) {
 
 func round2(f float64) float64 { return float64(int64(f*100+0.5)) / 100 }
 func round4(f float64) float64 { return float64(int64(f*10000+0.5)) / 10000 }
-
-// ---- observability A/B benchmark (-obs-bench) ----
-
-// obsReport is the BENCH_PR8.json verdict: the cost of full request
-// observability (tracing + structured logging + flight recorder + SLO)
-// measured as an A/B throughput ratio against an identical plain server,
-// plus structural checks of the span trees the traced server captured.
-type obsReport struct {
-	Bench        string            `json:"bench"`
-	Grid         [3]int            `json:"grid"`
-	Ranks        int               `json:"ranks"`
-	Workers      int               `json:"workers"`
-	Variant      string            `json:"variant"`
-	PlainRPS     float64           `json:"plain_rps"`
-	TracedRPS    float64           `json:"traced_rps"`
-	OverheadFrac float64           `json:"overhead_frac"`
-	MaxOverhead  float64           `json:"max_overhead"`
-	SpanChecks   []spanCheck       `json:"span_checks"`
-	Gates        map[string]string `json:"gates"`
-	Pass         bool              `json:"pass"`
-}
-
-// spanCheck is the structural verdict over one captured request's span
-// tree, pulled back from GET /debug/requests/{id}.
-type spanCheck struct {
-	Decomp     string  `json:"decomp"`
-	RequestID  string  `json:"request_id"`
-	Spans      int     `json:"spans"`
-	QueueNs    int64   `json:"queue_ns"`
-	AcquireNs  int64   `json:"acquire_ns"`
-	ExecSpanNs int64   `json:"exec_span_ns"`
-	PhaseSumNs int64   `json:"phase_sum_ns"`
-	PhaseRatio float64 `json:"phase_ratio"`
-	StepSpans  int     `json:"step_spans"`
-	OverlapEff float64 `json:"overlap_efficiency"`
-}
-
-// runObsBench self-hosts two identically configured servers — one with
-// full observability (request tracing, structured logging to a discarded
-// sink, flight recorder, SLO windows), one plain — and drives the same
-// closed loop against both in interleaved segments so machine drift hits
-// both sides equally. The throughput ratio is the measured observability
-// tax; the span trees captured by the traced side are then verified
-// structurally for both decompositions.
-func runObsBench(grid, ranks, workers int, variant string, duration time.Duration, warmup, timeoutMs int, maxOverhead float64, out string) error {
-	rep := obsReport{
-		Bench:       "offt-serve-obs-overhead",
-		Grid:        [3]int{grid, grid, grid},
-		Ranks:       ranks,
-		Workers:     workers,
-		Variant:     variant,
-		MaxOverhead: maxOverhead,
-		Gates:       map[string]string{},
-		Pass:        true,
-	}
-	fail := func(name, msg string) { rep.Gates[name] = "FAIL: " + msg; rep.Pass = false }
-	pass := func(name, msg string) { rep.Gates[name] = "ok: " + msg }
-
-	type side struct {
-		name string
-		base string
-		stop func()
-		ok   int
-		secs float64
-	}
-	start := func(traced bool) (*side, error) {
-		cfg := serve.Config{
-			MaxPlans:         4,
-			MaxInFlightRanks: 8 * ranks * workers,
-			MaxQueue:         256,
-			DefaultTimeout:   time.Duration(timeoutMs) * time.Millisecond,
-			Telemetry:        telemetry.NewRegistry(),
-		}
-		name := "plain"
-		if traced {
-			name = "traced"
-			cfg.Trace = true
-			// The log stream costs its serialization even when nobody
-			// reads it; io.Discard keeps the benchmark output clean while
-			// charging the traced side the full logging bill.
-			cfg.Logger = telemetry.NewLogger(io.Discard, telemetry.LevelInfo)
-		}
-		srv := serve.New(cfg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		stop := func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = srv.Drain(ctx)
-			cancel()
-			shctx, shcancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = httpSrv.Shutdown(shctx)
-			shcancel()
-		}
-		return &side{name: name, base: ln.Addr().String(), stop: stop}, nil
-	}
-
-	plain, err := start(false)
-	if err != nil {
-		return err
-	}
-	defer plain.stop()
-	traced, err := start(true)
-	if err != nil {
-		return err
-	}
-	defer traced.stop()
-	fmt.Printf("obs-bench: plain on %s, traced on %s\n", plain.base, traced.base)
-
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        64,
-		MaxIdleConnsPerHost: 64,
-	}}
-	body, err := buildRequestBody(grid, ranks, "slab", "", variant, workers, timeoutMs)
-	if err != nil {
-		return err
-	}
-	for _, s := range []*side{plain, traced} {
-		for i := 0; i < warmup; i++ {
-			if code, err := post(client, s.base, body); err != nil {
-				return fmt.Errorf("%s warmup: %w", s.name, err)
-			} else if code != http.StatusOK {
-				return fmt.Errorf("%s warmup: HTTP %d", s.name, code)
-			}
-		}
-	}
-
-	// Interleave A/B segments: 4 per side, alternating, so a thermal or
-	// scheduler shift in the middle of the run biases neither side.
-	const pairs = 4
-	segDur := duration / pairs
-	if segDur < 250*time.Millisecond {
-		segDur = 250 * time.Millisecond
-	}
-	for i := 0; i < pairs; i++ {
-		for _, s := range []*side{plain, traced} {
-			pr := runPhase(client, newTargets(s.base), body, 1, segDur)
-			if pr.Failed > 0 || pr.Shed > 0 {
-				fail("clean_run", fmt.Sprintf("%s segment %d: %d failed, %d shed (%v)", s.name, i, pr.Failed, pr.Shed, pr.Failures))
-			}
-			s.ok += pr.OK
-			s.secs += pr.ElapsedMs / 1000
-		}
-	}
-	if plain.secs > 0 {
-		rep.PlainRPS = round2(float64(plain.ok) / plain.secs)
-	}
-	if traced.secs > 0 {
-		rep.TracedRPS = round2(float64(traced.ok) / traced.secs)
-	}
-	if rep.PlainRPS > 0 {
-		rep.OverheadFrac = round4(1 - rep.TracedRPS/rep.PlainRPS)
-	}
-	fmt.Printf("obs-bench: plain %.1f rps, traced %.1f rps, overhead %.2f%%\n",
-		rep.PlainRPS, rep.TracedRPS, 100*rep.OverheadFrac)
-	if rep.OverheadFrac > maxOverhead {
-		fail("overhead", fmt.Sprintf("tracing overhead %.2f%% > %.2f%% cap",
-			100*rep.OverheadFrac, 100*maxOverhead))
-	} else {
-		pass("overhead", fmt.Sprintf("tracing overhead %.2f%% ≤ %.2f%% cap",
-			100*rep.OverheadFrac, 100*maxOverhead))
-	}
-
-	// Structural span-tree checks against the traced server: one request
-	// per decomposition, pulled back from the flight recorder by ID.
-	for _, decomp := range []string{"slab", "pencil"} {
-		sc, err := checkSpans(client, traced.base, grid, ranks, decomp, variant, workers, timeoutMs)
-		if err != nil {
-			fail("spans_"+decomp, err.Error())
-			continue
-		}
-		rep.SpanChecks = append(rep.SpanChecks, sc)
-		fmt.Printf("obs-bench: %s span tree: %d spans (%d step), exec %.2fms, phase sum %.2fms (ratio %.2f), overlap %.2f\n",
-			decomp, sc.Spans, sc.StepSpans, float64(sc.ExecSpanNs)/1e6, float64(sc.PhaseSumNs)/1e6, sc.PhaseRatio, sc.OverlapEff)
-		if sc.PhaseRatio < 0.3 || sc.PhaseRatio > 1.7 {
-			fail("spans_"+decomp, fmt.Sprintf("phase spans sum to %.2f× the exec span (want 0.3–1.7×)", sc.PhaseRatio))
-		} else {
-			pass("spans_"+decomp, fmt.Sprintf("%d spans, phase/exec ratio %.2f, overlap efficiency %.2f", sc.Spans, sc.PhaseRatio, sc.OverlapEff))
-		}
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if out == "-" {
-		os.Stdout.Write(blob)
-	} else {
-		if err := os.WriteFile(out, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	for name, verdict := range rep.Gates {
-		fmt.Printf("gate %-14s %s\n", name, verdict)
-	}
-	if !rep.Pass {
-		return fmt.Errorf("offt-load: obs-bench gates failed")
-	}
-	fmt.Println("offt-load: obs-bench gates passed")
-	return nil
-}
-
-// checkSpans sends one traced request and verifies the span tree the
-// server captured for it: queue/acquire/exec control spans present,
-// per-phase durations summing (within tolerance) to the exec span, step
-// spans recorded, and a per-request overlap efficiency.
-func checkSpans(client *http.Client, base string, grid, ranks int, decomp, variant string, workers, timeoutMs int) (spanCheck, error) {
-	body, err := buildRequestBody(grid, ranks, decomp, "", variant, workers, timeoutMs)
-	if err != nil {
-		return spanCheck{}, err
-	}
-	// Two requests: the first may cold-build the plan; the second is the
-	// steady-state execution whose trace we inspect.
-	if _, err := postParse(client, base, body); err != nil {
-		return spanCheck{}, err
-	}
-	tr, err := postParse(client, base, body)
-	if err != nil {
-		return spanCheck{}, err
-	}
-	if tr.RequestID == "" {
-		return spanCheck{}, fmt.Errorf("%s response carries no request_id", decomp)
-	}
-	resp, err := client.Get("http://" + base + "/debug/requests/" + tr.RequestID)
-	if err != nil {
-		return spanCheck{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return spanCheck{}, fmt.Errorf("GET /debug/requests/%s: HTTP %d", tr.RequestID, resp.StatusCode)
-	}
-	var rec telemetry.RequestRecord
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-		return spanCheck{}, err
-	}
-
-	sc := spanCheck{
-		Decomp:     decomp,
-		RequestID:  tr.RequestID,
-		Spans:      len(rec.Spans),
-		QueueNs:    rec.QueueNs,
-		AcquireNs:  rec.AcqNs,
-		OverlapEff: rec.OverlapEff,
-	}
-	var haveQueue, haveAcquire bool
-	for _, s := range rec.Spans {
-		switch {
-		case s.Kind == "phase":
-			sc.PhaseSumNs += s.Dur()
-		case s.Kind == "step":
-			sc.StepSpans++
-		case s.Name == "queue":
-			haveQueue = true
-		case s.Name == "acquire":
-			haveAcquire = true
-		case s.Name == "exec":
-			sc.ExecSpanNs = s.Dur()
-		}
-	}
-	switch {
-	case !haveQueue || !haveAcquire:
-		return sc, fmt.Errorf("%s trace lacks queue/acquire spans", decomp)
-	case sc.ExecSpanNs <= 0:
-		return sc, fmt.Errorf("%s trace lacks an exec span", decomp)
-	case sc.PhaseSumNs <= 0:
-		return sc, fmt.Errorf("%s trace has no phase spans", decomp)
-	case sc.StepSpans == 0:
-		return sc, fmt.Errorf("%s trace has no per-rank step spans", decomp)
-	case sc.OverlapEff < 0:
-		return sc, fmt.Errorf("%s record carries no overlap efficiency", decomp)
-	}
-	sc.PhaseRatio = round4(float64(sc.PhaseSumNs) / float64(sc.ExecSpanNs))
-	return sc, nil
-}
-
-// postParse sends one transform and decodes the response header (the
-// payload is drained so the connection stays reusable).
-func postParse(client *http.Client, base string, body []byte) (serve.TransformResponse, error) {
-	var tr serve.TransformResponse
-	resp, err := client.Post("http://"+base+"/v1/transform", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		return tr, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return tr, fmt.Errorf("transform: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	if err := serve.ReadHeader(resp.Body, &tr); err != nil {
-		return tr, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return tr, nil
-}

@@ -43,11 +43,6 @@ func rowBlockFor(n int) int {
 	return b
 }
 
-// RowBlock reports the batched-engine block size for length-n transforms —
-// how many rows rowBlockFor groups per stage pipeline pass. Exported for
-// benchmark tooling (cmd/offt-kernels) and sizing diagnostics.
-func RowBlock(n int) int { return rowBlockFor(n) }
-
 // TransformRows transforms count contiguous rows of length Len() located
 // at x[i*dist : i*dist+Len()] in place, dist >= Len(). It is the batched
 // equivalent of calling Transform row by row (bit-identical results) and

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"text/tabwriter"
 
 	"offt"
@@ -27,41 +25,40 @@ import (
 
 // CommRow is one measured (decomposition, ranks, schedule) point.
 type CommRow struct {
-	Decomp    string  `json:"decomp"`
-	Ranks     int     `json:"ranks"`
-	Comm      string  `json:"comm"`
-	VirtualNs int64   `json:"virtual_ns"`
-	Seconds   float64 `json:"seconds"`
+	Decomp    string
+	Ranks     int
+	Comm      string
+	VirtualNs int64
+	Seconds   float64
 	// VsPairwise is pairwise-time / this-time at the same point (>1
 	// means this schedule is faster than pairwise there).
-	VsPairwise float64 `json:"vs_pairwise"`
+	VsPairwise float64
 }
 
-// CommReport is the BENCH_PR9.json verdict.
+// CommReport is the schedule sweep's rows and gate verdicts.
 type CommReport struct {
-	Bench   string    `json:"bench"`
-	Machine string    `json:"machine"`
-	N       int       `json:"n"`
-	Scale   string    `json:"scale"`
-	Rows    []CommRow `json:"rows"`
+	Machine string
+	N       int
+	Scale   string
+	Rows    []CommRow
 	// The latency-dominated gate point: one x-plane per rank, T=1, so
 	// each collective moves p tiny messages and round count is the bill.
-	GateN        int     `json:"gate_n"`
-	GateRanks    int     `json:"gate_ranks"`
-	GatePairNs   int64   `json:"gate_pairwise_ns"`
-	GateBruckNs  int64   `json:"gate_bruck_ns"`
-	BruckSpeedup float64 `json:"bruck_speedup"`
+	GateN        int
+	GateRanks    int
+	GatePairNs   int64
+	GateBruckNs  int64
+	BruckSpeedup float64
 	// Tuner parity at the small fat-message point, where pairwise is
 	// expected to keep winning.
-	TunerN        int     `json:"tuner_n"`
-	TunerRanks    int     `json:"tuner_ranks"`
-	TunerAutoNs   int64   `json:"tuner_auto_ns"`
-	TunerAutoComm string  `json:"tuner_auto_comm"`
-	TunerPinNs    int64   `json:"tuner_pairwise_ns"`
-	TunerRatio    float64 `json:"tuner_ratio"`
+	TunerN        int
+	TunerRanks    int
+	TunerAutoNs   int64
+	TunerAutoComm string
+	TunerPinNs    int64
+	TunerRatio    float64
 
-	Gates map[string]string `json:"gates"`
-	Pass  bool              `json:"pass"`
+	Gates map[string]string
+	Pass  bool
 }
 
 // commLadder returns the sweep geometry for a scale. The pencil ladder
@@ -83,7 +80,6 @@ func commLadder(s Scale) (mach string, n int, slabPs, pencilPs []int) {
 func RunCommCrossover(scale Scale) (*CommReport, error) {
 	mach, n, slabPs, pencilPs := commLadder(scale)
 	rep := &CommReport{
-		Bench:   "offt-comm-crossover",
 		Machine: mach,
 		N:       n,
 		Scale:   scale.String(),
@@ -248,9 +244,8 @@ func RunCommCrossover(scale Scale) (*CommReport, error) {
 	return rep, nil
 }
 
-// ExtCommCrossover runs the schedule crossover study, renders it, writes
-// BENCH_PR9.json when the runner has an output path, and fails when a
-// gate fails.
+// ExtCommCrossover runs the schedule crossover study, renders it, and
+// fails when a gate fails.
 func ExtCommCrossover(r *Runner) error {
 	rep, err := RunCommCrossover(r.Cfg.Scale)
 	if err != nil {
@@ -270,17 +265,6 @@ func ExtCommCrossover(r *Runner) error {
 		rep.GateN, rep.GateRanks, sec(rep.GatePairNs), sec(rep.GateBruckNs), rep.BruckSpeedup)
 	for name, verdict := range rep.Gates {
 		fmt.Fprintf(r.Cfg.Out, "gate %-18s %s\n", name, verdict)
-	}
-	if r.Cfg.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(r.Cfg.BenchOut, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(r.Cfg.Out, "wrote %s\n", r.Cfg.BenchOut)
 	}
 	if !rep.Pass {
 		return fmt.Errorf("comm-crossover gates failed")

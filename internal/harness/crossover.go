@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"text/tabwriter"
 
 	"offt"
@@ -23,24 +21,23 @@ import (
 
 // CrossoverRow is one measured decomposition point.
 type CrossoverRow struct {
-	Decomp    string  `json:"decomp"`
-	Ranks     int     `json:"ranks"`
-	ProcGrid  []int   `json:"proc_grid,omitempty"` // [rows, cols], pencil only
-	VirtualNs int64   `json:"virtual_ns"`
-	Seconds   float64 `json:"seconds"`
-	BeyondCap bool    `json:"beyond_slab_cap,omitempty"`
+	Decomp    string
+	Ranks     int
+	ProcGrid  []int // [rows, cols], pencil only
+	VirtualNs int64
+	Seconds   float64
+	BeyondCap bool
 }
 
-// CrossoverReport is the BENCH_PR7.json verdict.
+// CrossoverReport is the crossover study's rows and gate verdicts.
 type CrossoverReport struct {
-	Bench   string            `json:"bench"`
-	Machine string            `json:"machine"`
-	N       int               `json:"n"`
-	Scale   string            `json:"scale"`
-	SlabCap int               `json:"slab_cap_ranks"`
-	Rows    []CrossoverRow    `json:"rows"`
-	Gates   map[string]string `json:"gates"`
-	Pass    bool              `json:"pass"`
+	Machine string
+	N       int
+	Scale   string
+	SlabCap int
+	Rows    []CrossoverRow
+	Gates   map[string]string
+	Pass    bool
 }
 
 // crossoverLadder returns the machine, grid edge, and the slab/pencil rank
@@ -60,7 +57,6 @@ func crossoverLadder(s Scale) (mach string, n int, slabPs, pencilPs []int) {
 func RunCrossover(scale Scale) (*CrossoverReport, error) {
 	mach, n, slabPs, pencilPs := crossoverLadder(scale)
 	rep := &CrossoverReport{
-		Bench:   "offt-decomp-crossover",
 		Machine: mach,
 		N:       n,
 		Scale:   scale.String(),
@@ -161,8 +157,8 @@ func RunCrossover(scale Scale) (*CrossoverReport, error) {
 	return rep, nil
 }
 
-// ExtCrossover runs the crossover study, renders it, writes BENCH_PR7.json
-// when the runner has an output path, and fails when a gate fails.
+// ExtCrossover runs the crossover study, renders it, and fails when a gate
+// fails.
 func ExtCrossover(r *Runner) error {
 	rep, err := RunCrossover(r.Cfg.Scale)
 	if err != nil {
@@ -187,17 +183,6 @@ func ExtCrossover(r *Runner) error {
 	}
 	for name, verdict := range rep.Gates {
 		fmt.Fprintf(r.Cfg.Out, "gate %-16s %s\n", name, verdict)
-	}
-	if r.Cfg.BenchOut != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(r.Cfg.BenchOut, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(r.Cfg.Out, "wrote %s\n", r.Cfg.BenchOut)
 	}
 	if !rep.Pass {
 		return fmt.Errorf("crossover gates failed")

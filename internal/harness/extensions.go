@@ -22,8 +22,8 @@ import (
 func Extensions() []Experiment {
 	return []Experiment{
 		{"ext-decomp", "Extension: 1-D slab vs 2-D pencil decomposition", ExtDecomposition},
-		{"crossover", "Extension: slab-vs-pencil crossover study via the plan API (BENCH_PR7)", ExtCrossover},
-		{"comm-crossover", "Extension: all-to-all schedule crossover study (BENCH_PR9)", ExtCommCrossover},
+		{"crossover", "Extension: slab-vs-pencil crossover study via the plan API", ExtCrossover},
+		{"comm-crossover", "Extension: all-to-all schedule crossover study", ExtCommCrossover},
 		{"ext-interarray", "Extension: inter-array overlap (Kandalla-style pipeline)", ExtInterArray},
 		{"ext-steady", "Extension: plan reuse vs per-call transforms (steady state)", ExtSteadyState},
 	}

@@ -62,9 +62,6 @@ type Config struct {
 	// Telemetry, when non-nil, receives tuner per-evaluation metrics and
 	// per-setting breakdown observations during TunedFor.
 	Telemetry *telemetry.Registry
-	// BenchOut, when set, is where gate-bearing experiments (the
-	// crossover study) write their JSON verdict.
-	BenchOut string
 }
 
 // Setting identifies one evaluated configuration point.

@@ -59,48 +59,7 @@ type Result struct {
 // Simulate runs one 3-D FFT of shape nx×ny×nz over p simulated ranks on
 // machine m and returns the aggregated result. It is deterministic.
 func Simulate(m machine.Machine, p, nx, ny, nz int, spec Spec) (Result, error) {
-	if _, err := layout.NewGrid(nx, ny, nz, p, 0); err != nil {
-		return Result{}, err
-	}
-	w := sim.NewWorld(m, p)
-	if spec.Faults != nil {
-		w.InjectFaults(spec.Faults)
-	}
-	res := Result{PerRank: make([]pfft.Breakdown, p)}
-	var runErr error
-	err := w.Run(func(c *sim.Comm) {
-		g, err := layout.NewGrid(nx, ny, nz, p, c.Rank())
-		if err != nil {
-			panic(err) // checked above for rank 0; identical for others
-		}
-		e := NewEngine(m, g, c)
-		b, err := pfft.Run(e, spec.Variant, spec.params())
-		if err != nil {
-			if c.Rank() == 0 {
-				runErr = err
-			}
-			return
-		}
-		res.PerRank[c.Rank()] = b
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("model: simulation failed: %w", err)
-	}
-	if runErr != nil {
-		return Result{}, runErr
-	}
-	for _, b := range res.PerRank {
-		res.Avg.Add(b)
-		if b.Total > res.MaxTotal {
-			res.MaxTotal = b.Total
-		}
-		if t := b.TunedPortion(); t > res.MaxTuned {
-			res.MaxTuned = t
-		}
-	}
-	res.Avg.Scale(int64(p))
-	res.Net = w.Fabric().Stats
-	return res, nil
+	return SimulateSteady(m, p, nx, ny, nz, spec, 1)
 }
 
 // SimulateCube is Simulate for the paper's cubic N³ arrays.
@@ -130,7 +89,7 @@ func SimulateSteady(m machine.Machine, p, nx, ny, nz int, spec Spec, iters int) 
 	err := w.Run(func(c *sim.Comm) {
 		g, err := layout.NewGrid(nx, ny, nz, p, c.Rank())
 		if err != nil {
-			panic(err)
+			panic(err) // checked above for rank 0; identical for others
 		}
 		e := NewEngine(m, g, c)
 		acc := &res.PerRank[c.Rank()]
@@ -146,7 +105,7 @@ func SimulateSteady(m machine.Machine, p, nx, ny, nz int, spec Spec, iters int) 
 		}
 	})
 	if err != nil {
-		return Result{}, fmt.Errorf("model: steady simulation failed: %w", err)
+		return Result{}, fmt.Errorf("model: simulation failed: %w", err)
 	}
 	if runErr != nil {
 		return Result{}, runErr

@@ -202,7 +202,7 @@ func (w *World) Recovered(rank int, rec any) error {
 
 // Fail marks the world failed with cause and wakes every parked rank; they
 // panic with a WorldFailure carrying cause. It is the kill switch of the
-// serve layer's request watchdog and of the chaos harness, and how a link
+// serve layer's request watchdog and KillPlan chaos hook, and how a link
 // reports a lost peer. Only the first failure sticks, and a closed world
 // stays as it was.
 func (w *World) Fail(cause error) {

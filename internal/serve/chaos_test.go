@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -38,19 +39,29 @@ func settleGoroutines(target int, patience time.Duration) int {
 	}
 }
 
-// TestTransformsSurviveWorldKill is the serve-layer chaos regression: a
-// burst of concurrent transforms against a plan whose world is killed
-// mid-flight must ALL resolve — success, or a typed 5xx — never a hang;
-// the registry must never wedge; the killed plan must return to healthy
-// service via the automatic rebuild; and the whole episode must not leak
-// goroutines. Run under -race this also exercises the quarantine state
-// machine's locking.
+// TestTransformsSurviveWorldKill is the serve-layer chaos regression, one
+// row per fault profile: a fixed burst of concurrent transforms against a
+// server whose plans run under the profile must ALL resolve — 200, a 429
+// shed, or a typed 503/504 — never a hang or an untyped status; at least
+// one must succeed; the registry must never wedge; and the episode must
+// not leak goroutines. The none row also kills the world twice mid-burst
+// and requires the killed plan to return to healthy service via the
+// automatic rebuild. The mixed row drains the server mid-burst: Drain must
+// return nil, and only once no admitted transform is left running. Run
+// under -race this also exercises the quarantine state machine's locking.
 func TestTransformsSurviveWorldKill(t *testing.T) {
+	for _, profile := range []string{"none", "drop", "corrupt", "stall", "mixed"} {
+		t.Run(profile, func(t *testing.T) { surviveBurst(t, profile) })
+	}
+}
+
+func surviveBurst(t *testing.T, profile string) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	s := New(Config{
 		MaxInFlightRanks: 64,
 		Telemetry:        telemetry.NewRegistry(),
+		FaultProfile:     profile,
 		Watchdog:         300 * time.Millisecond,
 		ExecWatchdogMin:  200 * time.Millisecond,
 		Rebuild:          fastRebuild(),
@@ -71,9 +82,25 @@ func TestTransformsSurviveWorldKill(t *testing.T) {
 	}
 	keyStr := snap[0].Key
 
+	// One request is admitted before the burst and held there with its
+	// payload unsent, so a transform is in flight at a known point: the
+	// none row kills the world under it, the mixed row drains around it.
+	release, held := holdTransform(t, s, ts.URL, req, data)
+
 	const workers = 8
 	const perWorker = 6
-	var ok, typed5xx, other atomic.Int64
+	const burst = workers * perWorker
+	var ok, typed, other atomic.Int64
+	tally := func(code int) {
+		switch code {
+		case http.StatusOK:
+			ok.Add(1)
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			typed.Add(1)
+		default:
+			other.Add(1)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -81,59 +108,92 @@ func TestTransformsSurviveWorldKill(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				code, _, _, _ := postTransform(t, ts.URL, req, data)
-				switch {
-				case code == http.StatusOK:
-					ok.Add(1)
-				case code == http.StatusServiceUnavailable || code == http.StatusGatewayTimeout:
-					typed5xx.Add(1)
-				default:
-					other.Add(1)
-				}
+				tally(code)
 			}
 		}()
 	}
-	// Kill the world twice while the burst is in flight.
 	killed := 0
-	for k := 0; k < 2; k++ {
-		time.Sleep(15 * time.Millisecond)
-		if s.Registry().KillPlan(keyStr, fmt.Errorf("chaos kill %d", k)) {
-			killed++
+	heldWant := 0
+	switch profile {
+	case "none":
+		// Kill the world twice while the burst is in flight.
+		for k := 0; k < 2; k++ {
+			time.Sleep(15 * time.Millisecond)
+			if s.Registry().KillPlan(keyStr, fmt.Errorf("chaos kill %d", k)) {
+				killed++
+			}
 		}
+		release()
+		heldWant = http.StatusServiceUnavailable
+	case "mixed":
+		// Drain once the burst has a success. The held request gets its
+		// payload only after Drain has begun, so Drain must wait for it.
+		for ok.Load() == 0 {
+			if ok.Load()+typed.Load()+other.Load() == burst {
+				t.Fatal("the burst finished without a success before the drain")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.AfterFunc(50*time.Millisecond, release)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := s.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Errorf("drain mid-burst: %v", err)
+		}
+		if inUse := s.adm.InUse(); inUse != 0 {
+			t.Errorf("Drain returned with %d rank-weights of admitted transforms still running", inUse)
+		}
+		heldWant = http.StatusOK
+	default:
+		release()
 	}
 	wg.Wait()
+	heldCode := <-held
+	tally(heldCode)
+	t.Logf("%s: %d ok, %d shed or typed 5xx, %d other; held request HTTP %d",
+		profile, ok.Load(), typed.Load(), other.Load(), heldCode)
 
-	if got := ok.Load() + typed5xx.Load() + other.Load(); got != workers*perWorker {
-		t.Fatalf("answered %d of %d requests", got, workers*perWorker)
+	if got := ok.Load() + typed.Load() + other.Load(); got != burst+1 {
+		t.Fatalf("answered %d of %d requests", got, burst+1)
+	}
+	if heldWant != 0 && heldCode != heldWant {
+		t.Errorf("held request: HTTP %d, want %d", heldCode, heldWant)
 	}
 	if other.Load() > 0 {
-		t.Errorf("%d requests resolved to an untyped status (want 200/503/504 only)", other.Load())
+		t.Errorf("%d requests resolved to an untyped status (want 200/429/503/504 only)", other.Load())
 	}
-	if killed == 0 {
-		t.Fatal("no kill landed on the live plan; the chaos path was never exercised")
+	if ok.Load() == 0 {
+		t.Error("no request of the burst succeeded")
 	}
 	if wedged := s.Registry().Wedged(); len(wedged) > 0 {
 		t.Errorf("wedged registry keys after the burst: %v", wedged)
 	}
 
-	// The killed plan must come back on its own and serve again.
-	deadline := time.Now().Add(5 * time.Second)
-	recovered := false
-	for time.Now().Before(deadline) {
-		if code, _, _, _ := postTransform(t, ts.URL, req, data); code == http.StatusOK {
-			recovered = true
-			break
+	if profile == "none" {
+		if killed == 0 {
+			t.Fatal("no kill landed on the live plan; the chaos path was never exercised")
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !recovered {
-		t.Fatal("killed plan never returned to healthy service")
-	}
-	h := s.Registry().HealthSnapshot()
-	if h.Quarantines < int64(killed) {
-		t.Errorf("HealthSnapshot quarantines = %d, want ≥ %d", h.Quarantines, killed)
-	}
-	if h.Rebuilds < 1 {
-		t.Errorf("HealthSnapshot rebuilds = %d, want ≥ 1", h.Rebuilds)
+		// The killed plan must come back on its own and serve again.
+		deadline := time.Now().Add(5 * time.Second)
+		recovered := false
+		for time.Now().Before(deadline) {
+			if code, _, _, _ := postTransform(t, ts.URL, req, data); code == http.StatusOK {
+				recovered = true
+				break
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		if !recovered {
+			t.Fatal("killed plan never returned to healthy service")
+		}
+		h := s.Registry().HealthSnapshot()
+		if h.Quarantines < int64(killed) {
+			t.Errorf("HealthSnapshot quarantines = %d, want ≥ %d", h.Quarantines, killed)
+		}
+		if h.Rebuilds < 1 {
+			t.Errorf("HealthSnapshot rebuilds = %d, want ≥ 1", h.Rebuilds)
+		}
 	}
 
 	if err := s.Drain(context.Background()); err != nil {
@@ -144,6 +204,39 @@ func TestTransformsSurviveWorldKill(t *testing.T) {
 	if got := settleGoroutines(baseGoroutines+4, 5*time.Second); got > baseGoroutines+4 {
 		t.Errorf("goroutines settled at %d, baseline %d: leak", got, baseGoroutines)
 	}
+}
+
+// holdTransform posts req with its payload withheld until release is
+// called, and returns once the server has admitted it: the handler then
+// waits in ReadPayloadInto holding admission weight and a plan reference.
+// status receives the final HTTP status (0 on a transport error). Call it
+// while no other transform is in flight.
+func holdTransform(t *testing.T, s *Server, url string, req TransformRequest, data []complex128) (release func(), status <-chan int) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	st := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/transform", "application/octet-stream", pr)
+		if err != nil {
+			t.Errorf("held request: %v", err)
+			st <- 0
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		st <- resp.StatusCode
+	}()
+	if err := WriteHeader(pw, req); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.adm.InUse() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held request was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() { go func() { pw.CloseWithError(WritePayload(pw, data)) }() }, st
 }
 
 // TestQuarantineRebuildLifecycle walks the registry state machine
@@ -204,6 +297,15 @@ func TestQuarantineRebuildLifecycle(t *testing.T) {
 		t.Error("recovered entry still holds the dead plan")
 	}
 	r.Release(fresh)
+
+	// A request that still held the dead entry reports its failure only
+	// after the rebuild: the report is stale and the fresh plan serves on.
+	r.MarkFailed(e, cause)
+	if again, _, err := r.Acquire(context.Background(), key, buildFor(key)); err != nil {
+		t.Fatalf("Acquire after a stale failure report = %v", err)
+	} else {
+		r.Release(again)
+	}
 
 	h := r.HealthSnapshot()
 	if h.Quarantines != 1 || h.Rebuilds != 1 {

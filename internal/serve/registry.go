@@ -551,7 +551,9 @@ func (r *Registry) rebuild(e *planEntry, old *offt.Plan) {
 		br.openUntil = time.Time{}
 		br.last = nil
 		br.rebuilds++
-		e.health = HealthHealthy
+		// e keeps its quarantined health: a request that still holds it
+		// and reports the dead world later is a duplicate report, not a
+		// new failure of the key's fresh plan.
 		r.mu.Unlock()
 		r.rebuilds.Inc()
 		r.logger().Info("plan.rebuilt", "plan", e.key.String())
@@ -563,7 +565,7 @@ func (r *Registry) rebuild(e *planEntry, old *offt.Plan) {
 // KillPlan administratively fails the live plan cached under the key
 // whose String() form matches keyStr, as if its world had died in the
 // field: the world is failed, the entry quarantined, and the rebuild
-// cycle starts. It is the chaos harness's fault-injection hook. Returns
+// cycle starts. It is the chaos tests' fault-injection hook. Returns
 // false when no live entry matches.
 func (r *Registry) KillPlan(keyStr string, cause error) bool {
 	r.mu.Lock()

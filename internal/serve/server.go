@@ -211,10 +211,10 @@ func (s *Server) Registry() *Registry { return s.registry }
 // Admission exposes the admission controller (tests, introspection).
 func (s *Server) Admission() *Admission { return s.adm }
 
-// Flight exposes the flight recorder (tests, chaos harness).
+// Flight exposes the flight recorder (tests).
 func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 
-// SLO exposes the transform SLO window (tests, chaos harness).
+// SLO exposes the transform SLO window (tests).
 func (s *Server) SLO() *telemetry.SLO { return s.slo }
 
 // timed wraps a handler with a per-endpoint latency histogram and the

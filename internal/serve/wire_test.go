@@ -74,3 +74,31 @@ func TestWireMalformed(t *testing.T) {
 		t.Error("malformed JSON header decoded without error")
 	}
 }
+
+// FuzzReadHeader feeds arbitrary request bodies to the header reader the
+// transform handler runs on every request, which takes its length prefix
+// off the socket: nothing may panic, and a header it accepts must marshal
+// back within maxHeaderBytes.
+func FuzzReadHeader(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteHeader(&valid, TransformRequest{Nx: 64, Ny: 64, Nz: 32, Ranks: 4, Direction: "backward", Variant: "new", TimeoutMs: 250}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-1])
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0, 0, 0, 2, '{', '['})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		raw, err := ReadRawHeader(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		var req TransformRequest
+		if err := DecodeRawHeader(raw, &req); err != nil {
+			return
+		}
+		if _, err := MarshalHeader(req); err != nil {
+			t.Errorf("accepted header %q does not marshal back: %v", raw[4:], err)
+		}
+	})
+}

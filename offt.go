@@ -1019,8 +1019,8 @@ func (p *Plan) worldCheck() error {
 // ranks are woken, retransmit timers stop making the dead world churn)
 // and later executions fail fast the same way. It takes no locks a hung
 // transform could hold, so it is safe to call exactly when the plan is
-// wedged — the serve layer's request watchdog and the chaos harness are
-// the intended callers. No-op on Sim plans and nil causes a generic
+// wedged — the serve layer's request watchdog and its KillPlan chaos hook
+// are the intended callers. No-op on Sim plans and nil causes a generic
 // diagnostic.
 func (p *Plan) Fail(cause error) {
 	if p.cfg.engine != Mem || p.world == nil {
