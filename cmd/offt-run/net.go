@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -209,10 +208,6 @@ func roundTripErr(back, orig []complex128, scale int) float64 {
 
 // dumpComplex writes data as little-endian (real, imag) float64 pairs.
 func dumpComplex(path string, data []complex128) error {
-	buf := make([]byte, 0, 16*len(data))
-	for _, v := range data {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(real(v)))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(imag(v)))
-	}
-	return os.WriteFile(path, buf, 0o644)
+	wire, _ := fault.WireBytes(data)
+	return os.WriteFile(path, wire, 0o644)
 }

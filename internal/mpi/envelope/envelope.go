@@ -18,9 +18,11 @@
 //	  int32   src rank
 //	  int32   dst rank
 //	  int32   collective tag
-//	  uint64  FNV-1a checksum over the payload's raw float64 bits
+//	  uint64  CRC-32C of the payload bytes, zero-extended (fault.Checksum)
 //	  uint32  n, payload length in complex128 elements
-//	  n × 16  payload: (real bits, imag bits) as uint64 pairs
+//	  n × 16  payload: (real bits, imag bits) as uint64 pairs, which is a
+//	          complex128's memory on a little-endian host (fault.WireBytes),
+//	          so encoding and decoding it is one copy
 //
 //	ack body (kind 2):
 //	  int64   acknowledged envelope id
@@ -44,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"offt/internal/arena"
@@ -86,9 +87,9 @@ type Envelope struct {
 	Data          []complex128
 }
 
-// Checksum is the transport checksum: FNV-1a over the payload's raw
-// float64 bit patterns (the same function the fault injector's corruption
-// detection uses, so injected corruption is detected bit-for-bit).
+// Checksum is the transport checksum: CRC-32C over the payload's wire
+// bytes (fault.Checksum, which catches every single-bit flip the fault
+// injector's corruption makes).
 func Checksum(data []complex128) uint64 { return fault.Checksum(data) }
 
 // Seal stamps the envelope's checksum from its current payload.
@@ -124,11 +125,8 @@ func AppendData(buf []byte, e *Envelope) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(e.Tag)))
 	buf = binary.LittleEndian.AppendUint64(buf, e.Sum)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Data)))
-	for _, v := range e.Data {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(real(v)))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(imag(v)))
-	}
-	return buf
+	wire, _ := fault.WireBytes(e.Data)
+	return append(buf, wire...)
 }
 
 // AckFrameLen is the encoded size of an ack frame, length prefix included.
@@ -195,13 +193,9 @@ func Decode(body []byte) (Frame, error) {
 		}
 		payload := arena.Get(n)
 		e.Data = payload.Data
-		for i := range e.Data {
-			off := dataHeaderBytes + elemBytes*i
-			e.Data[i] = complex(
-				math.Float64frombits(binary.LittleEndian.Uint64(body[off:])),
-				math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:])),
-			)
-		}
+		wire, store := fault.WireBytes(e.Data)
+		copy(wire, body[dataHeaderBytes:])
+		store()
 		return Frame{Kind: KindData, Env: e, Payload: payload}, nil
 	default:
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadKind, body[0])

@@ -3,6 +3,7 @@ package envelope
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -46,26 +47,49 @@ func TestDataRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDataRoundTripSpecialFloats(t *testing.T) {
-	e := &Envelope{ID: 1, Src: 0, Dst: 1, Tag: 2, Data: []complex128{
+// specialFloats is a payload a float comparison cannot check: NaNs with
+// distinct bit patterns, both zeros, subnormals and infinities.
+func specialFloats() []complex128 {
+	nan := func(bits uint64) float64 { return math.Float64frombits(0x7ff0_0000_0000_0000 | bits) }
+	return []complex128{
 		complex(math.Inf(1), math.Inf(-1)),
 		complex(math.NaN(), 0),
+		complex(nan(1), nan(0x8_0000_0000_0000)),
+		complex(-nan(0xdead_beef), nan(0xf_ffff_ffff_ffff)),
 		complex(math.Copysign(0, -1), math.SmallestNonzeroFloat64),
-	}}
-	e.Seal()
-	f, err := Decode(AppendData(nil, e)[4:])
-	if err != nil {
-		t.Fatal(err)
+		complex(-math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff)),
 	}
-	// NaN defeats DeepEqual on values; compare bit patterns instead.
-	for i, v := range f.Env.Data {
-		if math.Float64bits(real(v)) != math.Float64bits(real(e.Data[i])) ||
-			math.Float64bits(imag(v)) != math.Float64bits(imag(e.Data[i])) {
-			t.Fatalf("element %d: bits differ", i)
+}
+
+// TestDataRoundTripSpecialFloats: a payload crosses the codec bit for bit,
+// whatever its floats are, and so does an empty one.
+func TestDataRoundTripSpecialFloats(t *testing.T) {
+	for _, data := range [][]complex128{specialFloats(), {}} {
+		e := &Envelope{ID: 1, Src: 0, Dst: 1, Tag: 2, Data: data}
+		e.Seal()
+		f, err := Decode(AppendData(nil, e)[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEnvelopeBits(&f.Env, e) {
+			t.Fatalf("decoded %v, want the bits of %v", f.Env.Data, e.Data)
+		}
+		if !f.Env.Verify() {
+			t.Fatal("checksum must be computed over raw bits, surviving NaN/Inf payloads")
 		}
 	}
-	if !f.Env.Verify() {
-		t.Fatal("checksum must be computed over raw bits, surviving NaN/Inf payloads")
+}
+
+// TestChecksumIsWireCRC: the sum a frame carries is the CRC-32C of the
+// payload bytes the frame carries.
+func TestChecksumIsWireCRC(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, e := range []*Envelope{randomEnvelope(rng, 0), randomEnvelope(rng, 33), {Data: specialFloats()}} {
+		frame := AppendData(nil, e)
+		want := uint64(crc32.Checksum(frame[PrefixBytes+dataHeaderBytes:], crc32.MakeTable(crc32.Castagnoli)))
+		if got := Checksum(e.Data); got != want {
+			t.Fatalf("%d elements: Checksum = %#x, CRC-32C of the frame's payload = %#x", len(e.Data), got, want)
+		}
 	}
 }
 

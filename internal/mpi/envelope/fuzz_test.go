@@ -42,6 +42,12 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add(AppendFin(nil))                     // graceful-departure marker
 	f.Add([]byte{2, 0, 0, 0, 3, 0})           // fin with trailing garbage
 
+	// Payloads only their bits can check, and an empty one.
+	special := &Envelope{ID: 3, Seq: 1, Src: 1, Dst: 2, Tag: 4, Data: specialFloats()}
+	special.Seal()
+	f.Add(AppendData(nil, special))
+	f.Add(AppendData(nil, &Envelope{ID: 4, Seq: 2, Src: 1, Dst: 2, Tag: 4}))
+
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := bytes.NewReader(data)
@@ -87,7 +93,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 // sameEnvelopeBits compares envelopes with bit-level float equality (NaN
 // payloads from fuzzed bytes defeat ==).
 func sameEnvelopeBits(a, b *Envelope) bool {
-	if a.ID != b.ID || a.Src != b.Src || a.Dst != b.Dst || a.Tag != b.Tag || a.Sum != b.Sum || len(a.Data) != len(b.Data) {
+	if a.ID != b.ID || a.Seq != b.Seq || a.Src != b.Src || a.Dst != b.Dst || a.Tag != b.Tag || a.Sum != b.Sum || len(a.Data) != len(b.Data) {
 		return false
 	}
 	for i := range a.Data {

@@ -11,11 +11,18 @@
 // of goroutine scheduling — the property the chaos test suite relies on —
 // and a retransmitted message rolls fresh faults on every attempt, so
 // recovery converges whenever the fault rates are below 1.
+//
+// The package also defines what corruption is checked against: a payload's
+// wire image (WireBytes), which the net frames and serve's bodies carry,
+// and its Checksum.
 package fault
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"unsafe"
 )
 
 // Profile names a canonical fault mix for NewPlan.
@@ -237,25 +244,51 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Checksum is the FNV-1a 64 hash of a payload's raw float bits, the
-// integrity check of the mem engine's self-healing transport.
+// Checksum is the CRC-32C (Castagnoli) of a payload's wire bytes (see
+// WireBytes), zero-extended: the integrity check both engines' transport
+// seals and verifies every tracked envelope with. It detects every
+// single-bit flip, which is what CorruptCopy injects.
 func Checksum(data []complex128) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	step := func(b uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (b >> (8 * i)) & 0xff
-			h *= prime
+	b, _ := WireBytes(data)
+	return crc32c(b)
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func crc32c(b []byte) uint64 { return uint64(crc32.Checksum(b, castagnoli)) }
+
+// littleEndian reports whether a complex128's memory is its wire image.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// WireBytes returns data's wire image — each element as two little-endian
+// IEEE-754 float64s, real then imaginary, 16 bytes in all — and a store
+// that writes the image back into data. On a little-endian host the image
+// is data's own memory: nothing is copied, bytes written into it are data,
+// and store does nothing. Elsewhere the image is an encoded copy, and a
+// caller that fills it must call store.
+func WireBytes(data []complex128) (wire []byte, store func()) {
+	if littleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 16*len(data)), func() {}
+	}
+	return encodeWire(data)
+}
+
+// encodeWire is WireBytes on a host whose memory is not the wire image: one
+// element at a time, through encoding/binary.
+func encodeWire(data []complex128) ([]byte, func()) {
+	wire := make([]byte, 16*len(data))
+	for i, v := range data {
+		binary.LittleEndian.PutUint64(wire[16*i:], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(wire[16*i+8:], math.Float64bits(imag(v)))
+	}
+	return wire, func() {
+		for i := range data {
+			data[i] = complex(
+				math.Float64frombits(binary.LittleEndian.Uint64(wire[16*i:])),
+				math.Float64frombits(binary.LittleEndian.Uint64(wire[16*i+8:])),
+			)
 		}
 	}
-	for _, v := range data {
-		step(math.Float64bits(real(v)))
-		step(math.Float64bits(imag(v)))
-	}
-	return h
 }
 
 // CorruptCopy returns a copy of data with one deterministic bit flipped

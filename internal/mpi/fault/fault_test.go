@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -181,5 +182,86 @@ func TestNilPlanIsInert(t *testing.T) {
 	}
 	if p.StallEnd(0, 9) != 9 || p.NICFactor(0) != 1 || p.LinkFactor(0, 1, 0) != 1 {
 		t.Error("nil plan degraded something")
+	}
+}
+
+// TestChecksumKnownAnswer runs the CRC-32C check vector through the byte
+// path every payload's sum takes.
+func TestChecksumKnownAnswer(t *testing.T) {
+	if got := crc32c([]byte("123456789")); got != 0xE3069283 {
+		t.Fatalf("CRC-32C(\"123456789\") = %#x, want 0xe3069283", got)
+	}
+}
+
+// checksumPayload is a fixed payload with every kind of float in it.
+func checksumPayload() []complex128 {
+	return []complex128{
+		1 + 2i, -3.5 + 0.25i, 0,
+		complex(math.Copysign(0, -1), math.SmallestNonzeroFloat64),
+		complex(math.Inf(1), math.NaN()),
+		complex(math.Float64frombits(0x7ff8_0000_dead_beef), math.MaxFloat64),
+	}
+}
+
+// TestChecksumPinned: a payload's sum is part of the frame format; a
+// process built from another revision must agree on it.
+func TestChecksumPinned(t *testing.T) {
+	const want = 0xf4e04951 // a bitwise CRC-32C apart from hash/crc32 agrees
+	if got := Checksum(checksumPayload()); got != want {
+		t.Fatalf("Checksum = %#x, want %#x", got, want)
+	}
+}
+
+// TestChecksumEveryBit: flipping any one of the 128 bits of an element
+// changes the sum, for elements at the start, middle and end of a payload.
+func TestChecksumEveryBit(t *testing.T) {
+	data := make([]complex128, 257)
+	for i := range data {
+		data[i] = complex(float64(i)*0.37, -float64(i)*1.9)
+	}
+	sum := Checksum(data)
+	for _, i := range []int{0, 1, 128, 255, 256} {
+		orig := data[i]
+		for bit := 0; bit < 128; bit++ {
+			re, im := math.Float64bits(real(orig)), math.Float64bits(imag(orig))
+			if bit < 64 {
+				re ^= 1 << bit
+			} else {
+				im ^= 1 << (bit - 64)
+			}
+			data[i] = complex(math.Float64frombits(re), math.Float64frombits(im))
+			if Checksum(data) == sum {
+				t.Fatalf("element %d bit %d flipped: sum unchanged", i, bit)
+			}
+		}
+		data[i] = orig
+	}
+}
+
+// TestChecksumPortablePath: the per-element encoding a big-endian host
+// takes gives, on this host, the bytes and sum of the memory view, and its
+// store decodes a filled image bit for bit.
+func TestChecksumPortablePath(t *testing.T) {
+	data := checksumPayload()
+	fast, _ := WireBytes(data)
+	fastSum := Checksum(data)
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	littleEndian = false
+	portable, _ := WireBytes(data)
+	if !bytes.Equal(portable, fast) {
+		t.Fatalf("portable wire image\n %x\nwant\n %x", portable, fast)
+	}
+	if got := Checksum(data); got != fastSum {
+		t.Fatalf("portable Checksum = %#x, want %#x", got, fastSum)
+	}
+	got := make([]complex128, len(data))
+	wire, store := WireBytes(got)
+	copy(wire, fast)
+	store()
+	for i := range data {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(data[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(data[i])) {
+			t.Fatalf("element %d: stored %v, want the bits of %v", i, got[i], data[i])
+		}
 	}
 }

@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sync"
 
 	"offt"
+	"offt/internal/mpi/fault"
 )
 
 // Wire format of /v1/transform (request and response bodies share it):
@@ -19,11 +18,14 @@ import (
 //	 IEEE-754 float64s (real, imag)]
 //
 // The JSON header carries the small control-plane fields; the payload is
-// raw complex data with no base64 or per-element framing, so the hot path
-// is a single contiguous copy. The payload element count is implied by
-// the header (the grid volume for Mem-engine transforms, zero for Sim),
-// never self-described — a malformed header cannot cause an oversized
-// read beyond the configured element cap.
+// raw complex data with no base64 or per-element framing. On a
+// little-endian host it is the slab's own memory (fault.WireBytes), so the
+// server reads the socket straight into the slab the ranks read and writes
+// the reply straight from the slab they wrote: one ReadFull, one Write.
+// The payload element count is implied by the header (the grid volume
+// for Mem-engine transforms, zero for Sim), never self-described — a
+// malformed header cannot cause an oversized read beyond the configured
+// element cap.
 
 // maxHeaderBytes bounds the JSON header so a bad length prefix cannot
 // force a large allocation.
@@ -165,58 +167,19 @@ func ReadHeader(r io.Reader, dst any) error {
 	return DecodeRawHeader(raw, dst)
 }
 
-// chunkBytes is the copy-buffer size for payload streaming: large enough
-// to amortize Write/Read syscalls on the HTTP connection (a 64³ payload
-// crosses the wire in 16 chunks), small enough to stay pool-friendly.
-const chunkBytes = 256 << 10
-
-var chunkPool = sync.Pool{
-	New: func() any { b := make([]byte, chunkBytes); return &b },
-}
-
-// WritePayload streams data as packed little-endian complex128s.
+// WritePayload writes data as packed little-endian complex128s.
 func WritePayload(w io.Writer, data []complex128) error {
-	bufp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bufp)
-	buf := *bufp
-	perChunk := len(buf) / 16
-	for len(data) > 0 {
-		n := len(data)
-		if n > perChunk {
-			n = perChunk
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*16:], math.Float64bits(real(data[i])))
-			binary.LittleEndian.PutUint64(buf[i*16+8:], math.Float64bits(imag(data[i])))
-		}
-		if _, err := w.Write(buf[:n*16]); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
+	wire, _ := fault.WireBytes(data)
+	_, err := w.Write(wire)
+	return err
 }
 
 // ReadPayloadInto fills dst from r (len(dst) complex128s).
 func ReadPayloadInto(r io.Reader, dst []complex128) error {
-	bufp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bufp)
-	buf := *bufp
-	perChunk := len(buf) / 16
-	for len(dst) > 0 {
-		n := len(dst)
-		if n > perChunk {
-			n = perChunk
-		}
-		if _, err := io.ReadFull(r, buf[:n*16]); err != nil {
-			return fmt.Errorf("serve: reading payload: %w", err)
-		}
-		for i := 0; i < n; i++ {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*16:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*16+8:]))
-			dst[i] = complex(re, im)
-		}
-		dst = dst[n:]
+	wire, store := fault.WireBytes(dst)
+	if _, err := io.ReadFull(r, wire); err != nil {
+		return fmt.Errorf("serve: reading payload: %w", err)
 	}
+	store()
 	return nil
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,28 +24,52 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWirePayloadRoundTrip: a payload crosses the wire as packed
+// little-endian float64 pairs and comes back bit for bit whatever its
+// floats are — NaNs with distinct bit patterns, both zeros, subnormals —
+// and an empty payload is no bytes.
 func TestWirePayloadRoundTrip(t *testing.T) {
+	nan := func(bits uint64) float64 { return math.Float64frombits(0x7ff0_0000_0000_0000 | bits) }
+	data := []complex128{
+		complex(math.NaN(), nan(1)),
+		complex(-nan(0xdead_beef), nan(0xf_ffff_ffff_ffff)),
+		complex(math.Copysign(0, -1), math.SmallestNonzeroFloat64),
+		complex(-math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff)),
+	}
 	rng := rand.New(rand.NewSource(5))
-	// A size that does not divide the chunk evenly exercises the tail.
-	data := make([]complex128, 5000)
-	for i := range data {
-		data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	for len(data) < 5000 {
+		data = append(data, complex(rng.NormFloat64(), rng.NormFloat64()))
 	}
 	var buf bytes.Buffer
 	if err := WritePayload(&buf, data); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != len(data)*16 {
-		t.Errorf("payload bytes = %d, want %d", buf.Len(), len(data)*16)
+		t.Fatalf("payload bytes = %d, want %d", buf.Len(), len(data)*16)
+	}
+	for i, v := range data {
+		re := binary.LittleEndian.Uint64(buf.Bytes()[16*i:])
+		im := binary.LittleEndian.Uint64(buf.Bytes()[16*i+8:])
+		if re != math.Float64bits(real(v)) || im != math.Float64bits(imag(v)) {
+			t.Fatalf("element %d on the wire as %#x, %#x; want the bits of %v", i, re, im, v)
+		}
 	}
 	got := make([]complex128, len(data))
 	if err := ReadPayloadInto(&buf, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("element %d = %v, want %v (payload must be bit-exact)", i, got[i], data[i])
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(data[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(data[i])) {
+			t.Fatalf("element %d = %v, want the bits of %v (payload must be bit-exact)", i, got[i], data[i])
 		}
+	}
+
+	if err := WritePayload(&buf, nil); err != nil || buf.Len() != 0 {
+		t.Fatalf("empty payload: %d bytes, %v", buf.Len(), err)
+	}
+	if err := ReadPayloadInto(bytes.NewReader(nil), nil); err != nil {
+		t.Fatalf("empty payload: %v", err)
 	}
 }
 

@@ -65,10 +65,14 @@ go test -race -count=1 ./internal/mpi/envelope/ ./internal/mpi/transport/ ./inte
 # with a *PeerError, never index a table (the parent panicked the reader
 # goroutine), and the receiver's fuzz seeds — deliver, reject or report,
 # never panic — beside the codec's and those of offt-serve's transform
-# header reader, which takes a length prefix off the socket too.
+# header reader, which takes a length prefix off the socket too. With them
+# the checksum every frame is sealed with: CRC-32C's check vector,
+# a pinned payload sum, every one of an element's 128 bits flipped, the
+# sum equal to the CRC of the frame's payload bytes, and the big-endian
+# per-element path equal to the memory view.
 go test -count=1 -run 'TestBadHeaderFailsWorld|TestCorruptFrameWithoutPlanFailsWorld' ./internal/mpi/net/
-go test -count=1 -run 'FuzzDeliver|FuzzEnvelopeRoundTrip|FuzzReadHeader' \
-    ./internal/mpi/transport/ ./internal/mpi/envelope/ ./internal/serve/
+go test -count=1 -run 'Checksum|FuzzDeliver|FuzzEnvelopeRoundTrip|FuzzReadHeader' \
+    ./internal/mpi/fault/ ./internal/mpi/transport/ ./internal/mpi/envelope/ ./internal/serve/
 
 # Reproduction and pipeline pins. The golden test diffs the text offt-bench
 # prints for fourteen small-scale sim experiments against
@@ -96,6 +100,12 @@ go test -count=1 -run 'TestVirtualTimesPinned|TestDataPathMatchesByHand|TestInto
 go test -count=1 -run 'TestScriptedTracePinned|TestTracePinned' ./internal/mpi/sim/ ./internal/vclock/
 go test -count=1 -run 'TestPipelineOrder' ./internal/pfft/
 go test -count=1 -run 'TestTuneSequencePinned' ./internal/tuner/
+
+# The recorded recovery histories (mpi.Health) of both engines, twenty
+# times under the race detector: every counter exact but net's Backoffs,
+# which is bounded by Retransmits (a resend re-arms its timer only if the
+# ack has not crossed the loopback yet).
+go test -race -count=20 -run 'TestHealthMatchesRecordedRun' ./internal/mpi/net/ ./internal/mpi/mem/
 
 # Multi-process leg: spawn real offt-run -engine net children over
 # 127.0.0.1, assert the forward/backward round-trip at 1e-9 and
