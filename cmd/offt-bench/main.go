@@ -48,9 +48,6 @@ func run() int {
 		return 2
 	}
 
-	if obs.TraceOut != "" {
-		fmt.Fprintln(os.Stderr, "warning: -trace-out only applies to mem-engine executions (see offt-run); ignored here")
-	}
 	if err := obs.Start(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
-	"math/rand"
 	"os"
 	"time"
 
@@ -28,21 +26,22 @@ import (
 // comparison. A world failure — a killed peer process, a hang timeout —
 // surfaces as a typed *offt.WorldError carrying the ErrWorldFailed
 // sentinel, exactly like a failed mem plan.
-func runNet(rank int, coord, world string, p, n int, decomp offt.Decomp, pr int, variant pfft.Variant, applyOverrides func(*pfft.Params), verify bool, dump string, plan *fault.Plan, obs *telemetry.CLI) {
+func runNet(rank int, coord, world string, desc offt.PlanDescription, verify bool, dump string, plan *fault.Plan, obs *telemetry.CLI) {
+	p, n := desc.Ranks, desc.Nx
 	if rank < 0 || rank >= p {
 		fatal(fmt.Errorf("net engine: -rank %d out of range [0, %d); every process needs its own rank", rank, p))
 	}
 	if coord == "" {
 		fatal(fmt.Errorf("net engine: -coord is required (rank 0 listens on it, the others dial it)"))
 	}
-	if verify && (variant == pfft.TH || variant == pfft.TH0) {
+	if verify && (desc.Variant == pfft.TH || desc.Variant == pfft.TH0) {
 		fatal(fmt.Errorf("net engine: -verify runs the backward transform; the TH variants are forward-only"))
 	}
 
 	var opts []transport.Option
 	if plan.Active() {
-		// Same arming as the mem engine's chaos mode: a short retransmit
-		// timeout recovers plain drops quickly, well inside any deadline.
+		// A short retransmit timeout recovers plain drops quickly, well
+		// inside any deadline.
 		opts = append(opts,
 			transport.WithFaults(plan),
 			transport.WithRetransmitTimeout(2*time.Millisecond))
@@ -54,29 +53,21 @@ func runNet(rank int, coord, world string, p, n int, decomp offt.Decomp, pr int,
 	defer w.Close()
 	w.RegisterTelemetry(obs.Registry())
 
-	rng := rand.New(rand.NewSource(42))
-	full := make([]complex128, n*n*n)
-	for i := range full {
-		full[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-	}
-
+	full := inputCube(n)
 	var out []complex128
 	var b pfft.Breakdown
 	var worst float64
 	start := time.Now()
 	runErr := w.Run(func(c *enginenet.Comm) {
-		if decomp == offt.Pencil {
-			out, b, worst = netPencil(c, full, n, p, pr, variant, applyOverrides, verify)
-		} else {
-			out, b, worst = netSlab(c, full, n, p, variant, applyOverrides, verify)
-		}
+		out, b, worst = netRank(c, full, desc, verify)
 	})
 	wall := time.Since(start)
 	if runErr != nil {
 		fatal(&offt.WorldError{Rank: rank, Cause: runErr})
 	}
 
-	fmt.Printf("engine=net rank=%d/%d decomp=%v N=%d³ variant=%v\n", rank, p, decomp, n, variant)
+	fmt.Printf("engine=net rank=%d/%d decomp=%v N=%d³ variant=%v\n", rank, p, desc.Decomp, n, desc.Variant)
+	fmt.Printf("params: %v\n", desc.Params)
 	fmt.Printf("wall time: %v\n", wall.Round(time.Microsecond))
 	printBreakdown(b)
 	if plan.Active() {
@@ -88,7 +79,8 @@ func runNet(rank int, coord, world string, p, n int, decomp offt.Decomp, pr int,
 			h.Retransmits, h.Dedups, h.CorruptionsDetected)
 	}
 	if dump != "" {
-		if err := dumpComplex(dump, out); err != nil {
+		wire, _ := fault.WireBytes(out)
+		if err := os.WriteFile(dump, wire, 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("forward output (%d elements) written to %s\n", len(out), dump)
@@ -102,112 +94,60 @@ func runNet(rank int, coord, world string, p, n int, decomp offt.Decomp, pr int,
 	}
 }
 
-// netSlab runs the 1-D slab pipeline for one rank and, under -verify, the
-// inverse transform back onto the rank's own input slab.
-func netSlab(c *enginenet.Comm, full []complex128, n, p int, variant pfft.Variant, applyOverrides func(*pfft.Params), verify bool) ([]complex128, pfft.Breakdown, float64) {
-	g, err := layout.NewGrid(n, n, n, p, c.Rank())
-	if err != nil {
-		panic(err)
-	}
-	// Parameters resolve from the rank-0 grid so every process derives the
-	// same SPMD-consistent defaults even when slabs are uneven.
-	g0, err := layout.NewGrid(n, n, n, p, 0)
-	if err != nil {
-		panic(err)
-	}
-	prm := pfft.DefaultParams(g0)
-	applyOverrides(&prm)
-	slab := layout.ScatterX(full, g)
-	orig := append([]complex128(nil), slab...)
-	out, b, err := pfft.Forward3D(c, g, slab, variant, prm, fft.Estimate)
-	if err != nil {
-		panic(err)
-	}
-	var worst float64
-	if verify {
-		spec := append([]complex128(nil), out...)
-		back, _, err := pfft.Backward3D(c, g, spec, variant, prm, fft.Estimate)
+// netRank runs one rank's forward transform of the resolved plan — the
+// slab pipeline, or a pencil.Plan over the resolved process grid, as
+// offt.Plan's ranks build them — and, under -verify, the inverse back onto
+// the rank's own input piece. It returns the rank's forward output, its
+// breakdown and the round trip's max abs deviation from Nx·Ny·Nz·input.
+func netRank(c *enginenet.Comm, full []complex128, desc offt.PlanDescription, verify bool) ([]complex128, pfft.Breakdown, float64) {
+	n, prm := desc.Nx, desc.Params
+	var in []complex128
+	var forward, backward func([]complex128) ([]complex128, pfft.Breakdown, error)
+	if desc.Decomp == offt.Pencil {
+		g, err := pencil.NewGrid2D(n, n, n, desc.ProcRows, desc.ProcCols(), c.Rank())
 		if err != nil {
 			panic(err)
 		}
-		worst = roundTripErr(back, orig, n*n*n)
-	}
-	return out, b, worst
-}
-
-// netPencil runs the 2-D pencil pipeline for one rank, mirroring the slab
-// path. Only the -comm and -pr overrides apply (the pencil parameter set
-// resolves its own defaults from the rank-0 geometry).
-func netPencil(c *enginenet.Comm, full []complex128, n, p, pr int, variant pfft.Variant, applyOverrides func(*pfft.Params), verify bool) ([]complex128, pfft.Breakdown, float64) {
-	if pr == 0 {
-		pr = squarestRows(p)
-	}
-	pc := p / pr
-	if pr*pc != p {
-		panic(fmt.Sprintf("net engine: -pr %d does not divide -p %d", pr, p))
-	}
-	g, err := pencil.NewGrid2D(n, n, n, pr, pc, c.Rank())
-	if err != nil {
-		panic(err)
-	}
-	g0, err := pencil.NewGrid2D(n, n, n, pr, pc, 0)
-	if err != nil {
-		panic(err)
-	}
-	prm := pencil.DefaultParams2D(g0)
-	var dummy pfft.Params
-	applyOverrides(&dummy)
-	prm.Comm = dummy.Comm
-	pl, err := pencil.NewPlan(c, g, variant, prm, fft.Estimate)
-	if err != nil {
-		panic(err)
-	}
-	defer pl.Close()
-	slab := make([]complex128, g.InSize())
-	pencil.ScatterPencilInto(slab, full, g)
-	orig := append([]complex128(nil), slab...)
-	out, b, err := pl.Forward(slab)
-	if err != nil {
-		panic(err)
-	}
-	out = append([]complex128(nil), out...)
-	var worst float64
-	if verify {
-		spec := append([]complex128(nil), out...)
-		back, _, err := pl.Backward(spec)
+		pl, err := pencil.NewPlan(c, g, desc.Variant, pencil.FromParams(prm, g), fft.Estimate)
 		if err != nil {
 			panic(err)
 		}
-		worst = roundTripErr(back, orig, n*n*n)
-	}
-	return out, b, worst
-}
-
-// squarestRows picks the largest divisor of p that is ≤ √p (the squarest
-// feasible process grid, matching the auto-tuner's default).
-func squarestRows(p int) int {
-	for d := int(math.Sqrt(float64(p))); d >= 1; d-- {
-		if p%d == 0 {
-			return d
+		defer pl.Close()
+		in = make([]complex128, g.InSize())
+		pencil.ScatterPencilInto(in, full, g)
+		forward, backward = pl.Forward, pl.Backward
+	} else {
+		g, err := layout.NewGrid(n, n, n, desc.Ranks, c.Rank())
+		if err != nil {
+			panic(err)
+		}
+		in = layout.ScatterX(full, g)
+		forward = func(x []complex128) ([]complex128, pfft.Breakdown, error) {
+			return pfft.Forward3D(c, g, x, desc.Variant, prm, fft.Estimate)
+		}
+		backward = func(x []complex128) ([]complex128, pfft.Breakdown, error) {
+			return pfft.Backward3D(c, g, x, desc.Variant, prm, fft.Estimate)
 		}
 	}
-	return 1
-}
-
-// roundTripErr is the max abs deviation of back from scale·orig.
-func roundTripErr(back, orig []complex128, scale int) float64 {
-	s := complex(float64(scale), 0)
+	orig := append([]complex128(nil), in...)
+	out, b, err := forward(in)
+	if err != nil {
+		panic(err)
+	}
+	out = append([]complex128(nil), out...) // a pencil plan owns its output
+	if !verify {
+		return out, b, 0
+	}
+	back, _, err := backward(append([]complex128(nil), out...))
+	if err != nil {
+		panic(err)
+	}
+	s := complex(float64(n*n*n), 0)
 	worst := 0.0
 	for i := range back {
 		if d := cmplx.Abs(back[i] - orig[i]*s); d > worst {
 			worst = d
 		}
 	}
-	return worst
-}
-
-// dumpComplex writes data as little-endian (real, imag) float64 pairs.
-func dumpComplex(path string, data []complex128) error {
-	wire, _ := fault.WireBytes(data)
-	return os.WriteFile(path, wire, 0o644)
+	return out, b, worst
 }

@@ -87,9 +87,6 @@ func run() error {
 	obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if obs.TraceOut != "" {
-		fmt.Fprintln(os.Stderr, "warning: -trace-out applies to batch runs (see offt-run); ignored here")
-	}
 	if err := obs.Start(os.Stderr); err != nil {
 		return err
 	}

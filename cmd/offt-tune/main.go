@@ -6,6 +6,10 @@
 //
 //	offt-tune -machine umd-cluster -p 16 -n 256 [-evals 50] [-random 200]
 //	offt-tune -decomp pencil -p 128 -n 64   (tune the Py×Pz grid jointly)
+//
+// The default point is the one offt.DescribePlan resolves for the setting:
+// what an untuned plan runs and where the search starts. The default and
+// tuned times are those of Sim plans.
 package main
 
 import (
@@ -15,11 +19,7 @@ import (
 	"time"
 
 	"offt"
-	"offt/internal/layout"
 	"offt/internal/machine"
-	"offt/internal/model"
-	"offt/internal/pencil"
-	"offt/internal/pfft"
 	"offt/internal/stats"
 	"offt/internal/telemetry"
 	"offt/internal/tuned"
@@ -42,13 +42,9 @@ func main() {
 	obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if obs.TraceOut != "" {
-		fmt.Fprintln(os.Stderr, "warning: -trace-out only applies to mem-engine executions (see offt-run); ignored here")
-	}
 	if err := obs.Start(os.Stderr); err != nil {
 		fatal(err)
 	}
-
 	m, err := machine.ByName(*machName)
 	if err != nil {
 		fatal(err)
@@ -57,6 +53,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	base := []offt.Option{
+		offt.WithGrid(*n, *n, *n), offt.WithRanks(*p), offt.WithDecomp(decomp),
+		offt.WithVariant(offt.NEW), offt.WithEngine(offt.Sim), offt.WithMachine(m.Name),
+	}
 	var pin *offt.CommAlg
 	if *commName != "" {
 		alg, err := offt.ParseComm(*commName)
@@ -64,63 +64,68 @@ func main() {
 			fatal(err)
 		}
 		pin = &alg
+		base = append(base, offt.WithComm(alg))
 	}
+	desc, err := offt.DescribePlan(base...)
+	if err != nil {
+		fatal(err)
+	}
+
+	var size int64
+	label := "default time"
 	if decomp == offt.Pencil {
-		if *random > 0 {
-			fmt.Fprintln(os.Stderr, "warning: -random compares against the slab search space; ignored for -decomp pencil")
-		}
-		tunePencil(m, *p, *n, *evals, *store, pin)
-		if err := obs.Finish(); err != nil {
+		space, err := tuner.PencilGridSpace(*n, *n, *n, *p)
+		if err != nil {
 			fatal(err)
 		}
-		return
+		size = space.Size()
+		if *random > 0 {
+			fmt.Fprintln(os.Stderr, "warning: -random compares against the slab search space; ignored for -decomp pencil")
+			*random = 0
+		}
+	} else {
+		if size, _, err = offt.SearchSpaceSize(*n, *n, *n, *p); err != nil {
+			fatal(err)
+		}
+		label += " (excl. FFTz+Transpose)" // the slab tuner's objective
 	}
-	g, err := layout.NewGrid(*n, *n, *n, *p, 0)
-	if err != nil {
-		fatal(err)
-	}
+	_, defNs := simulate(desc)
+	fmt.Printf("setting: %s p=%d N=%d³ decomp=%v (search space %d configurations)\n", m.Name, *p, *n, decomp, size)
+	fmt.Printf("default point: %s\n", point(desc.Params, *p))
+	fmt.Printf("%s: %.4f s\n", label, float64(defNs)/1e9)
 
-	def := pfft.DefaultParams(g)
-	defRes, err := model.SimulateCube(m, *p, *n, model.Spec{Variant: pfft.NEW, Params: def})
-	if err != nil {
-		fatal(err)
+	var prm offt.Params
+	var out offt.TuneOutcome
+	if decomp == offt.Pencil {
+		prm, out, err = tuner.TunePencilNEWPinned(m, *p, *n, *evals, pin)
+	} else {
+		prm, out, err = tuner.TuneNEWPinned(m, *p, *n, *evals, tuner.NelderMeadTelemetry(obs.Registry()), pin)
 	}
-	fmt.Printf("setting: %s p=%d N=%d³ (search space %d configurations)\n",
-		m.Name, *p, *n, tuner.FFTSpace(g).Size())
-	fmt.Printf("default point: %v\n", def)
-	fmt.Printf("default time (excl. FFTz+Transpose): %.4f s\n", float64(defRes.MaxTuned)/1e9)
-
-	prm, out, err := tuner.TuneNEWPinned(m, *p, *n, *evals, tuner.NelderMeadTelemetry(obs.Registry()), pin)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("\nNelder-Mead result after %d evaluations (%d suggestions, %d cache hits, %d infeasible):\n",
 		out.Search.Evals, out.Search.Suggestions, out.Search.CacheHits, out.Search.Infeasible)
-	fmt.Printf("  %v\n", prm)
+	fmt.Printf("  %s\n", point(prm, *p))
 	fmt.Printf("  tuned time: %.4f s (%.2fx better than default)\n",
-		float64(out.BestTime())/1e9, float64(defRes.MaxTuned)/float64(out.BestTime()))
+		float64(out.BestTime())/1e9, float64(defNs)/float64(out.BestTime()))
 	fmt.Printf("  tuning cost: %.2f simulated s, %v wall\n",
 		float64(out.VirtualNs)/1e9, time.Duration(out.WallNs).Round(time.Millisecond))
-
-	full, err := model.SimulateCube(m, *p, *n, model.Spec{Variant: pfft.NEW, Params: prm})
+	tunedDesc, err := offt.DescribePlan(append(base, offt.WithParams(prm))...)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("  full 3-D FFT time with tuned parameters: %.4f s\n", float64(full.MaxTotal)/1e9)
+	full, _ := simulate(tunedDesc)
+	fmt.Printf("  full 3-D FFT time with tuned parameters: %.4f s\n", float64(full)/1e9)
 
 	if *store != "" {
-		key := tuned.NewKey(m.Name, *n, *n, *n, *p, pfft.NEW)
+		key := tuned.NewKeyDecomp(m.Name, *n, *n, *n, *p, offt.NEW, decomp.String())
 		if pin != nil {
 			// Pinned-schedule entries get a comm-qualified key, so they
 			// only resolve for plans that pin the same schedule.
 			key = key.WithComm(pin.String())
 		}
-		entry := tuned.Entry{
-			Key:     key,
-			Params:  prm,
-			TunedNs: out.BestTime(),
-			Evals:   out.Search.Evals,
-		}
+		entry := tuned.Entry{Key: key, Params: prm, TunedNs: out.BestTime(), Evals: out.Search.Evals}
 		if err := tuned.Append(*store, entry); err != nil {
 			fatal(err)
 		}
@@ -148,60 +153,28 @@ func main() {
 	}
 }
 
-// tunePencil searches the pencil space — the Py×Pz process-grid
-// factorization jointly with the pipeline parameters — and stores the
-// winner under a pencil-keyed tuned entry that WithDecomp(Pencil) plans
-// warm-start from.
-func tunePencil(m machine.Machine, p, n, evals int, store string, pin *offt.CommAlg) {
-	dpr, dpc, err := pencil.DefaultProcGrid(n, n, n, p)
+// simulate runs one transform of the described plan on the Sim engine and
+// returns its job time and the tuner's objective for it (the job time
+// less FFTz and Transpose on slab, the whole job time on pencil), in
+// virtual ns.
+func simulate(d offt.PlanDescription) (total, objective int64) {
+	pl, err := offt.NewPlanFrom(d)
 	if err != nil {
 		fatal(err)
 	}
-	g0, err := pencil.NewGrid2D(n, n, n, dpr, dpc, 0)
-	if err != nil {
+	defer pl.Close()
+	if _, err := pl.Forward(nil); err != nil {
 		fatal(err)
 	}
-	defNs, err := pencil.SimulateOverlappedGrid(m, dpr, dpc, n, n, n, pencil.DefaultParams2D(g0))
-	if err != nil {
-		fatal(err)
-	}
-	space, err := tuner.PencilGridSpace(n, n, n, p)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("setting: %s p=%d N=%d³ decomp=pencil (search space %d configurations)\n",
-		m.Name, p, n, space.Size())
-	fmt.Printf("default point: %dx%d grid, %v\n", dpr, dpc, pencil.DefaultParams2D(g0))
-	fmt.Printf("default time: %.4f s\n", float64(defNs)/1e9)
+	return pl.VirtualTimes()
+}
 
-	prm, out, err := tuner.TunePencilNEWPinned(m, p, n, evals, pin)
-	if err != nil {
-		fatal(err)
+// point renders a parameter set, with the process grid a pencil one pins.
+func point(prm offt.Params, p int) string {
+	if prm.Pr == 0 {
+		return prm.String()
 	}
-	fmt.Printf("\nNelder-Mead result after %d evaluations (%d suggestions, %d cache hits, %d infeasible):\n",
-		out.Search.Evals, out.Search.Suggestions, out.Search.CacheHits, out.Search.Infeasible)
-	fmt.Printf("  %v  (process grid %dx%d)\n", prm, prm.Pr, p/prm.Pr)
-	fmt.Printf("  tuned time: %.4f s (%.2fx better than default)\n",
-		float64(out.BestTime())/1e9, float64(defNs)/float64(out.BestTime()))
-	fmt.Printf("  tuning cost: %.2f simulated s, %v wall\n",
-		float64(out.VirtualNs)/1e9, time.Duration(out.WallNs).Round(time.Millisecond))
-
-	if store != "" {
-		key := tuned.NewKeyDecomp(m.Name, n, n, n, p, pfft.NEW, offt.Pencil.String())
-		if pin != nil {
-			key = key.WithComm(pin.String())
-		}
-		entry := tuned.Entry{
-			Key:     key,
-			Params:  prm,
-			TunedNs: out.BestTime(),
-			Evals:   out.Search.Evals,
-		}
-		if err := tuned.Append(store, entry); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  stored tuned parameters in %s under %q\n", store, entry.Key.String())
-	}
+	return fmt.Sprintf("%v  (process grid %dx%d)", prm, prm.Pr, p/prm.Pr)
 }
 
 func fatal(err error) {

@@ -9,9 +9,10 @@ import (
 
 // Flag selects how much effort the planner spends choosing a decomposition,
 // mirroring FFTW's FFTW_ESTIMATE / FFTW_MEASURE / FFTW_PATIENT flags. The
-// paper tunes its FFTW-delegated steps with FFTW_PATIENT (§4.1); the harness
-// uses Patient the same way and charges the measured planning time to the
-// "FFTW tuning time" column of Table 4.
+// paper tunes its FFTW-delegated steps with FFTW_PATIENT (§4.1). The
+// harness does not measure Patient planning for Table 4's "FFTW tuning
+// time" column: it models that cost as a fixed multiple of the baseline's
+// run time (fftwPatientFactor in internal/harness).
 type Flag int
 
 const (

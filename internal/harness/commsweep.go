@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"text/tabwriter"
 
 	"offt"
@@ -263,8 +265,8 @@ func ExtCommCrossover(r *Runner) error {
 	}
 	fmt.Fprintf(r.Cfg.Out, "latency-dominated point N=%d³ p=%d T=1: pairwise %.4f s, bruck %.4f s (%.2fx)\n",
 		rep.GateN, rep.GateRanks, sec(rep.GatePairNs), sec(rep.GateBruckNs), rep.BruckSpeedup)
-	for name, verdict := range rep.Gates {
-		fmt.Fprintf(r.Cfg.Out, "gate %-18s %s\n", name, verdict)
+	for _, name := range slices.Sorted(maps.Keys(rep.Gates)) {
+		fmt.Fprintf(r.Cfg.Out, "gate %-18s %s\n", name, rep.Gates[name])
 	}
 	if !rep.Pass {
 		return fmt.Errorf("comm-crossover gates failed")

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"text/tabwriter"
 
 	"offt"
@@ -181,8 +183,8 @@ func ExtCrossover(r *Runner) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	for name, verdict := range rep.Gates {
-		fmt.Fprintf(r.Cfg.Out, "gate %-16s %s\n", name, verdict)
+	for _, name := range slices.Sorted(maps.Keys(rep.Gates)) {
+		fmt.Fprintf(r.Cfg.Out, "gate %-16s %s\n", name, rep.Gates[name])
 	}
 	if !rep.Pass {
 		return fmt.Errorf("crossover gates failed")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,8 +176,23 @@ func TestExtensionExperiments(t *testing.T) {
 	var buf bytes.Buffer
 	r := smallRunner(&buf)
 	for _, e := range Extensions() {
+		from := buf.Len()
 		if err := e.Run(r); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
+		}
+		// A study prints its gate verdicts in gate-name order, the same on
+		// every run.
+		var gates []string
+		for _, line := range strings.Split(buf.String()[from:], "\n") {
+			if strings.HasPrefix(line, "gate ") {
+				gates = append(gates, strings.Fields(line)[1])
+			}
+		}
+		if !slices.IsSorted(gates) {
+			t.Errorf("%s: gate verdicts out of order: %v", e.ID, gates)
+		}
+		if (e.ID == "crossover" || e.ID == "comm-crossover") && len(gates) < 2 {
+			t.Errorf("%s: %d gate verdicts, want at least 2", e.ID, len(gates))
 		}
 	}
 	out := buf.String()

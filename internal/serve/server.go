@@ -467,10 +467,10 @@ func (s *Server) resolve(req *TransformRequest) (transformSpec, error) {
 
 // buildPlan constructs the offt.Plan for a resolved key: the description
 // pins the plan identity, the options add the server's operational
-// machinery (fault injection, watchdog).
+// machinery (fault injection into Mem worlds, watchdog).
 func (s *Server) buildPlan(key PlanKey) (*offt.Plan, error) {
 	var opts []offt.Option
-	if s.cfg.FaultProfile != "" && s.cfg.FaultProfile != "none" {
+	if key.Engine == offt.Mem && s.cfg.FaultProfile != "" && s.cfg.FaultProfile != "none" {
 		prof, err := offt.ParseFaultProfile(s.cfg.FaultProfile)
 		if err != nil {
 			return nil, err

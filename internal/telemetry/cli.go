@@ -7,30 +7,22 @@ import (
 )
 
 // CLI bundles the observability flags shared by the offt commands
-// (-metrics, -trace-out, -pprof) and the start/finish lifecycle around
-// them. Commands interpret TraceOut themselves — what "a trace" means
-// differs per tool — while the metrics registry and debug server are
-// uniform.
+// (-metrics, -pprof) and the start/finish lifecycle around them.
 type CLI struct {
 	// MetricsOut is the -metrics destination: a snapshot file written on
 	// exit ("-" = stdout; a .prom suffix selects Prometheus text format).
 	MetricsOut string
-	// TraceOut is the -trace-out destination for a Chrome trace-event
-	// JSON timeline ("-" = stdout).
-	TraceOut string
 	// PprofAddr is the -pprof listen address for the debug HTTP server.
 	PprofAddr string
 
 	reg *Registry
 }
 
-// RegisterFlags declares the three flags on fs (flag.CommandLine in the
+// RegisterFlags declares the two flags on fs (flag.CommandLine in the
 // commands).
 func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsOut, "metrics", "",
 		`write a metrics snapshot to this file on exit ("-" = stdout, *.prom = Prometheus text)`)
-	fs.StringVar(&c.TraceOut, "trace-out", "",
-		`write a Chrome trace-event JSON timeline to this file ("-" = stdout; load at ui.perfetto.dev)`)
 	fs.StringVar(&c.PprofAddr, "pprof", "",
 		"serve net/http/pprof, expvar, and /metrics on this address (e.g. localhost:6060)")
 }

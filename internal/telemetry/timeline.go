@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 )
 
@@ -141,20 +140,4 @@ func (tl *Timeline) WriteChromeTrace(w io.Writer) error {
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-// WriteChromeTraceFile writes the timeline to a file ("-" = stdout).
-func (tl *Timeline) WriteChromeTraceFile(path string) error {
-	if path == "-" {
-		return tl.WriteChromeTrace(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = tl.WriteChromeTrace(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

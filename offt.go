@@ -354,8 +354,10 @@ func WithTrace() Option { return func(c *config) { c.trace = true } }
 // (counted in Breakdown.Downgrades and Plan.Downgrades); and a world the
 // watchdog declares dead surfaces as ErrWorldFailed instead of hanging.
 // A soft 15ms wait deadline is armed alongside so downgrades trigger —
-// the same arming offt-run -chaos uses. FaultNone is a no-op. Mem engine
-// only; the Sim engine models faults through its own virtual-time fabric.
+// the same arming offt-run -chaos uses. FaultNone is a no-op. A slab Sim
+// plan hands the schedule to its virtual-time fabric instead, which
+// models the NIC stalls and slow links (payload faults do not apply); a
+// pencil Sim plan ignores it.
 func WithFaults(profile FaultProfile, seed int64) Option {
 	return func(c *config) {
 		c.faultProfile = profile
@@ -365,10 +367,27 @@ func WithFaults(profile FaultProfile, seed int64) Option {
 
 // WithFaultPlan attaches a fully explicit fault schedule instead of a
 // named profile (chaos tooling: precise stall windows, forced drops,
-// per-link degradation). Overrides WithFaults when both are given. Mem
-// engine only.
+// per-link degradation). Overrides WithFaults when both are given, and
+// reaches the same engines.
 func WithFaultPlan(plan *FaultPlan) Option {
 	return func(c *config) { c.faultPlan = plan }
+}
+
+// faults is the fault schedule the options ask for: WithFaultPlan's, else
+// the WithFaults profile seeded for the rank count, nil when it injects
+// nothing.
+func (c *config) faults() (*FaultPlan, error) {
+	fp := c.faultPlan
+	if fp == nil && c.faultProfile != "" && c.faultProfile != FaultNone {
+		var err error
+		if fp, err = fault.NewPlan(c.faultSeed, c.faultProfile, c.ranks); err != nil {
+			return nil, err
+		}
+	}
+	if !fp.Active() {
+		return nil, nil
+	}
+	return fp, nil
 }
 
 // WithWatchdog sets the Mem world's hang watchdog: every Wait/Barrier
@@ -429,9 +448,10 @@ type Plan struct {
 	spanScratch []telemetry.TraceSpan
 
 	// Sim engine state.
-	mach    machine.Machine
-	lastSim model.Result
-	simMet  *pfft.BreakdownObserver
+	mach      machine.Machine
+	simFaults *FaultPlan // degrades a slab plan's fabric in virtual time (nil: none)
+	lastSim   model.Result
+	simMet    *pfft.BreakdownObserver
 
 	// Health state, atomics so WorldErr/Downgrades never block behind a
 	// hung execution holding mu (the serve layer's health endpoints read
@@ -490,6 +510,9 @@ func NewPlan(opts ...Option) (*Plan, error) {
 			return nil, err
 		}
 		p.mach = m
+		if p.simFaults, err = cfg.faults(); err != nil {
+			return nil, err
+		}
 		p.cfg.params = &prm
 		p.simMet = pfft.NewBreakdownObserver(cfg.reg, "pfft")
 		return p, nil
@@ -542,19 +565,14 @@ func (p *Plan) startWorld(prm Params) error {
 		p.traces = make([][]StepEvent, n)
 	}
 
-	fp := p.cfg.faultPlan
-	if fp == nil && p.cfg.faultProfile != "" && p.cfg.faultProfile != FaultNone {
-		built, err := fault.NewPlan(p.cfg.faultSeed, p.cfg.faultProfile, n)
-		if err != nil {
-			return err
-		}
-		fp = built
+	fp, err := p.cfg.faults()
+	if err != nil {
+		return err
 	}
 	var wopts []transport.Option
-	if fp.Active() {
+	if fp != nil {
 		// Soft wait deadline so the overlapped pipeline downgrades under
-		// sustained faults instead of riding every retransmit (matches the
-		// offt-run -chaos arming).
+		// sustained faults instead of riding every retransmit.
 		wopts = append(wopts, transport.WithFaults(fp), transport.WithDeadline(15*time.Millisecond))
 	}
 	if p.cfg.watchdogSet {
@@ -896,7 +914,7 @@ func (p *Plan) forwardLockedInto(dst, data []complex128, obs *execObs) ([]comple
 			return nil, p.simulatePencil()
 		}
 		res, err := model.Simulate(p.mach, p.cfg.ranks, p.cfg.nx, p.cfg.ny, p.cfg.nz,
-			model.Spec{Variant: p.cfg.variant, Params: *p.cfg.params})
+			model.Spec{Variant: p.cfg.variant, Params: *p.cfg.params, Faults: p.simFaults})
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,11 @@ import (
 
 	"offt"
 	"offt/internal/fft"
+	"offt/internal/layout"
+	"offt/internal/machine"
+	"offt/internal/model"
+	"offt/internal/mpi/fault"
+	"offt/internal/pfft"
 )
 
 // TestWithFaultsRoundTrip: under the canonical drop profile the
@@ -155,5 +160,53 @@ func TestParseFaultProfile(t *testing.T) {
 	}
 	if _, err := offt.ParseFaultProfile("tornado"); err == nil {
 		t.Error("ParseFaultProfile accepted an unknown profile")
+	}
+}
+
+// TestSimPlanFaults: a slab Sim plan hands its WithFaults schedule to the
+// virtual-time fabric, so it reports the cost model's time under
+// Spec.Faults, and the stall profile's offline NIC costs time.
+func TestSimPlanFaults(t *testing.T) {
+	const p, n, mach = 8, 64, "umd-cluster"
+	simulate := func(opts ...offt.Option) int64 {
+		t.Helper()
+		plan, err := offt.NewPlan(append([]offt.Option{
+			offt.WithGrid(n, n, n), offt.WithRanks(p),
+			offt.WithEngine(offt.Sim), offt.WithMachine(mach),
+		}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plan.Close()
+		if _, err := plan.Forward(nil); err != nil {
+			t.Fatal(err)
+		}
+		total, _ := plan.VirtualTimes()
+		return total
+	}
+	clean := simulate()
+	stalled := simulate(offt.WithFaults(offt.FaultStall, 7))
+
+	fp, err := fault.NewPlan(7, fault.ProfileStall, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := layout.NewGrid(n, n, n, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.ByName(mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := model.SimulateCube(m, p, n, model.Spec{Variant: pfft.NEW, Params: pfft.DefaultParams(g), Faults: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stalled != want.MaxTotal {
+		t.Errorf("stalled Sim plan: %d virtual ns, cost model with Spec.Faults: %d", stalled, want.MaxTotal)
+	}
+	if stalled <= clean {
+		t.Errorf("stalled Sim plan %d virtual ns is not slower than the fault-free %d", stalled, clean)
 	}
 }

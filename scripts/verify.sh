@@ -110,8 +110,12 @@ go test -race -count=20 -run 'TestHealthMatchesRecordedRun' ./internal/mpi/net/ 
 # Multi-process leg: spawn real offt-run -engine net children over
 # 127.0.0.1, assert the forward/backward round-trip at 1e-9 and
 # bit-identical dumps vs the mem engine, and assert survivors of a killed
-# rank exit with the typed world failure instead of hanging.
-go test -count=1 -run 'NetWorld' ./cmd/offt-run/
+# rank exit with the typed world failure instead of hanging. Beside them,
+# the built offt-run on every engine and decomposition: mem runs verify,
+# sim runs print the cost model's times (a stalled slab run included), the
+# pencil trace parses with one track per rank, and a 2-rank net pencil
+# world runs the parameters a mem run resolves.
+go test -count=1 -run 'NetWorld|RunCommand' ./cmd/offt-run/
 
 # Allocation gate: steady-state Forward/Backward on a reusable plan must
 # run allocation-free (measured against the zero-alloc self communicator;
@@ -163,6 +167,12 @@ trap 'kill $PIDS 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 go run ./cmd/offt-bench -scale small -metrics "$SMOKE/metrics.json" table2a
 grep -q '"tuner.evals"' "$SMOKE/metrics.json"
 grep -q '"model.new.overlap_efficiency"' "$SMOKE/metrics.json"
+
+# offt-tune smoke runs, exit status only: both decompositions resolve the
+# default point with offt.DescribePlan and time it and the tuned point on
+# Sim plans.
+go run ./cmd/offt-tune -decomp pencil -p 8 -n 32 -evals 20 > "$SMOKE/tune-pencil.txt"
+go run ./cmd/offt-tune -p 16 -n 128 -evals 40 > "$SMOKE/tune-slab.txt"
 
 # Service-layer load test: self-hosted offt-serve driven by the closed-loop
 # generator at 1x/4x/16x concurrency. offt-load exits nonzero when a gate
