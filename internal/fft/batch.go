@@ -53,7 +53,7 @@ func (p *Plan) TransformRows(x []complex128, count, dist int) {
 	if dist < p.n {
 		panic(fmt.Sprintf("fft: TransformRows dist %d < length %d", dist, p.n))
 	}
-	p.rows(x, x, count, dist, 1)
+	p.rows(x, x, count, dist, 1, dist, 1)
 }
 
 // TransformRowsTo is TransformRows out of place: row i is read at
@@ -64,7 +64,7 @@ func (p *Plan) TransformRowsTo(dst, src []complex128, count, dist int) {
 	if dist < p.n {
 		panic(fmt.Sprintf("fft: TransformRowsTo dist %d < length %d", dist, p.n))
 	}
-	p.rows(dst, src, count, dist, 1)
+	p.rows(dst, src, count, dist, 1, dist, 1)
 }
 
 // StridedRows transforms count strided lines in place: line r consists of
@@ -80,19 +80,33 @@ func (p *Plan) StridedRows(x []complex128, off, stride, count, rowOff int) {
 	if count <= 0 {
 		return
 	}
-	p.rows(x[off:], x[off:], count, rowOff, stride)
+	p.rows(x[off:], x[off:], count, rowOff, stride, rowOff, stride)
+}
+
+// StridedRowsTo transforms count lines out of place, reading and writing
+// with independent layouts: line r element i is read at
+// src[r*srcRowOff + i*srcStride] and its transform written at
+// dst[r*dstRowOff + i*dstStride], with the bits TransformRows leaves on the
+// gathered rows. A transform can thus land its output transposed: rows read
+// with (rowOff, stride) = (n, 1) and written with (1, m) leave row r as
+// column r of an n×m array. src is only read and must not overlap dst.
+func (p *Plan) StridedRowsTo(dst, src []complex128, count, srcRowOff, srcStride, dstRowOff, dstStride int) {
+	if srcStride < 1 || dstStride < 1 {
+		panic(fmt.Sprintf("fft: StridedRowsTo strides %d, %d < 1", srcStride, dstStride))
+	}
+	p.rows(dst, src, count, srcRowOff, srcStride, dstRowOff, dstStride)
 }
 
 // rows is the shared batched driver: line r element i is read at
-// src[r*rowOff + i*stride] and written at the same index of dst.
-func (p *Plan) rows(dst, src []complex128, count, rowOff, stride int) {
+// src[r*srcRowOff + i*srcStride] and written at dst[r*dstRowOff + i*dstStride].
+func (p *Plan) rows(dst, src []complex128, count, srcRowOff, srcStride, dstRowOff, dstStride int) {
 	if count <= 0 {
 		return
 	}
 	if p.blue != nil || len(p.stages) < 2 {
 		// Bluestein, single-stage and length-1 plans have no separate
 		// head/tail stages to fuse; run them row by row.
-		p.rowsFallback(dst, src, count, rowOff, stride)
+		p.rowsFallback(dst, src, count, srcRowOff, srcStride, dstRowOff, dstStride)
 		return
 	}
 	p.ensureBatch()
@@ -102,28 +116,28 @@ func (p *Plan) rows(dst, src []complex128, count, rowOff, stride int) {
 		if r0+b > count {
 			b = count - r0
 		}
-		p.transformBlock(dst[r0*rowOff:], src[r0*rowOff:], b, rowOff, stride)
+		p.transformBlock(dst[r0*dstRowOff:], src[r0*srcRowOff:], b, srcRowOff, srcStride, dstRowOff, dstStride)
 	}
 }
 
-// rowsFallback runs the per-row path, gathering strided lines through the
-// plan's row buffer.
-func (p *Plan) rowsFallback(dst, src []complex128, count, rowOff, stride int) {
+// rowsFallback runs the per-row path, gathering and scattering strided
+// lines through the plan's row buffer.
+func (p *Plan) rowsFallback(dst, src []complex128, count, srcRowOff, srcStride, dstRowOff, dstStride int) {
 	for r := 0; r < count; r++ {
-		base := r * rowOff
-		if stride == 1 {
-			p.Transform(dst[base:base+p.n], src[base:base+p.n])
+		s, d := src[r*srcRowOff:], dst[r*dstRowOff:]
+		if srcStride == 1 && dstStride == 1 {
+			p.Transform(d[:p.n], s[:p.n])
 			continue
 		}
 		if p.rowbuf == nil {
 			p.rowbuf = make([]complex128, p.n)
 		}
-		for i := 0; i < p.n; i++ {
-			p.rowbuf[i] = src[base+i*stride]
+		for i := range p.rowbuf {
+			p.rowbuf[i] = s[i*srcStride]
 		}
 		p.Transform(p.rowbuf, p.rowbuf)
-		for i := 0; i < p.n; i++ {
-			dst[base+i*stride] = p.rowbuf[i]
+		for i, v := range p.rowbuf {
+			d[i*dstStride] = v
 		}
 	}
 }
@@ -142,10 +156,10 @@ func (p *Plan) ensureBatch() {
 // stages ping-pong between the two interleaved buffers with the stage
 // stride scaled by b; the tail stage scatters straight into dst. All
 // reads of src complete before any write, so in-place blocks are safe.
-func (p *Plan) transformBlock(dst, src []complex128, b, rowOff, stride int) {
+func (p *Plan) transformBlock(dst, src []complex128, b, srcRowOff, srcStride, dstRowOff, dstStride int) {
 	k := len(p.stages)
 	cur := p.batchA
-	runHead(&p.stages[0], src, cur, b, rowOff, stride, p.dir)
+	runHead(&p.stages[0], src, cur, b, srcRowOff, srcStride, p.dir)
 	for i := 1; i < k-1; i++ {
 		out := p.batchB
 		if i%2 == 0 {
@@ -154,7 +168,7 @@ func (p *Plan) transformBlock(dst, src []complex128, b, rowOff, stride int) {
 		runStageBatch(&p.stages[i], cur[:p.n*b], out[:p.n*b], b, p.dir)
 		cur = out
 	}
-	runTail(&p.stages[k-1], cur, dst, b, rowOff, stride, p.dir)
+	runTail(&p.stages[k-1], cur, dst, b, dstRowOff, dstStride, p.dir)
 }
 
 // runHead applies the first Stockham pass (stage stride 1) reading row r's

@@ -255,3 +255,54 @@ func TestTransformRowsToBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestStridedRowsToBitIdentical: reading and writing with independent
+// (rowOff, stride) pairs leaves the bits of TransformRows on the gathered
+// rows followed by an explicit index copy, writes nothing else, and leaves
+// src unchanged. The pairs are the slab FFTz's: rows read contiguously and
+// written transposed, one column per row, into the fast layout (stride m,
+// the row count) and the standard layout (stride 3m, three x-planes
+// interleaved), and the inverse that reads the columns back as rows.
+func TestStridedRowsToBitIdentical(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 12, 64, 97, 128} {
+		for _, dir := range []Direction{Forward, Backward} {
+			for _, count := range []int{0, 1, 3, 17, 40} {
+				m := max(count, 1)
+				for _, c := range []struct {
+					name                 string
+					srcRowOff, srcStride int
+					dstRowOff, dstStride int
+				}{
+					{"fast", n, 1, 1, m},
+					{"standard", n, 1, 1, 3 * m},
+					{"inverse", 1, m, n, 1},
+				} {
+					name := fmt.Sprintf("n=%d/%v/count=%d/%s", n, dir, count, c.name)
+					extent := func(rowOff, stride int) int { return (m-1)*rowOff + (n-1)*stride + 3 }
+					src := randVec(extent(c.srcRowOff, c.srcStride), int64(n*100+count))
+					dst := randVec(extent(c.dstRowOff, c.dstStride), int64(n*100+count+1))
+					p := NewPlan(n, dir)
+
+					rows := make([]complex128, count*n)
+					for r := 0; r < count; r++ {
+						for i := 0; i < n; i++ {
+							rows[r*n+i] = src[r*c.srcRowOff+i*c.srcStride]
+						}
+					}
+					p.Clone().TransformRows(rows, count, n)
+					want := append([]complex128(nil), dst...)
+					for r := 0; r < count; r++ {
+						for i := 0; i < n; i++ {
+							want[r*c.dstRowOff+i*c.dstStride] = rows[r*n+i]
+						}
+					}
+
+					orig := append([]complex128(nil), src...)
+					p.StridedRowsTo(dst, src, count, c.srcRowOff, c.srcStride, c.dstRowOff, c.dstStride)
+					assertBitIdentical(t, dst, want, name)
+					assertBitIdentical(t, src, orig, name+" src")
+				}
+			}
+		}
+	}
+}

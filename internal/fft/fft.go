@@ -258,7 +258,7 @@ func (p *Plan) Strided(x []complex128, off, stride int) {
 		p.Transform(row, row)
 		return
 	}
-	p.rows(x[off:], x[off:], 1, 0, stride)
+	p.rows(x[off:], x[off:], 1, 0, stride, 0, stride)
 }
 
 // runStage applies one Stockham pass from in to out.

@@ -5,7 +5,7 @@ package layout
 // forward transform is repacked into the same per-rank block format, the
 // all-to-all runs in the reverse direction (what rank r received from s it
 // now sends back to s), and the blocks are scattered into the
-// post-transpose work layout before the inverse FFTy/Transpose/FFTz steps.
+// post-transpose work layout before the inverse FFTy and FFTz steps.
 
 // RepackSubtile is the inverse of UnpackSubtile: it reads the output slab
 // (z-y-x, or y-z-x when fast) and fills the tile's block buffer (the same

@@ -10,15 +10,8 @@ const transposeBlock = 32
 // procedure). dst and src must not overlap.
 func TransposeZXY(dst, src []complex128, xc, ny, nz int) {
 	checkLen("TransposeZXY", dst, src, xc*ny*nz)
-	TransposeZXYRange(dst, src, xc, ny, nz, 0, xc)
-}
-
-// TransposeZXYRange is TransposeZXY restricted to local x indices
-// [lx0, lx1). Distinct x ranges write disjoint elements, so ranges can be
-// transposed concurrently into the same destination slab.
-func TransposeZXYRange(dst, src []complex128, xc, ny, nz, lx0, lx1 int) {
 	// Blocked over (y, z) to keep both access streams cache-resident.
-	for lx := lx0; lx < lx1; lx++ {
+	for lx := 0; lx < xc; lx++ {
 		srcX := src[lx*ny*nz:]
 		for y0 := 0; y0 < ny; y0 += transposeBlock {
 			y1 := minInt(y0+transposeBlock, ny)
@@ -41,13 +34,7 @@ func TransposeZXYRange(dst, src []complex128, xc, ny, nz, lx0, lx1 int) {
 // locality than the full 3-D permutation. dst and src must not overlap.
 func TransposeXZY(dst, src []complex128, xc, ny, nz int) {
 	checkLen("TransposeXZY", dst, src, xc*ny*nz)
-	TransposeXZYRange(dst, src, xc, ny, nz, 0, xc)
-}
-
-// TransposeXZYRange is TransposeXZY restricted to local x indices
-// [lx0, lx1); ranges touch disjoint per-x planes and can run concurrently.
-func TransposeXZYRange(dst, src []complex128, xc, ny, nz, lx0, lx1 int) {
-	for lx := lx0; lx < lx1; lx++ {
+	for lx := 0; lx < xc; lx++ {
 		s := src[lx*ny*nz:]
 		d := dst[lx*ny*nz:]
 		for y0 := 0; y0 < ny; y0 += transposeBlock {

@@ -204,7 +204,16 @@ func TestDefaultParamsAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestBreakdownRecorded: every step a variant runs is timed. On the real
+// engine NEW's FFTz writes the post-transpose layout itself, so its
+// Transpose reads 0; TH keeps its separate, plain rearrangement.
 func TestBreakdownRecorded(t *testing.T) {
+	for _, v := range []Variant{NEW, TH} {
+		breakdownRecorded(t, v)
+	}
+}
+
+func breakdownRecorded(t *testing.T, v Variant) {
 	nx := 16
 	p := 2
 	full := randCube(nx, nx, nx, 3)
@@ -213,7 +222,7 @@ func TestBreakdownRecorded(t *testing.T) {
 	err := w.Run(func(c *mem.Comm) {
 		g, _ := layout.NewGrid(nx, nx, nx, p, c.Rank())
 		slab := layout.ScatterX(full, g)
-		_, b, err := Forward3D(c, g, slab, NEW, DefaultParams(g), fft.Estimate)
+		_, b, err := Forward3D(c, g, slab, v, DefaultParams(g), fft.Estimate)
 		if err != nil {
 			panic(err)
 		}
@@ -224,10 +233,13 @@ func TestBreakdownRecorded(t *testing.T) {
 	}
 	for r, b := range bs {
 		if b.Total <= 0 {
-			t.Errorf("rank %d: zero total", r)
+			t.Errorf("%v rank %d: zero total", v, r)
 		}
-		if b.FFTz <= 0 || b.FFTy <= 0 || b.FFTx <= 0 || b.Pack <= 0 || b.Unpack <= 0 || b.Transpose <= 0 {
-			t.Errorf("rank %d: missing step times: %v", r, b)
+		if b.FFTz <= 0 || b.FFTy <= 0 || b.FFTx <= 0 || b.Pack <= 0 || b.Unpack <= 0 {
+			t.Errorf("%v rank %d: missing step times: %v", v, r, b)
+		}
+		if (b.Transpose > 0) != (v == TH) {
+			t.Errorf("%v rank %d: Transpose %d, want it only on TH", v, r, b.Transpose)
 		}
 		if b.Sum() > b.Total*105/100 {
 			t.Errorf("rank %d: step sum %d exceeds total %d", r, b.Sum(), b.Total)

@@ -1,6 +1,7 @@
 package pfft
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -275,4 +276,101 @@ func TestPlanRejectsInvalid(t *testing.T) {
 	if _, _, err := plan.Forward(make([]complex128, g.InSize())); err == nil {
 		t.Error("expected error on closed plan")
 	}
+}
+
+// TestPlanDirectionsShareWork: a plan's forward and backward engines share
+// one post-transpose slab, so one plan alternating directions, on slabs and
+// on full arrays, must compute bit for bit what a fresh plan per call does.
+func TestPlanDirectionsShareWork(t *testing.T) {
+	for _, c := range []struct {
+		nx, ny, nz, p int
+		v             Variant
+	}{
+		{16, 16, 16, 2, NEW},     // fast layout, several tiles in flight
+		{12, 10, 9, 3, Baseline}, // standard layout, ragged
+	} {
+		x1, x2 := randCube(c.nx, c.ny, c.nz, 51), randCube(c.nx, c.ny, c.nz, 52)
+		y1, y2 := randCube(c.nx, c.ny, c.nz, 53), randCube(c.nx, c.ny, c.nz, 54)
+		steps := []dirStep{
+			{false, false, x1}, {true, false, y1}, {false, false, x2},
+			{false, true, x2}, {true, true, y2}, {false, true, x1}, {true, false, y1},
+		}
+		shared := runDirSteps(t, c.nx, c.ny, c.nz, c.p, c.v, steps, true)
+		fresh := runDirSteps(t, c.nx, c.ny, c.nz, c.p, c.v, steps, false)
+		for i := range steps {
+			name := fmt.Sprintf("%dx%dx%d-p%d %v step %d (backward=%v full=%v)",
+				c.nx, c.ny, c.nz, c.p, c.v, i, steps[i].backward, steps[i].full)
+			for j := range fresh[i] {
+				if shared[i][j] != fresh[i][j] {
+					t.Fatalf("%s: element %d is %v on one plan, %v on a fresh one", name, j, shared[i][j], fresh[i][j])
+				}
+			}
+		}
+	}
+}
+
+// dirStep is one execution: Backward or Forward, on the rank's slab of in
+// or (full) on in itself with the *Full entry points.
+type dirStep struct {
+	backward, full bool
+	in             []complex128
+}
+
+// runDirSteps runs steps over p ranks, on one plan per rank when shared and
+// on a fresh plan per step otherwise, and returns each step's result: the
+// full destination array, or the ranks' output slabs in rank order.
+func runDirSteps(t *testing.T, nx, ny, nz, p int, v Variant, steps []dirStep, shared bool) [][]complex128 {
+	t.Helper()
+	res := make([][]complex128, len(steps))
+	slabs := make([][][]complex128, len(steps))
+	for i, s := range steps {
+		if s.full {
+			res[i] = make([]complex128, nx*ny*nz)
+		}
+		slabs[i] = make([][]complex128, p)
+	}
+	err := mem.NewWorld(p).Run(func(c *mem.Comm) {
+		g, err := layout.NewGrid(nx, ny, nz, p, c.Rank())
+		if err != nil {
+			panic(err)
+		}
+		var plan *Plan
+		for i, s := range steps {
+			if plan == nil || !shared {
+				if plan != nil {
+					plan.Close()
+				}
+				if plan, err = NewPlan(c, g, v, DefaultParams(g), fft.Estimate); err != nil {
+					panic(err)
+				}
+			}
+			var out []complex128
+			switch {
+			case s.full && s.backward:
+				_, _, _, err = plan.BackwardFull(res[i], s.in)
+			case s.full:
+				_, _, _, err = plan.ForwardFull(res[i], s.in)
+			case s.backward:
+				out, _, err = plan.Backward(layout.ScatterY(s.in, g, plan.OutputFast()))
+			default:
+				out, _, err = plan.Forward(layout.ScatterX(s.in, g))
+			}
+			if err != nil {
+				panic(err)
+			}
+			slabs[i][c.Rank()] = append([]complex128(nil), out...)
+		}
+		plan.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range steps {
+		if !s.full {
+			for _, slab := range slabs[i] {
+				res[i] = append(res[i], slab...)
+			}
+		}
+	}
+	return res
 }

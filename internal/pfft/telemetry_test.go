@@ -104,10 +104,13 @@ func TestPlanTraceBackward(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"FFTx", "Pack", "Ialltoall", "Wait", "Unpack", "FFTy", "Transpose", "FFTz"} {
+	for _, name := range []string{"FFTx", "Pack", "Ialltoall", "Wait", "Unpack", "FFTy", "FFTz"} {
 		if !seen[name] {
 			t.Errorf("backward trace missing %s event", name)
 		}
+	}
+	if seen["Transpose"] {
+		t.Error("backward trace has a Transpose event; FFTz⁻¹ reads the post-transpose layout itself")
 	}
 	for tile := range postTiles {
 		if !waitTiles[tile] {
@@ -144,10 +147,13 @@ func TestPlanTraceBlocking(t *testing.T) {
 	if seen["Ialltoall"] || seen["Wait"] {
 		t.Error("blocking trace must not contain non-blocking post/wait events")
 	}
-	for _, name := range []string{"FFTz", "Transpose", "FFTy", "Pack", "Unpack", "FFTx"} {
+	for _, name := range []string{"FFTz", "FFTy", "Pack", "Unpack", "FFTx"} {
 		if !seen[name] {
 			t.Errorf("blocking trace missing %s event", name)
 		}
+	}
+	if seen["Transpose"] {
+		t.Error("blocking trace has a Transpose event; FFTz writes the post-transpose layout itself")
 	}
 }
 
@@ -162,10 +168,13 @@ func TestPlanTraceBackwardBlocking(t *testing.T) {
 	if !seen["Alltoall"] {
 		t.Error("backward blocking trace missing Alltoall event")
 	}
-	for _, name := range []string{"FFTx", "Pack", "Unpack", "FFTy", "Transpose", "FFTz"} {
+	for _, name := range []string{"FFTx", "Pack", "Unpack", "FFTy", "FFTz"} {
 		if !seen[name] {
 			t.Errorf("backward blocking trace missing %s event", name)
 		}
+	}
+	if seen["Transpose"] {
+		t.Error("backward blocking trace has a Transpose event")
 	}
 }
 

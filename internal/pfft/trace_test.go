@@ -8,26 +8,32 @@ import (
 // TestPlanTraceForward covers the trace recorder on the forward overlapped
 // path: tracing must not change the result (planTraces checks it against
 // the serial transform) and every pipeline step must appear as a
-// well-formed interval.
+// well-formed interval. NEW's FFTz writes the post-transpose layout itself,
+// so only TH records a Transpose step.
 func TestPlanTraceForward(t *testing.T) {
-	traces := planTraces(t, 12, 3, NEW, false)
+	for _, v := range []Variant{NEW, TH} {
+		traces := planTraces(t, 12, 3, v, false)
 
-	ev := traces[0]
-	if len(ev) == 0 {
-		t.Fatal("no events recorded")
-	}
-	// Every pipeline step must appear, intervals must be well-formed and
-	// non-decreasing in start order per append sequence.
-	seen := map[string]bool{}
-	for i, e := range ev {
-		seen[e.Name] = true
-		if e.End < e.Start {
-			t.Errorf("event %d (%s): end before start", i, e.Name)
+		ev := traces[0]
+		if len(ev) == 0 {
+			t.Fatalf("%v: no events recorded", v)
 		}
-	}
-	for _, name := range []string{"FFTz", "Transpose", "FFTy", "Pack", "Ialltoall", "Wait", "Unpack", "FFTx"} {
-		if !seen[name] {
-			t.Errorf("missing %s event", name)
+		// Every pipeline step must appear, intervals must be well-formed and
+		// non-decreasing in start order per append sequence.
+		seen := map[string]bool{}
+		for i, e := range ev {
+			seen[e.Name] = true
+			if e.End < e.Start {
+				t.Errorf("%v: event %d (%s): end before start", v, i, e.Name)
+			}
+		}
+		for _, name := range []string{"FFTz", "FFTy", "Pack", "Ialltoall", "Wait", "Unpack", "FFTx"} {
+			if !seen[name] {
+				t.Errorf("%v: missing %s event", v, name)
+			}
+		}
+		if seen["Transpose"] != (v == TH) {
+			t.Errorf("%v: Transpose event recorded: %v, want it only on TH", v, seen["Transpose"])
 		}
 	}
 }
