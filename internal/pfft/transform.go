@@ -14,8 +14,9 @@ func OutputFast(v Variant, g layout.Grid) bool {
 }
 
 // Forward3D executes a distributed forward 3-D FFT on this rank: slab is
-// the rank's input x-slab in x-y-z layout (consumed), and the returned
-// slice is the rank's output y-slab (layout per OutputFast). Every rank of
+// the rank's input x-slab in x-y-z layout (only read: FFTz writes its
+// output to an engine-owned slab), and the returned slice is the rank's
+// output y-slab (layout per OutputFast). Every rank of
 // the communicator must call Forward3D with identical variant/parameters.
 func Forward3D(c mpi.Comm, g layout.Grid, slab []complex128, v Variant, prm Params, flag fft.Flag) ([]complex128, Breakdown, error) {
 	e, err := NewRealEngine(g, c, slab, fft.Forward, flag)
