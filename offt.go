@@ -317,9 +317,9 @@ func WithMachine(name string) Option {
 	return func(c *config) { c.machineName = name }
 }
 
-// WithWorkers fans each rank's intra-rank kernels (FFTz, Transpose, FFTy,
-// Pack, Unpack, FFTx) across n goroutines. The default 1 keeps the
-// serial, allocation-free path. Mem engine only.
+// WithWorkers fans each rank's intra-rank kernels (FFTz, FFTy, Pack,
+// Unpack, FFTx) across n goroutines. The default 1 keeps the serial,
+// allocation-free path. Mem engine only.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithTelemetry attaches a metrics registry: per-step latency histograms,
