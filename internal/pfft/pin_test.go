@@ -71,6 +71,69 @@ func TestFusedFFTzWorkerRows(t *testing.T) {
 	}
 }
 
+// TestRunManyBitsPinned holds RunMany's real-engine output bits, one
+// FNV-64a hash per array over its y-slabs in rank order, serial and with
+// two workers. The window changes when arrays are exchanged, never their
+// bits, so both 16³ rows share their first three hashes.
+func TestRunManyBitsPinned(t *testing.T) {
+	for _, cfg := range []struct {
+		n, p, window int
+		want         []uint64 // one per array
+	}{
+		{12, 3, 2, []uint64{0xb5ebb0a120c2dff2, 0xa82a00afd7e099e1, 0xfc311b6916b39cae, 0xd67df30894056320}},
+		{16, 2, 1, []uint64{0xad49727187679141, 0xec60358d9d32dac3, 0xf061df0b814ffa60}},
+		{16, 2, 3, []uint64{0xad49727187679141, 0xec60358d9d32dac3, 0xf061df0b814ffa60, 0x61bc11a573fbf53d, 0x95a8cec396472dd0}},
+	} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%d^3-p%d/m%d-w%d/workers%d", cfg.n, cfg.p, len(cfg.want), cfg.window, workers)
+			t.Run(name, func(t *testing.T) {
+				got := manyBits(t, cfg.n, cfg.p, len(cfg.want), cfg.window, workers)
+				for i := range got {
+					if got[i] != cfg.want[i] {
+						t.Errorf("array %d: bits %#x, want %#x", i, got[i], cfg.want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// manyBits runs RunMany over m real engines per rank, array i fed the
+// x-slabs of randCube(n, n, n, 100+i), and hashes each array's outputs.
+func manyBits(t *testing.T, n, p, m, window, workers int) []uint64 {
+	t.Helper()
+	outs := make([][][]complex128, m) // [array][rank]
+	for i := range outs {
+		outs[i] = make([][]complex128, p)
+	}
+	err := mem.NewWorld(p).Run(func(c *mem.Comm) {
+		g, err := layout.NewGrid(n, n, n, p, c.Rank())
+		if err != nil {
+			panic(err)
+		}
+		engines := make([]Engine, m)
+		for i := range engines {
+			e, err := NewRealEngine(g, c, layout.ScatterX(randCube(n, n, n, int64(100+i)), g), fft.Forward, fft.Estimate, WithEngineWorkers(workers))
+			if err != nil {
+				panic(err)
+			}
+			defer e.Close()
+			engines[i], outs[i][c.Rank()] = e, e.Output()
+		}
+		if _, err := RunMany(engines, window); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := make([]uint64, m)
+	for i, o := range outs {
+		hs[i] = hashBits(o)
+	}
+	return hs
+}
+
 // planBits runs Forward on the x-slabs of one random cube and, unless v is
 // forward-only, Backward on the y-slabs of another, on one plan per rank,
 // and hashes the outputs, ranks in order. fast reports the output layout.
