@@ -63,10 +63,9 @@ func BenchmarkFFTSerial3D(b *testing.B) {
 // shape of a 64³ transform on two ranks. Forward: FFTz alone, FFTz then the
 // local transpose (two passes over the slab, as the paper's Baseline runs
 // them), and the one pass the real engine runs, which writes each
-// transformed z row straight to its transposed addresses, in the fast
-// (x-z-y) and the standard (z-x-y) layout. Backward: FFTz⁻¹ alone, the
-// inverse transpose then FFTz⁻¹ in place, and the one pass that reads the
-// transposed slab.
+// transformed z row straight to its z-x-y addresses. Backward: FFTz⁻¹
+// alone, the inverse transpose then FFTz⁻¹ in place, and the one pass that
+// reads the transposed slab.
 func BenchmarkFFTzTranspose(b *testing.B) {
 	g, err := layout.NewGrid(64, 64, 64, 2, 0)
 	if err != nil {
@@ -88,39 +87,33 @@ func BenchmarkFFTzTranspose(b *testing.B) {
 			}
 		})
 	}
+	zs := g.RowYBase(1, 0)
 	for _, dir := range []fft.Direction{fft.Forward, fft.Backward} {
 		p := fft.Plan1DCached(nz, dir, fft.Estimate).Clone()
 		name := map[fft.Direction]string{fft.Forward: "forward", fft.Backward: "backward"}[dir]
 		run(name+"/fftz", func() { p.TransformRowsTo(dst, src, xc*ny, nz) })
-		for _, fast := range []bool{true, false} {
-			name := name + map[bool]string{true: "/fast", false: "/standard"}[fast]
-			zs := g.RowYBase(fast, 1, 0)
-			transpose, inverse := layout.TransposeZXY, layout.TransposeZXYInv
-			if fast {
-				transpose, inverse = layout.TransposeXZY, layout.TransposeXZYInv
-			}
-			if dir == fft.Forward {
-				run(name+"/two-pass", func() {
-					p.TransformRowsTo(tmp, src, xc*ny, nz)
-					transpose(dst, tmp, xc, ny, nz)
-				})
-				run(name+"/fused", func() {
-					for lx := 0; lx < xc; lx++ {
-						p.StridedRowsTo(dst[g.RowYBase(fast, 0, lx):], src[lx*ny*nz:], ny, nz, 1, 1, zs)
-					}
-				})
-				continue
-			}
+		name += "/standard"
+		if dir == fft.Forward {
 			run(name+"/two-pass", func() {
-				inverse(dst, src, xc, ny, nz)
-				p.TransformRows(dst, xc*ny, nz)
+				p.TransformRowsTo(tmp, src, xc*ny, nz)
+				layout.TransposeZXY(dst, tmp, xc, ny, nz)
 			})
 			run(name+"/fused", func() {
 				for lx := 0; lx < xc; lx++ {
-					p.StridedRowsTo(dst[lx*ny*nz:], src[g.RowYBase(fast, 0, lx):], ny, 1, zs, nz, 1)
+					p.StridedRowsTo(dst[g.RowYBase(0, lx):], src[lx*ny*nz:], ny, nz, 1, 1, zs)
 				}
 			})
+			continue
 		}
+		run(name+"/two-pass", func() {
+			layout.TransposeZXYInv(dst, src, xc, ny, nz)
+			p.TransformRows(dst, xc*ny, nz)
+		})
+		run(name+"/fused", func() {
+			for lx := 0; lx < xc; lx++ {
+				p.StridedRowsTo(dst[lx*ny*nz:], src[g.RowYBase(0, lx):], ny, 1, zs, nz, 1)
+			}
+		})
 	}
 }
 
@@ -476,13 +469,6 @@ func BenchmarkAblationSearch(b *testing.B) {
 	})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // BenchmarkAblationStrategy compares tuning strategies at equal budget.
 func BenchmarkAblationStrategy(b *testing.B) {
 	m := machine.UMDCluster()
@@ -527,11 +513,11 @@ func BenchmarkDecomposition(b *testing.B) {
 }
 
 // BenchmarkAblationInterArray quantifies the Kandalla-style inter-array
-// pipeline against no overlap (window 1).
+// pipeline against no overlap (window 0).
 func BenchmarkAblationInterArray(b *testing.B) {
 	mch := machine.UMDCluster()
 	const p, n, arrays = 8, 64, 4
-	for _, window := range []int{1, 3} {
+	for _, window := range []int{0, 3} {
 		b.Run(fmt.Sprintf("window%d", window), func(b *testing.B) {
 			var virt int64
 			for i := 0; i < b.N; i++ {

@@ -69,7 +69,7 @@ func byHand(t *testing.T, d offt.PlanDescription, full []complex128, backward bo
 		defer plan.Close()
 		var out []complex128
 		if backward {
-			out, _, err = plan.Backward(layout.ScatterY(full, g, plan.OutputFast()))
+			out, _, err = plan.Backward(layout.ScatterY(full, g))
 		} else {
 			out, _, err = plan.Forward(layout.ScatterX(full, g))
 		}
@@ -90,8 +90,7 @@ func byHand(t *testing.T, d offt.PlanDescription, full []complex128, backward bo
 	if backward {
 		return layout.GatherX(slabs, nx, ny, nz, p)
 	}
-	g0, _ := layout.NewGrid(nx, ny, nz, p, 0)
-	return layout.GatherY(slabs, nx, ny, nz, p, pfft.OutputFast(d.Variant, g0))
+	return layout.GatherY(slabs, nx, ny, nz, p)
 }
 
 // TestDataPathMatchesByHand pins what offt.Plan's ForwardInto and

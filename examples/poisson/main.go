@@ -74,16 +74,14 @@ func main() {
 			panic(err)
 		}
 
-		// Divide by −|k|² in place on the distributed slab. RowXBase gives
-		// the layout-correct row base whether or not the §3.5 fast path
-		// produced y-z-x instead of z-y-x.
-		fast := pfft.OutputFast(pfft.NEW, g)
+		// Divide by −|k|² in place on the distributed z-y-x slab; RowXBase
+		// gives the base of each contiguous x row.
 		y0 := g.Y0()
 		for ly := 0; ly < g.YC(); ly++ {
 			ky := wavenumber(y0 + ly)
 			for z := 0; z < n; z++ {
 				kz := wavenumber(z)
-				base := g.RowXBase(fast, ly, z)
+				base := g.RowXBase(ly, z)
 				for x := 0; x < n; x++ {
 					kx := wavenumber(x)
 					k2 := kx*kx + ky*ky + kz*kz

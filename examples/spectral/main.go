@@ -66,7 +66,6 @@ func run(variant pfft.Variant, full []complex128) ([]complex128, time.Duration, 
 		prm.T = n / 4 // four tiles in flight: enough pipelining at this size
 		prm.W = 2
 		slab := layout.ScatterX(full, g)
-		fast := pfft.OutputFast(variant, g)
 		for s := 0; s < steps; s++ {
 			uHat, _, err := pfft.Forward3D(c, g, slab, variant, prm, fft.Estimate)
 			if err != nil {
@@ -77,7 +76,7 @@ func run(variant pfft.Variant, full []complex128) ([]complex128, time.Duration, 
 				ky := wavenumber(y0 + ly)
 				for z := 0; z < n; z++ {
 					kz := wavenumber(z)
-					base := g.RowXBase(fast, ly, z)
+					base := g.RowXBase(ly, z)
 					for x := 0; x < n; x++ {
 						kx := wavenumber(x)
 						decay := math.Exp(-nu * (kx*kx + ky*ky + kz*kz) * dt)

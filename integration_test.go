@@ -54,8 +54,7 @@ func TestTunedParamsRunOnRealData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g0, _ := layout.NewGrid(n, n, n, p, 0)
-	got := layout.GatherY(outs, n, n, n, p, pfft.OutputFast(pfft.NEW, g0))
+	got := layout.GatherY(outs, n, n, n, p)
 	worst := 0.0
 	for i := range got {
 		if d := cmplx.Abs(got[i] - ref[i]); d > worst {
@@ -180,15 +179,15 @@ func newCountingEngine(g layout.Grid, c *sim.Comm) *countingEngine {
 func (e *countingEngine) Grid() layout.Grid { return e.g }
 func (e *countingEngine) Comm() mpi.Comm    { return e.c }
 
-func (e *countingEngine) FFTz()                                              {}
-func (e *countingEngine) Transpose(fast, opt bool)                           {}
-func (e *countingEngine) FFTySub(fast bool, a, b, c2, d, f int)              {}
-func (e *countingEngine) PackSub(slot int, fast bool, a, b, c2, d, f, h int) {}
+func (e *countingEngine) FFTz()                               {}
+func (e *countingEngine) Transpose(pfft.Variant)              {}
+func (e *countingEngine) FFTySub(a, b, c2, d, f int)          {}
+func (e *countingEngine) PackSub(slot, a, b, c2, d, f, h int) {}
 func (e *countingEngine) PostTile(slot int, ztl int) mpi.Request {
 	e.posts++
 	e.g.SendCounts(ztl, e.cnts.send)
 	e.g.RecvCounts(ztl, e.cnts.recv)
 	return e.c.Ialltoallv(nil, e.cnts.send, nil, e.cnts.recv)
 }
-func (e *countingEngine) UnpackSub(slot int, fast bool, a, b, c2, d, f, h int) {}
-func (e *countingEngine) FFTxSub(fast bool, a, b, c2, d, f int)                {}
+func (e *countingEngine) UnpackSub(slot, a, b, c2, d, f, h int) {}
+func (e *countingEngine) FFTxSub(a, b, c2, d, f int)            {}

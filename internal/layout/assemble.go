@@ -32,12 +32,11 @@ func ScatterXInto(slab, full []complex128, g Grid) {
 }
 
 // GatherY assembles a full Nx×Ny×Nz array in x-y-z layout from the per-rank
-// output y-slabs produced by the parallel forward transform. fast selects
-// the y-z-x output layout (§3.5 path) instead of z-y-x. slabs[r] must be
-// rank r's output slab.
-func GatherY(slabs [][]complex128, nx, ny, nz, p int, fast bool) []complex128 {
+// z-y-x output y-slabs produced by the parallel forward transform. slabs[r]
+// must be rank r's output slab.
+func GatherY(slabs [][]complex128, nx, ny, nz, p int) []complex128 {
 	full := make([]complex128, nx*ny*nz)
-	GatherYInto(full, slabs, nx, ny, nz, p, fast)
+	GatherYInto(full, slabs, nx, ny, nz, p, false)
 	return full
 }
 
@@ -53,11 +52,16 @@ const (
 )
 
 // GatherYInto is GatherY into a caller-provided full array of length
-// nx·ny·nz (every element is overwritten).
+// nx·ny·nz (every element is overwritten). fast must be false: it is left
+// from the §3.5 y-z-x output layout no engine produces any more, and stays
+// only until the benchmark's gather probe stops passing it.
 func GatherYInto(full []complex128, slabs [][]complex128, nx, ny, nz, p int, fast bool) {
+	if fast {
+		panic("layout: GatherYInto: the y-z-x output layout is gone")
+	}
 	g := mustGrid(nx, ny, nz, p)
 	for g.Rank = 0; g.Rank < p; g.Rank++ {
-		GatherYRank(full, slabs[g.Rank], g, fast)
+		GatherYRank(full, slabs[g.Rank], g)
 	}
 }
 
@@ -70,11 +74,11 @@ func mustGrid(nx, ny, nz, p int) Grid {
 	return g
 }
 
-// GatherYRank writes rank g.Rank's output y-slab (z-y-x, or y-z-x when
-// fast) into its y-range of the full x-y-z array: the corner turn of the
-// forward output, which each rank can run on its own slab because the
-// ranks' y-ranges are disjoint. It is the inverse of ScatterYInto.
-func GatherYRank(full, slab []complex128, g Grid, fast bool) {
+// GatherYRank writes rank g.Rank's z-y-x output y-slab into its y-range of
+// the full x-y-z array: the corner turn of the forward output, which each
+// rank can run on its own slab because the ranks' y-ranges are disjoint. It
+// is the inverse of ScatterYInto.
+func GatherYRank(full, slab []complex128, g Grid) {
 	if len(full) != g.Nx*g.Ny*g.Nz {
 		panic(fmt.Sprintf("layout: GatherY: full array length %d != %d", len(full), g.Nx*g.Ny*g.Nz))
 	}
@@ -82,9 +86,9 @@ func GatherYRank(full, slab []complex128, g Grid, fast bool) {
 		panic(fmt.Sprintf("layout: GatherY: rank %d slab length %d < %d", g.Rank, len(slab), g.OutSize()))
 	}
 	y0, yc := g.Y0(), g.YC()
-	zstep := g.RowXBase(fast, 0, 1) // a slab row's stride per z, either layout
+	zstep := g.RowXBase(0, 1) // a slab row's stride per z
 	for ly := 0; ly < yc; ly++ {
-		y, rb := y0+ly, g.RowXBase(fast, ly, 0)
+		y, rb := y0+ly, g.RowXBase(ly, 0)
 		for xb := 0; xb < g.Nx; xb += assembleTileX {
 			x1 := min(xb+assembleTileX, g.Nx)
 			for zb := 0; zb < g.Nz; zb += assembleTileZ {
@@ -101,17 +105,17 @@ func GatherYRank(full, slab []complex128, g Grid, fast bool) {
 }
 
 // ScatterY splits a full array (x-y-z layout) into per-rank y-slabs in the
-// post-forward layout (z-y-x, or y-z-x when fast). It is the inverse of
-// GatherY and feeds the parallel backward transform.
-func ScatterY(full []complex128, g Grid, fast bool) []complex128 {
+// z-y-x post-forward layout. It is the inverse of GatherY and feeds the
+// parallel backward transform.
+func ScatterY(full []complex128, g Grid) []complex128 {
 	slab := make([]complex128, g.OutSize())
-	ScatterYInto(slab, full, g, fast)
+	ScatterYInto(slab, full, g)
 	return slab
 }
 
 // ScatterYInto is ScatterY into a caller-provided slab of length
 // g.OutSize().
-func ScatterYInto(slab, full []complex128, g Grid, fast bool) {
+func ScatterYInto(slab, full []complex128, g Grid) {
 	if len(full) != g.Nx*g.Ny*g.Nz {
 		panic(fmt.Sprintf("layout: ScatterY: full array length %d != %d", len(full), g.Nx*g.Ny*g.Nz))
 	}
@@ -119,9 +123,9 @@ func ScatterYInto(slab, full []complex128, g Grid, fast bool) {
 		panic(fmt.Sprintf("layout: ScatterY: slab length %d != %d", len(slab), g.OutSize()))
 	}
 	y0, yc := g.Y0(), g.YC()
-	zstep := g.RowXBase(fast, 0, 1) // see GatherYRank
+	zstep := g.RowXBase(0, 1)
 	for ly := 0; ly < yc; ly++ {
-		y, rb := y0+ly, g.RowXBase(fast, ly, 0)
+		y, rb := y0+ly, g.RowXBase(ly, 0)
 		for xb := 0; xb < g.Nx; xb += assembleTileX {
 			x1 := min(xb+assembleTileX, g.Nx)
 			for zb := 0; zb < g.Nz; zb += assembleTileZ {

@@ -2,7 +2,7 @@ package layout
 
 import "testing"
 
-func benchGather(b *testing.B, p int, fast bool) {
+func benchGather(b *testing.B, p int) {
 	const n = 64
 	full := make([]complex128, n*n*n)
 	slabs := make([][]complex128, p)
@@ -18,17 +18,16 @@ func benchGather(b *testing.B, p int, fast bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GatherYInto(full, slabs, n, n, n, p, fast)
+		GatherYInto(full, slabs, n, n, n, p, false)
 	}
 }
 
-func BenchmarkGatherY64p1Fast(b *testing.B) { benchGather(b, 1, true) }
-func BenchmarkGatherY64p4Fast(b *testing.B) { benchGather(b, 4, true) }
-func BenchmarkGatherY64p4Slow(b *testing.B) { benchGather(b, 4, false) }
+func BenchmarkGatherY64p1(b *testing.B) { benchGather(b, 1) }
+func BenchmarkGatherY64p4(b *testing.B) { benchGather(b, 4) }
 
 // tiledGather mirrors GatherYInto with an adjustable (xb, zb) tile so the
 // benchmark below can compare block shapes on this machine.
-func tiledGather(full []complex128, slabs [][]complex128, n, p, XB, ZB int, fast bool) {
+func tiledGather(full []complex128, slabs [][]complex128, n, p, XB, ZB int) {
 	for r := 0; r < p; r++ {
 		g, _ := NewGrid(n, n, n, p, r)
 		slab := slabs[r]
@@ -42,7 +41,7 @@ func tiledGather(full []complex128, slabs [][]complex128, n, p, XB, ZB int, fast
 					for x := xb; x < x1; x++ {
 						fb := (x*n + y) * n
 						for z := zb; z < z1; z++ {
-							full[fb+z] = slab[g.RowXBase(fast, ly, z)+x]
+							full[fb+z] = slab[g.RowXBase(ly, z)+x]
 						}
 					}
 				}
@@ -64,7 +63,7 @@ func benchTile(b *testing.B, XB, ZB int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tiledGather(full, slabs, n, p, XB, ZB, true)
+		tiledGather(full, slabs, n, p, XB, ZB)
 	}
 }
 

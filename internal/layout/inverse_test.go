@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 )
 
+// TestRepackInvertsUnpackSubtiled: Repack is the inverse of Unpack, and
+// Scatter of Pack, each pair over two different sub-tilings of one tile.
 func TestRepackInvertsUnpackSubtiled(t *testing.T) {
 	g, err := NewGrid(10, 9, 8, 3, 1)
 	if err != nil {
@@ -14,45 +16,39 @@ func TestRepackInvertsUnpackSubtiled(t *testing.T) {
 	zt0, ztl := 2, 4
 	buf := randSlab(g.RecvBufLen(ztl), 1)
 	out := make([]complex128, g.OutSize())
-	// Unpack with one sub-tiling, repack with a different one; the buffer
-	// must reassemble exactly.
 	SubTiles(ztl, 3, func(zlo, zhi int) {
 		SubTiles(g.YC(), 2, func(ylo, yhi int) {
-			g.UnpackSubtile(out, buf, false, zt0, ztl, ylo, yhi, zlo, zhi)
+			g.UnpackSubtile(out, buf, zt0, ztl, ylo, yhi, zlo, zhi)
 		})
 	})
 	buf2 := make([]complex128, g.RecvBufLen(ztl))
 	SubTiles(ztl, 2, func(zlo, zhi int) {
 		SubTiles(g.YC(), 3, func(ylo, yhi int) {
-			g.RepackSubtile(buf2, out, false, zt0, ztl, ylo, yhi, zlo, zhi)
+			g.RepackSubtile(buf2, out, zt0, ztl, ylo, yhi, zlo, zhi)
 		})
 	})
 	for i := range buf {
 		if buf[i] != buf2[i] {
-			t.Fatalf("mismatch at %d", i)
+			t.Fatalf("repack mismatch at %d", i)
 		}
 	}
-}
 
-func TestScatterInvertsPackFastPath(t *testing.T) {
-	g, err := NewGrid(8, 8, 6, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zt0, ztl := 3, 3
-	work := randSlab(g.InSize(), 2)
-	buf := make([]complex128, g.SendBufLen(ztl))
-	g.PackTile(buf, work, true, zt0, ztl)
-	back := make([]complex128, g.InSize())
-	g.ScatterTile(back, buf, true, zt0, ztl)
-	for z := zt0; z < zt0+ztl; z++ {
-		for lx := 0; lx < g.XC(); lx++ {
-			rb := g.RowYBase(true, z, lx)
-			for y := 0; y < g.Ny; y++ {
-				if back[rb+y] != work[rb+y] {
-					t.Fatalf("fast-path scatter mismatch z=%d x=%d y=%d", z, lx, y)
-				}
-			}
+	sbuf := randSlab(g.SendBufLen(ztl), 2)
+	work := make([]complex128, g.InSize())
+	SubTiles(ztl, 3, func(zlo, zhi int) {
+		SubTiles(g.XC(), 2, func(xlo, xhi int) {
+			g.ScatterSubtile(work, sbuf, zt0, ztl, zlo, zhi, xlo, xhi)
+		})
+	})
+	sbuf2 := make([]complex128, g.SendBufLen(ztl))
+	SubTiles(ztl, 2, func(zlo, zhi int) {
+		SubTiles(g.XC(), 3, func(xlo, xhi int) {
+			g.PackSubtile(sbuf2, work, zt0, ztl, xlo, xhi, zlo, zhi)
+		})
+	})
+	for i := range sbuf {
+		if sbuf[i] != sbuf2[i] {
+			t.Fatalf("pack mismatch at %d", i)
 		}
 	}
 }
@@ -68,13 +64,6 @@ func TestQuickInverseTransposes(t *testing.T) {
 		back := make([]complex128, len(src))
 		TransposeZXY(tmp, src, xc, ny, nz)
 		TransposeZXYInv(back, tmp, xc, ny, nz)
-		for i := range src {
-			if back[i] != src[i] {
-				return false
-			}
-		}
-		TransposeXZY(tmp, src, xc, ny, nz)
-		TransposeXZYInv(back, tmp, xc, ny, nz)
 		for i := range src {
 			if back[i] != src[i] {
 				return false
@@ -99,14 +88,17 @@ func TestAssemblePanicsOnBadLengths(t *testing.T) {
 		f()
 	}
 	mustPanic("ScatterX", func() { ScatterX(make([]complex128, 3), g) })
-	mustPanic("ScatterY", func() { ScatterY(make([]complex128, 3), g, false) })
+	mustPanic("ScatterY", func() { ScatterY(make([]complex128, 3), g) })
 	mustPanic("GatherY short slab", func() {
-		GatherY([][]complex128{{}, {}}, 4, 4, 4, 2, false)
+		GatherY([][]complex128{{}, {}}, 4, 4, 4, 2)
 	})
 	mustPanic("transpose short", func() {
 		TransposeZXY(make([]complex128, 3), make([]complex128, 3), 2, 2, 2)
 	})
 	mustPanic("inv transpose short", func() {
-		TransposeXZYInv(make([]complex128, 3), make([]complex128, 3), 2, 2, 2)
+		TransposeZXYInv(make([]complex128, 3), make([]complex128, 3), 2, 2, 2)
+	})
+	mustPanic("GatherYInto fast", func() {
+		GatherYInto(make([]complex128, 64), make([][]complex128, 2), 4, 4, 4, 2, true)
 	})
 }

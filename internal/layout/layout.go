@@ -6,13 +6,13 @@
 //
 // Layouts used along the pipeline (all row-major, last dimension contiguous):
 //
-//	input slab     x-y-z : idx = (lx·Ny + y)·Nz + z          (rank owns an x-slab)
-//	after FFTz+Transpose:
-//	  standard     z-x-y : idx = (z·xc + lx)·Ny + y
-//	  fast (Nx=Ny) x-z-y : idx = (lx·Nz + z)·Ny + y          (§3.5 of the paper)
-//	after A2A+Unpack (rank owns a y-slab):
-//	  standard     z-y-x : idx = (z·yc + ly)·Nx + x
-//	  fast         y-z-x : idx = (ly·Nz + z)·Nx + x
+//	input slab           x-y-z : idx = (lx·Ny + y)·Nz + z   (rank owns an x-slab)
+//	after FFTz+Transpose z-x-y : idx = (z·xc + lx)·Ny + y
+//	after A2A+Unpack     z-y-x : idx = (z·yc + ly)·Nx + x   (rank owns a y-slab)
+//
+// The paper's §3.5 x-z-y / y-z-x layout for Nx == Ny is only modelled (its
+// cheaper transpose is a cost-model charge, see package model); every
+// engine that moves data uses the one layout above.
 package layout
 
 import "fmt"
@@ -99,27 +99,13 @@ func (g Grid) InSize() int { return g.XC() * g.Ny * g.Nz }
 // OutSize returns the element count of the output slab (yc·Nx·Nz).
 func (g Grid) OutSize() int { return g.YC() * g.Nx * g.Nz }
 
-// FastPathOK reports whether the §3.5 fast transpose path applies (the
-// paper restricts it to Nx == Ny because of the in-place tile aliasing).
-func (g Grid) FastPathOK() bool { return g.Nx == g.Ny }
-
 // RowYBase returns the index of element (z, lx, y=0) in the post-transpose
 // layout, i.e. the base of the contiguous length-Ny row that FFTy transforms.
-func (g Grid) RowYBase(fast bool, z, lx int) int {
-	if fast {
-		return (lx*g.Nz + z) * g.Ny
-	}
-	return (z*g.XC() + lx) * g.Ny
-}
+func (g Grid) RowYBase(z, lx int) int { return (z*g.XC() + lx) * g.Ny }
 
 // RowXBase returns the index of element (z, ly, x=0) in the post-unpack
 // layout, i.e. the base of the contiguous length-Nx row that FFTx transforms.
-func (g Grid) RowXBase(fast bool, ly, z int) int {
-	if fast {
-		return (ly*g.Nz + z) * g.Nx
-	}
-	return (z*g.YC() + ly) * g.Nx
-}
+func (g Grid) RowXBase(ly, z int) int { return (z*g.YC() + ly) * g.Nx }
 
 // SendBlockOff returns the offset of destination rank r's block inside one
 // tile's send buffer, for a tile of z-length ztl. Blocks are laid out in

@@ -163,22 +163,6 @@ func TestTransposeZXY(t *testing.T) {
 	}
 }
 
-func TestTransposeXZY(t *testing.T) {
-	xc, ny, nz := 4, 6, 5
-	src := randSlab(xc*ny*nz, 2)
-	dst := make([]complex128, len(src))
-	TransposeXZY(dst, src, xc, ny, nz)
-	for lx := 0; lx < xc; lx++ {
-		for y := 0; y < ny; y++ {
-			for z := 0; z < nz; z++ {
-				if dst[(lx*nz+z)*ny+y] != src[(lx*ny+y)*nz+z] {
-					t.Fatalf("mismatch at x=%d y=%d z=%d", lx, y, z)
-				}
-			}
-		}
-	}
-}
-
 func TestTransposeBlockedLargerThanBlock(t *testing.T) {
 	// Dimensions beyond one cache block exercise the blocked loops.
 	xc, ny, nz := 2, transposeBlock+5, transposeBlock*2+3
@@ -215,7 +199,7 @@ func exchange(grids []Grid, sendbufs, recvbufs [][]complex128, ztl int) {
 // pack → exchange → tiled unpack → gather, with the given tile and sub-tile
 // sizes, and returns the reassembled array. Since no arithmetic is applied,
 // the result must equal the input exactly.
-func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, uy, uz int, fast bool) []complex128 {
+func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, uy, uz int) []complex128 {
 	t.Helper()
 	grids := make([]Grid, p)
 	work := make([][]complex128, p) // post-transpose slabs
@@ -228,11 +212,7 @@ func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, 
 		grids[r] = g
 		slab := ScatterX(full, g)
 		tr := make([]complex128, len(slab))
-		if fast {
-			TransposeXZY(tr, slab, g.XC(), ny, nz)
-		} else {
-			TransposeZXY(tr, slab, g.XC(), ny, nz)
-		}
+		TransposeZXY(tr, slab, g.XC(), ny, nz)
 		work[r] = tr
 		outs[r] = make([]complex128, g.OutSize())
 	}
@@ -250,7 +230,7 @@ func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, 
 			recvbufs[r] = make([]complex128, g.RecvBufLen(ztl))
 			SubTiles(ztl, pz, func(zlo, zhi int) {
 				SubTiles(g.XC(), px, func(xlo, xhi int) {
-					g.PackSubtile(sendbufs[r], work[r], fast, zt0, ztl, xlo, xhi, zlo, zhi)
+					g.PackSubtile(sendbufs[r], work[r], zt0, ztl, xlo, xhi, zlo, zhi)
 				})
 			})
 		}
@@ -259,34 +239,31 @@ func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, 
 			g := grids[r]
 			SubTiles(ztl, uz, func(zlo, zhi int) {
 				SubTiles(g.YC(), uy, func(ylo, yhi int) {
-					g.UnpackSubtile(outs[r], recvbufs[r], fast, zt0, ztl, ylo, yhi, zlo, zhi)
+					g.UnpackSubtile(outs[r], recvbufs[r], zt0, ztl, ylo, yhi, zlo, zhi)
 				})
 			})
 		}
 	}
-	return GatherY(outs, nx, ny, nz, p, fast)
+	return GatherY(outs, nx, ny, nz, p)
 }
 
 func TestPackExchangeUnpackIsIdentity(t *testing.T) {
-	cases := []struct {
-		nx, ny, nz, p, tileT, px, pz, uy, uz int
-		fast                                 bool
-	}{
-		{8, 8, 8, 2, 4, 2, 2, 2, 2, false},
-		{8, 8, 8, 2, 4, 2, 2, 2, 2, true},
-		{8, 8, 8, 4, 3, 1, 3, 4, 1, false},
-		{16, 16, 12, 4, 5, 3, 2, 2, 4, false},
-		{16, 16, 12, 4, 5, 3, 2, 2, 4, true},
-		{9, 10, 7, 3, 7, 2, 3, 2, 2, false},  // non-divisible Nx, Ny
-		{12, 12, 5, 5, 2, 4, 1, 1, 2, false}, // p does not divide Nz tiles evenly
-		{6, 6, 6, 6, 6, 6, 6, 6, 6, true},    // single tile, single sub-tile
-		{8, 8, 8, 1, 4, 2, 2, 2, 2, false},   // single rank
+	cases := []struct{ nx, ny, nz, p, tileT, px, pz, uy, uz int }{
+		{8, 8, 8, 2, 4, 2, 2, 2, 2},
+		{8, 8, 8, 4, 3, 1, 3, 4, 1},
+		{16, 16, 12, 4, 5, 3, 2, 2, 4},
+		{9, 10, 7, 3, 7, 2, 3, 2, 2},  // non-divisible Nx, Ny
+		{12, 12, 5, 5, 2, 4, 1, 1, 2}, // p does not divide Nz tiles evenly
+		{6, 6, 6, 6, 6, 6, 6, 6, 6},   // single tile, single sub-tile
+		{8, 8, 8, 1, 4, 2, 2, 2, 2},   // single rank
 	}
 	for _, c := range cases {
-		name := fmt.Sprintf("%dx%dx%d-p%d-T%d-fast%v", c.nx, c.ny, c.nz, c.p, c.tileT, c.fast)
+		// The -fastfalse suffix is the name these cases have always run
+		// under; the y-z-x layout they were contrasted with is gone.
+		name := fmt.Sprintf("%dx%dx%d-p%d-T%d-fastfalse", c.nx, c.ny, c.nz, c.p, c.tileT)
 		t.Run(name, func(t *testing.T) {
 			full := randSlab(c.nx*c.ny*c.nz, 77)
-			got := runPipeline(t, full, c.nx, c.ny, c.nz, c.p, c.tileT, c.px, c.pz, c.uy, c.uz, c.fast)
+			got := runPipeline(t, full, c.nx, c.ny, c.nz, c.p, c.tileT, c.px, c.pz, c.uy, c.uz)
 			for i := range full {
 				if got[i] != full[i] {
 					t.Fatalf("element %d: got %v want %v", i, got[i], full[i])
@@ -297,20 +274,17 @@ func TestPackExchangeUnpackIsIdentity(t *testing.T) {
 }
 
 func TestQuickPipelineIdentity(t *testing.T) {
-	f := func(seed int64, a, b, c, pp, tt, px, pz, uy, uz uint8, fast bool) bool {
+	f := func(seed int64, a, b, c, pp, tt, px, pz, uy, uz uint8) bool {
 		dims := []int{4, 5, 6, 8, 9, 12}
 		nx := dims[int(a)%len(dims)]
 		ny := dims[int(b)%len(dims)]
 		nz := dims[int(c)%len(dims)]
-		if fast {
-			ny = nx // fast path requires Nx == Ny
-		}
-		p := 1 + int(pp)%min4(nx, ny, 4, 4)
+		p := 1 + int(pp)%min(nx, ny, 4)
 		tileT := 1 + int(tt)%nz
 		sub := func(v uint8, n int) int { return 1 + int(v)%n }
 		full := randSlab(nx*ny*nz, seed)
 		got := runPipeline(t, full, nx, ny, nz, p, tileT,
-			sub(px, nx), sub(pz, tileT), sub(uy, ny), sub(uz, tileT), fast)
+			sub(px, nx), sub(pz, tileT), sub(uy, ny), sub(uz, tileT))
 		for i := range full {
 			if got[i] != full[i] {
 				return false
@@ -322,19 +296,6 @@ func TestQuickPipelineIdentity(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
-}
-
-func min4(a, b, c, d int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	if d < a {
-		a = d
-	}
-	return a
 }
 
 func TestScatterGatherXRoundtrip(t *testing.T) {
@@ -357,22 +318,20 @@ func TestScatterGatherXRoundtrip(t *testing.T) {
 }
 
 func TestScatterGatherYRoundtrip(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		nx, ny, nz, p := 8, 8, 6, 4
-		full := randSlab(nx*ny*nz, 6)
-		slabs := make([][]complex128, p)
-		for r := 0; r < p; r++ {
-			g, err := NewGrid(nx, ny, nz, p, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slabs[r] = ScatterY(full, g, fast)
+	nx, ny, nz, p := 8, 8, 6, 4
+	full := randSlab(nx*ny*nz, 6)
+	slabs := make([][]complex128, p)
+	for r := 0; r < p; r++ {
+		g, err := NewGrid(nx, ny, nz, p, r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := GatherY(slabs, nx, ny, nz, p, fast)
-		for i := range full {
-			if got[i] != full[i] {
-				t.Fatalf("fast=%v: mismatch at %d", fast, i)
-			}
+		slabs[r] = ScatterY(full, g)
+	}
+	got := GatherY(slabs, nx, ny, nz, p)
+	for i := range full {
+		if got[i] != full[i] {
+			t.Fatalf("mismatch at %d", i)
 		}
 	}
 }

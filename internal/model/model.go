@@ -12,7 +12,9 @@
 //     miss penalty ramps up once the sub-tile overflows the L2 — giving
 //     the loop-tiling parameters (Px, Pz, Uy, Uz) the sweet spot the
 //     auto-tuner hunts for (§3.4);
-//   - the §3.5 fast transpose is cheaper per element;
+//   - the §3.5 transpose of NEW and NEW-0 when Nx == Ny is cheaper per
+//     element (the engines that move data keep one layout, so this rule
+//     lives here alone);
 //   - every MPI call charges its CPU overhead, so excessive Test
 //     frequencies cost real time (§3.3).
 package model
@@ -96,25 +98,30 @@ func (e *Engine) FFTz() {
 	e.c.Advance(int64(float64(rows) * e.fftRowNs(e.g.Nz)))
 }
 
-// Transpose charges the rearrangement cost of the whole slab.
-func (e *Engine) Transpose(fast, optimized bool) {
+// Transpose charges variant v's rearrangement of the whole slab: the §3.5
+// rate for NEW and NEW-0 when Nx == Ny (the paper restricts that path to
+// square grids because of its in-place tile aliasing), TH's plain loop at
+// thTransposeFactor times the optimized rate, and the optimized rate
+// otherwise.
+func (e *Engine) Transpose(v pfft.Variant) {
 	per := e.m.Cmp.TransposeNsPerElem
-	if fast {
+	switch {
+	case e.g.Nx == e.g.Ny && (v == pfft.NEW || v == pfft.NEW0):
 		per = e.m.Cmp.TransposeFastNsPerElem
-	} else if !optimized {
+	case v == pfft.TH || v == pfft.TH0:
 		per *= thTransposeFactor
 	}
 	e.c.Advance(int64(float64(e.g.InSize()) * per))
 }
 
 // FFTySub charges (z1−z0)·(x1−x0) transforms of length Ny.
-func (e *Engine) FFTySub(fast bool, zt0, z0, z1, x0, x1 int) {
+func (e *Engine) FFTySub(zt0, z0, z1, x0, x1 int) {
 	rows := (z1 - z0) * (x1 - x0)
 	e.c.Advance(int64(float64(rows) * e.fftRowNs(e.g.Ny)))
 }
 
 // PackSub charges the loop-tiled pack cost of one sub-tile.
-func (e *Engine) PackSub(slot int, fast bool, zt0, ztl, z0, z1, x0, x1 int) {
+func (e *Engine) PackSub(slot, zt0, ztl, z0, z1, x0, x1 int) {
 	elems := (z1 - z0) * (x1 - x0) * e.g.Ny
 	e.c.Advance(e.copyCost(elems))
 }
@@ -127,13 +134,13 @@ func (e *Engine) PostTile(slot int, ztl int) mpi.Request {
 }
 
 // UnpackSub charges the loop-tiled unpack cost of one sub-tile.
-func (e *Engine) UnpackSub(slot int, fast bool, zt0, ztl, z0, z1, y0, y1 int) {
+func (e *Engine) UnpackSub(slot, zt0, ztl, z0, z1, y0, y1 int) {
 	elems := (z1 - z0) * (y1 - y0) * e.g.Nx
 	e.c.Advance(e.copyCost(elems))
 }
 
 // FFTxSub charges (z1−z0)·(y1−y0) transforms of length Nx.
-func (e *Engine) FFTxSub(fast bool, zt0, z0, z1, y0, y1 int) {
+func (e *Engine) FFTxSub(zt0, z0, z1, y0, y1 int) {
 	rows := (z1 - z0) * (y1 - y0)
 	e.c.Advance(int64(float64(rows) * e.fftRowNs(e.g.Nx)))
 }

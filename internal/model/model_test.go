@@ -175,6 +175,28 @@ func TestFastTransposeCheaper(t *testing.T) {
 	}
 }
 
+// TestFastPathUsedOnlyWhenSquare: NEW and NEW-0 are charged the §3.5
+// transpose rate only when Nx == Ny; otherwise the optimized one, like the
+// FFTW Baseline.
+func TestFastPathUsedOnlyWhenSquare(t *testing.T) {
+	m := machine.Hopper()
+	transpose := func(v pfft.Variant, ny int) int64 {
+		res, err := Simulate(m, 2, 8, ny, 4, Spec{Variant: v, Params: pfft.Params{T: 4, W: 1, Px: 1, Pz: 1, Uy: 1, Uz: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Avg.Transpose
+	}
+	for _, v := range []pfft.Variant{pfft.NEW, pfft.NEW0} {
+		if got, std := transpose(v, 8), transpose(pfft.Baseline, 8); got >= std {
+			t.Errorf("%v on 8×8: Transpose %d, want below the standard %d", v, got, std)
+		}
+		if got, std := transpose(v, 10), transpose(pfft.Baseline, 10); got != std {
+			t.Errorf("%v on 8×10: Transpose %d, want the standard %d", v, got, std)
+		}
+	}
+}
+
 func TestTestFrequencyTradeoff(t *testing.T) {
 	// Zero test frequency strangles rendezvous progression; absurdly high
 	// frequency wastes CPU. A moderate frequency should beat both.

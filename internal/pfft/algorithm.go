@@ -18,7 +18,6 @@ type forward struct {
 	v     Variant
 	prm   Params // expanded (see ExpandParams)
 	tl    layout.Tiling
-	fast  bool // §3.5 fast transpose and y-z-x output
 	phase Phase
 }
 
@@ -30,7 +29,7 @@ func newForward(pl *Pipeline, e Engine, v Variant, prm Params) *forward {
 	if err != nil {
 		panic(err) // unreachable: Validate checked T
 	}
-	f := &forward{pl: pl, e: e, g: g, v: v, prm: prm, tl: tl, fast: OutputFast(v, g)}
+	f := &forward{pl: pl, e: e, g: g, v: v, prm: prm, tl: tl}
 	f.phase = Phase{Front: f.fftyPack, Post: f.postTile, Back: f.unpackFFTx}
 	return f
 }
@@ -48,29 +47,29 @@ func window(v Variant, prm Params) int {
 // run executes one forward transform on the engine's current input slab
 // and returns this rank's breakdown.
 func (f *forward) run() Breakdown {
-	pl, c, e := f.pl, f.pl.c, f.e
-	pl.Begin(f.prm.Comm)
+	f.pl.Begin(f.prm.Comm)
+	fftzTranspose(f.pl, f.e, f.v, -1)
+	f.pl.Run(f.tl.NumTiles(), window(f.v, f.prm), &f.phase)
+	return f.pl.End()
+}
 
-	// The fast transpose applies only to NEW (and its ablation) when
-	// Nx == Ny; TH and the FFTW baseline always use the standard layout,
-	// and TH its plain, slower rearrangement, so TH keeps two passes. The
-	// real engine books its one pass under FFTz and records no Transpose;
-	// the cost model charges both steps, as the paper's FFTW Baseline runs
-	// them.
-	optimized := f.v != TH && f.v != TH0
+// fftzTranspose runs steps 1 and 2, FFTz and variant v's Transpose, on e
+// and books them on pl against tile. A RealEngine runs them as one pass,
+// booked under FFTz, except for TH, whose plain, slower rearrangement keeps
+// its own step; the cost model charges both steps, as the paper's FFTW
+// Baseline runs them.
+func fftzTranspose(pl *Pipeline, e Engine, v Variant, tile int) {
+	c := pl.c
 	t := c.Now()
-	if fusedFFTz(e, f.fast, optimized) {
-		pl.Step(&pl.B.FFTz, "FFTz", t, -1)
-	} else {
-		e.FFTz()
-		pl.Step(&pl.B.FFTz, "FFTz", t, -1)
-		t = c.Now()
-		e.Transpose(f.fast, optimized)
-		pl.Step(&pl.B.Transpose, "Transpose", t, -1)
+	if fusedFFTz(e, v) {
+		pl.Step(&pl.B.FFTz, "FFTz", t, tile)
+		return
 	}
-
-	pl.Run(f.tl.NumTiles(), window(f.v, f.prm), &f.phase)
-	return pl.End()
+	e.FFTz()
+	pl.Step(&pl.B.FFTz, "FFTz", t, tile)
+	t = c.Now()
+	e.Transpose(v)
+	pl.Step(&pl.B.Transpose, "Transpose", t, tile)
 }
 
 func (f *forward) postTile(tile, slot int) mpi.Request {
@@ -81,18 +80,18 @@ func (f *forward) postTile(tile, slot int) mpi.Request {
 // tile, with Fy Test calls distributed across the FFTy portions and Fp
 // across the Pack portions.
 func (f *forward) fftyPack(tile, slot int, win []mpi.Request) {
-	pl, c, e, g, prm, fast := f.pl, f.pl.c, f.e, f.g, f.prm, f.fast
+	pl, c, e, g, prm := f.pl, f.pl.c, f.e, f.g, f.prm
 	zt0, ztl := f.tl.TileStart(tile), f.tl.TileLen(tile)
 	nSub := layout.NumSubTiles(ztl, prm.Pz) * layout.NumSubTiles(g.XC(), prm.Px)
 	u := 0
 	layout.SubTiles(ztl, prm.Pz, func(z0, z1 int) {
 		layout.SubTiles(g.XC(), prm.Px, func(x0, x1 int) {
 			t := c.Now()
-			e.FFTySub(fast, zt0, z0, z1, x0, x1)
+			e.FFTySub(zt0, z0, z1, x0, x1)
 			pl.Step(&pl.B.FFTy, "FFTy", t, tile)
 			pl.Tests(win, testsDue(prm.Fy, u, nSub))
 			t = c.Now()
-			e.PackSub(slot, fast, zt0, ztl, z0, z1, x0, x1)
+			e.PackSub(slot, zt0, ztl, z0, z1, x0, x1)
 			pl.Step(&pl.B.Pack, "Pack", t, tile)
 			pl.Tests(win, testsDue(prm.Fp, u, nSub))
 			u++
@@ -104,18 +103,18 @@ func (f *forward) fftyPack(tile, slot int, win []mpi.Request) {
 // communication tile, with Fu Test calls during Unpack portions and Fx
 // during FFTx portions.
 func (f *forward) unpackFFTx(tile, slot int, win []mpi.Request) {
-	pl, c, e, g, prm, fast := f.pl, f.pl.c, f.e, f.g, f.prm, f.fast
+	pl, c, e, g, prm := f.pl, f.pl.c, f.e, f.g, f.prm
 	zt0, ztl := f.tl.TileStart(tile), f.tl.TileLen(tile)
 	nSub := layout.NumSubTiles(ztl, prm.Uz) * layout.NumSubTiles(g.YC(), prm.Uy)
 	u := 0
 	layout.SubTiles(ztl, prm.Uz, func(z0, z1 int) {
 		layout.SubTiles(g.YC(), prm.Uy, func(y0, y1 int) {
 			t := c.Now()
-			e.UnpackSub(slot, fast, zt0, ztl, z0, z1, y0, y1)
+			e.UnpackSub(slot, zt0, ztl, z0, z1, y0, y1)
 			pl.Step(&pl.B.Unpack, "Unpack", t, tile)
 			pl.Tests(win, testsDue(prm.Fu, u, nSub))
 			t = c.Now()
-			e.FFTxSub(fast, zt0, z0, z1, y0, y1)
+			e.FFTxSub(zt0, z0, z1, y0, y1)
 			pl.Step(&pl.B.FFTx, "FFTx", t, tile)
 			pl.Tests(win, testsDue(prm.Fx, u, nSub))
 			u++

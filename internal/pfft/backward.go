@@ -10,10 +10,10 @@ import (
 
 // Backward3D executes the distributed inverse 3-D FFT, mirroring the
 // forward pipeline (§2.3 of the paper notes the approach applies directly
-// backward). slab is this rank's y-slab in the forward output layout of
-// the same variant (z-y-x, or y-z-x on the §3.5 fast path); the returned
-// slice is the rank's x-slab in x-y-z layout. The transform is
-// unnormalized: Forward3D followed by Backward3D multiplies by Nx·Ny·Nz.
+// backward). slab is this rank's y-slab in the z-y-x forward output
+// layout; the returned slice is the rank's x-slab in x-y-z layout. The
+// transform is unnormalized: Forward3D followed by Backward3D multiplies
+// by Nx·Ny·Nz.
 //
 // The NEW variant overlaps the inverse computation steps (FFTx⁻¹, Repack,
 // Scatter, FFTy⁻¹) with the reverse non-blocking all-to-all using the same
@@ -52,12 +52,11 @@ type backEngine struct {
 	v     Variant
 	prm   Params // expanded (see ExpandParams)
 	tl    layout.Tiling
-	fast  bool
 	phase Phase
 
 	src  []complex128 // this run's input y-slab (forward output); read by FFTx⁻¹ only
 	out  []complex128 // FFTx⁻¹'s output, same layout; may be src itself
-	work []complex128 // post-scatter z-x-y (or x-z-y) slab; dead once FFTz⁻¹ has read it
+	work []complex128 // post-scatter z-x-y slab; dead once FFTz⁻¹ has read it
 	in   []complex128 // this run's destination, the final x-y-z slab
 
 	planZ, planY, planX *fft.Plan
@@ -86,7 +85,7 @@ func newBackEngine(pl *Pipeline, g layout.Grid, v Variant, prm Params, flag fft.
 		return nil, err
 	}
 	e := &backEngine{
-		pl: pl, g: g, v: v, prm: prm, tl: tl, fast: OutputFast(v, g),
+		pl: pl, g: g, v: v, prm: prm, tl: tl,
 		out:   out,
 		work:  work,
 		planZ: fft.Plan1DCached(g.Nz, fft.Backward, flag).Clone(),
@@ -118,7 +117,7 @@ func (e *backEngine) run(dst, slab []complex128) (Breakdown, error) {
 	pl.Run(e.tl.NumTiles(), window(e.v, e.prm), &e.phase)
 
 	t := c.Now()
-	fftzRows(e.planZ, g, e.in, e.work, e.fast, false, 0, g.XC()*g.Ny)
+	fftzRows(e.planZ, g, e.in, e.work, false, 0, g.XC()*g.Ny)
 	pl.Step(&pl.B.FFTz, "FFTz", t, -1)
 	e.src, e.in = nil, nil // the caller's memory is not the engine's to keep alive
 	return pl.End(), nil
@@ -127,7 +126,7 @@ func (e *backEngine) run(dst, slab []complex128) (Breakdown, error) {
 // fftxRepack runs FFTx⁻¹ and Repack over one tile with Uy/Uz loop tiling,
 // interleaving Fx and Fu Test calls over the window.
 func (e *backEngine) fftxRepack(tile, slot int, win []mpi.Request) {
-	pl, c, g, prm, fast := e.pl, e.pl.c, e.g, e.prm, e.fast
+	pl, c, g, prm := e.pl, e.pl.c, e.g, e.prm
 	zt0, ztl := e.tl.TileStart(tile), e.tl.TileLen(tile)
 	nSub := layout.NumSubTiles(ztl, prm.Uz) * layout.NumSubTiles(g.YC(), prm.Uy)
 	u := 0
@@ -136,21 +135,14 @@ func (e *backEngine) fftxRepack(tile, slot int, win []mpi.Request) {
 		layout.SubTiles(g.YC(), prm.Uy, func(y0, y1 int) {
 			t := c.Now()
 			// Batched over the layout's contiguous runs (see FFTxSub).
-			if fast {
-				for ly := y0; ly < y1; ly++ {
-					base := g.RowXBase(fast, ly, zt0+z0)
-					e.planX.TransformRowsTo(e.out[base:], e.src[base:], z1-z0, g.Nx)
-				}
-			} else {
-				for z := zt0 + z0; z < zt0+z1; z++ {
-					base := g.RowXBase(fast, y0, z)
-					e.planX.TransformRowsTo(e.out[base:], e.src[base:], y1-y0, g.Nx)
-				}
+			for z := zt0 + z0; z < zt0+z1; z++ {
+				base := g.RowXBase(y0, z)
+				e.planX.TransformRowsTo(e.out[base:], e.src[base:], y1-y0, g.Nx)
 			}
 			pl.Step(&pl.B.FFTx, "FFTx", t, tile)
 			pl.Tests(win, testsDue(prm.Fx, u, nSub))
 			t = c.Now()
-			g.RepackSubtile(buf, e.out, fast, zt0, ztl, y0, y1, z0, z1)
+			g.RepackSubtile(buf, e.out, zt0, ztl, y0, y1, z0, z1)
 			pl.Step(&pl.B.Pack, "Pack", t, tile)
 			pl.Tests(win, testsDue(prm.Fu, u, nSub))
 			u++
@@ -161,7 +153,7 @@ func (e *backEngine) fftxRepack(tile, slot int, win []mpi.Request) {
 // scatterFFTy runs Scatter and FFTy⁻¹ over one tile with Px/Pz loop
 // tiling, interleaving Fp and Fy Test calls over the window.
 func (e *backEngine) scatterFFTy(tile, slot int, win []mpi.Request) {
-	pl, c, g, prm, fast := e.pl, e.pl.c, e.g, e.prm, e.fast
+	pl, c, g, prm := e.pl, e.pl.c, e.g, e.prm
 	zt0, ztl := e.tl.TileStart(tile), e.tl.TileLen(tile)
 	nSub := layout.NumSubTiles(ztl, prm.Pz) * layout.NumSubTiles(g.XC(), prm.Px)
 	u := 0
@@ -169,21 +161,13 @@ func (e *backEngine) scatterFFTy(tile, slot int, win []mpi.Request) {
 	layout.SubTiles(ztl, prm.Pz, func(z0, z1 int) {
 		layout.SubTiles(g.XC(), prm.Px, func(x0, x1 int) {
 			t := c.Now()
-			g.ScatterSubtile(e.work, buf, fast, zt0, ztl, z0, z1, x0, x1)
+			g.ScatterSubtile(e.work, buf, zt0, ztl, z0, z1, x0, x1)
 			pl.Step(&pl.B.Unpack, "Unpack", t, tile)
 			pl.Tests(win, testsDue(prm.Fp, u, nSub))
 			t = c.Now()
 			// Batched over the layout's contiguous runs (see FFTySub).
-			if fast {
-				for lx := x0; lx < x1; lx++ {
-					base := g.RowYBase(fast, zt0+z0, lx)
-					e.planY.TransformRows(e.work[base:], z1-z0, g.Ny)
-				}
-			} else {
-				for z := zt0 + z0; z < zt0+z1; z++ {
-					base := g.RowYBase(fast, z, x0)
-					e.planY.TransformRows(e.work[base:], x1-x0, g.Ny)
-				}
+			for z := zt0 + z0; z < zt0+z1; z++ {
+				e.planY.TransformRows(e.work[g.RowYBase(z, x0):], x1-x0, g.Ny)
 			}
 			pl.Step(&pl.B.FFTy, "FFTy", t, tile)
 			pl.Tests(win, testsDue(prm.Fy, u, nSub))

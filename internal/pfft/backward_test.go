@@ -48,10 +48,10 @@ func TestBackwardRoundTrip(t *testing.T) {
 		nx, ny, nz, p int
 		v             Variant
 	}{
-		{8, 8, 8, 2, NEW},  // fast path
-		{8, 8, 8, 2, NEW0}, // fast path, blocking
+		{8, 8, 8, 2, NEW},
+		{8, 8, 8, 2, NEW0}, // blocking
 		{8, 8, 8, 2, Baseline},
-		{12, 8, 10, 2, NEW},  // standard path (Nx != Ny)
+		{12, 8, 10, 2, NEW},  // Nx != Ny
 		{9, 10, 8, 3, NEW},   // non-divisible
 		{16, 16, 12, 4, NEW}, // multiple tiles and windows
 		{8, 8, 8, 1, NEW},    // single rank
@@ -89,7 +89,7 @@ func TestBackwardMatchesSerialInverse(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		slab := layout.ScatterY(freq, g, OutputFast(NEW, g))
+		slab := layout.ScatterY(freq, g)
 		back, _, err := Backward3D(c, g, slab, NEW, prm, fft.Estimate)
 		if err != nil {
 			panic(err)
@@ -147,9 +147,9 @@ func TestInverseLayoutKernels(t *testing.T) {
 	// Unpack→Repack: random buffer → slab → buffer.
 	buf := randCube(1, 1, g.RecvBufLen(ztl), 5)
 	out := make([]complex128, g.OutSize())
-	g.UnpackTile(out, buf, false, zt0, ztl)
+	g.UnpackSubtile(out, buf, zt0, ztl, 0, g.YC(), 0, ztl)
 	buf2 := make([]complex128, g.RecvBufLen(ztl))
-	g.RepackTile(buf2, out, false, zt0, ztl)
+	g.RepackSubtile(buf2, out, zt0, ztl, 0, g.YC(), 0, ztl)
 	for i := range buf {
 		if buf[i] != buf2[i] {
 			t.Fatalf("repack mismatch at %d", i)
@@ -158,13 +158,13 @@ func TestInverseLayoutKernels(t *testing.T) {
 	// Pack→Scatter.
 	work := randCube(1, 1, g.InSize(), 6)
 	sbuf := make([]complex128, g.SendBufLen(ztl))
-	g.PackTile(sbuf, work, false, zt0, ztl)
+	g.PackSubtile(sbuf, work, zt0, ztl, 0, g.XC(), 0, ztl)
 	work2 := make([]complex128, g.InSize())
-	g.ScatterTile(work2, sbuf, false, zt0, ztl)
+	g.ScatterSubtile(work2, sbuf, zt0, ztl, 0, ztl, 0, g.XC())
 	// Only the tile's region is defined in work2; compare there.
 	for z := zt0; z < zt0+ztl; z++ {
 		for lx := 0; lx < g.XC(); lx++ {
-			rb := g.RowYBase(false, z, lx)
+			rb := g.RowYBase(z, lx)
 			for y := 0; y < g.Ny; y++ {
 				if work2[rb+y] != work[rb+y] {
 					t.Fatalf("scatter mismatch at z=%d x=%d y=%d", z, lx, y)
@@ -184,13 +184,6 @@ func TestInverseTransposes(t *testing.T) {
 	for i := range src {
 		if back[i] != src[i] {
 			t.Fatal("TransposeZXYInv is not the inverse of TransposeZXY")
-		}
-	}
-	layout.TransposeXZY(tmp, src, xc, ny, nz)
-	layout.TransposeXZYInv(back, tmp, xc, ny, nz)
-	for i := range src {
-		if back[i] != src[i] {
-			t.Fatal("TransposeXZYInv is not the inverse of TransposeXZY")
 		}
 	}
 }

@@ -67,8 +67,7 @@ func TestChaosForwardBackward64(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("chaos run did not complete within the bound")
 	}
-	g0, _ := layout.NewGrid(n, n, n, p, 0)
-	got := layout.GatherY(outs, n, n, n, p, OutputFast(NEW, g0))
+	got := layout.GatherY(outs, n, n, n, p)
 	if e := maxErr(got, want); e > 1e-12 {
 		t.Errorf("forward max relative error %g under chaos, want ≤ 1e-12", e)
 	}
@@ -120,8 +119,7 @@ func TestChaosStallDowngrades(t *testing.T) {
 	if sum.Downgrades < 1 {
 		t.Errorf("Downgrades = %d, want ≥ 1 under a 40ms stall vs 2ms deadline", sum.Downgrades)
 	}
-	g0, _ := layout.NewGrid(n, n, n, p, 0)
-	got := layout.GatherY(outs, n, n, n, p, OutputFast(NEW, g0))
+	got := layout.GatherY(outs, n, n, n, p)
 	if e := maxErr(got, want); e > tol {
 		t.Errorf("max relative error %g after downgrade, want ≤ %g", e, tol)
 	}
@@ -162,8 +160,7 @@ func TestChaosProfilesQuick(t *testing.T) {
 			if err != nil {
 				t.Fatalf("profile %s seed %d: %v", profile, seed, err)
 			}
-			g0, _ := layout.NewGrid(n, n, n, p, 0)
-			got := layout.GatherY(outs, n, n, n, p, OutputFast(NEW, g0))
+			got := layout.GatherY(outs, n, n, n, p)
 			if e := maxErr(got, want); e > tol {
 				t.Errorf("profile %s seed %d: max relative error %g", profile, seed, e)
 			}

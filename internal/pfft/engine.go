@@ -21,22 +21,23 @@ type Engine interface {
 
 	// FFTz computes all 1-D FFTs along z on the input slab (step 1).
 	FFTz()
-	// Transpose rearranges x-y-z to z-x-y, or to x-z-y when fast (§3.5).
-	// optimized selects the cache-blocked kernel (NEW uses FFTW's tuned
-	// rearrangement in the paper; TH's plain version is slower).
-	Transpose(fast, optimized bool)
+	// Transpose rearranges x-y-z to z-x-y (step 2) the way variant v does:
+	// FFTW's tuned rearrangement in the paper, TH's slower plain one, and
+	// the cheaper §3.5 one for NEW and NEW-0 when Nx == Ny, which only the
+	// cost model charges (the data layout is z-x-y on every engine).
+	Transpose(v Variant)
 	// FFTySub computes the 1-D FFTs along y for sub-tile x∈[x0,x1),
 	// tile-local z∈[z0,z1) of the tile starting at zt0.
-	FFTySub(fast bool, zt0, z0, z1, x0, x1 int)
+	FFTySub(zt0, z0, z1, x0, x1 int)
 	// PackSub packs the same sub-tile into slot's send buffer.
-	PackSub(slot int, fast bool, zt0, ztl, z0, z1, x0, x1 int)
+	PackSub(slot, zt0, ztl, z0, z1, x0, x1 int)
 	// PostTile starts the non-blocking all-to-all for the tile in slot.
 	PostTile(slot int, ztl int) mpi.Request
 	// UnpackSub unpacks sub-tile y∈[y0,y1), tile-local z∈[z0,z1) from
 	// slot's receive buffer into the output slab.
-	UnpackSub(slot int, fast bool, zt0, ztl, z0, z1, y0, y1 int)
+	UnpackSub(slot, zt0, ztl, z0, z1, y0, y1 int)
 	// FFTxSub computes the 1-D FFTs along x for the same sub-tile.
-	FFTxSub(fast bool, zt0, z0, z1, y0, y1 int)
+	FFTxSub(zt0, z0, z1, y0, y1 int)
 }
 
 // ExpandParams performs the variant-specific parameter expansion that Run

@@ -34,12 +34,8 @@ func TestForwardManyMatchesSerial(t *testing.T) {
 			}
 			engines[i], o[i] = e, e.Output()
 		}
-		bs, err := RunMany(engines, 2)
-		if err != nil {
+		if _, err := RunMany(engines, 2); err != nil {
 			panic(err)
-		}
-		if len(bs) != m {
-			panic("wrong breakdown count")
 		}
 		mu.Lock()
 		outs[c.Rank()] = o
@@ -53,7 +49,7 @@ func TestForwardManyMatchesSerial(t *testing.T) {
 		for r := 0; r < p; r++ {
 			slabs[r] = outs[r][i]
 		}
-		got := layout.GatherY(slabs, nx, nx, nx, p, false)
+		got := layout.GatherY(slabs, nx, nx, nx, p)
 		if e := maxErr(got, wants[i]); e > tol {
 			t.Errorf("array %d: error %g", i, e)
 		}
@@ -69,10 +65,10 @@ func TestRunManyValidation(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := RunMany([]Engine{e}, 0); err == nil {
+		if _, err := RunMany([]Engine{e}, -1); err == nil {
 			t.Error("expected window validation error")
 		}
-		if bs, err := RunMany(nil, 1); err != nil || bs != nil {
+		if b, err := RunMany(nil, 1); err != nil || b != (Breakdown{}) {
 			t.Error("empty engine list should be a no-op")
 		}
 	})

@@ -66,8 +66,7 @@ func runDistributed(t *testing.T, full []complex128, nx, ny, nz, p int, v Varian
 	if err != nil {
 		t.Fatalf("world failed: %v", err)
 	}
-	g0, _ := layout.NewGrid(nx, ny, nz, p, 0)
-	return layout.GatherY(outs, nx, ny, nz, p, OutputFast(v, g0))
+	return layout.GatherY(outs, nx, ny, nz, p)
 }
 
 func serialReference(full []complex128, nx, ny, nz int) []complex128 {
@@ -85,11 +84,11 @@ func TestAllVariantsMatchSerial(t *testing.T) {
 	cases := []cse{
 		{8, 8, 8, 2},
 		{16, 16, 16, 4},
-		{12, 8, 10, 2},  // Nx != Ny: fast path disabled
+		{12, 8, 10, 2},  // Nx != Ny
 		{9, 10, 8, 3},   // non-divisible by p
 		{16, 16, 6, 4},  // short z
 		{8, 8, 8, 1},    // single rank
-		{10, 10, 10, 5}, // odd lengths with fast path
+		{10, 10, 10, 5}, // odd lengths
 	}
 	for _, c := range cases {
 		full := randCube(c.nx, c.ny, c.nz, 7)
@@ -131,7 +130,7 @@ func TestQuickRandomParamsMatchSerial(t *testing.T) {
 		prm.Pz = 1 + int(pzv)%prm.T
 		prm.Uz = 1 + int(uzv)%prm.T
 		numTiles := (nz + prm.T - 1) / prm.T
-		prm.W = 1 + int(wv)%min2(4, numTiles)
+		prm.W = 1 + int(wv)%min(4, numTiles)
 		if err := prm.Validate(g0); err != nil {
 			t.Fatalf("generated invalid params %v: %v", prm, err)
 		}
@@ -141,20 +140,6 @@ func TestQuickRandomParamsMatchSerial(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFastPathUsedOnlyWhenSquare(t *testing.T) {
-	gSquare, _ := layout.NewGrid(8, 8, 4, 2, 0)
-	gRect, _ := layout.NewGrid(8, 10, 4, 2, 0)
-	if !OutputFast(NEW, gSquare) {
-		t.Error("fast path should apply for Nx==Ny under NEW")
-	}
-	if OutputFast(NEW, gRect) {
-		t.Error("fast path must not apply when Nx!=Ny")
-	}
-	if OutputFast(TH, gSquare) || OutputFast(Baseline, gSquare) {
-		t.Error("fast path only applies to NEW/NEW-0")
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 // from: the slab forward transform is FFTz, Transpose and one phase
 // {FFTy+Pack, post, Unpack+FFTx}; slab backward is one phase {FFTx⁻¹+Repack,
 // post, Scatter+FFTy⁻¹} followed by the inverse transpose and FFTz⁻¹; the
-// pencil transforms are two phases each; and a cost model is the same
-// phases with tile functions that charge virtual time instead of computing.
+// pencil transforms are two phases each; RunMany is one phase whose tiles
+// are whole arrays; and a cost model is the same phases with tile
+// functions that charge virtual time instead of computing.
 //
 // slot is the communication buffer the pipeline assigned to the tile. win
 // holds the requests currently in flight; the tile function spreads its

@@ -111,16 +111,12 @@ func (p *Plan) Params() Params { return p.prm }
 // Variant returns the plan's algorithm variant.
 func (p *Plan) Variant() Variant { return p.v }
 
-// OutputFast reports whether the plan's forward output uses the y-z-x
-// fast-path layout (§3.5) instead of z-y-x.
-func (p *Plan) OutputFast() bool { return OutputFast(p.v, p.g) }
-
 // Breakdown returns the per-step breakdown of the most recent execution.
 func (p *Plan) Breakdown() Breakdown { return p.last }
 
 // Forward executes one forward transform. slab is this rank's input
-// x-slab in x-y-z layout (read, not modified); the returned y-slab (layout
-// per OutputFast) is owned by the plan and valid until the next execution.
+// x-slab in x-y-z layout (read, not modified); the returned z-y-x y-slab
+// is owned by the plan and valid until the next execution.
 func (p *Plan) Forward(slab []complex128) ([]complex128, Breakdown, error) {
 	if p.closed {
 		return nil, Breakdown{}, fmt.Errorf("pfft: Forward on closed plan")
@@ -144,7 +140,7 @@ func (p *Plan) ForwardFull(dst, src []complex128) (b Breakdown, scatterNs, gathe
 		return b, 0, 0, err
 	}
 	t := p.pl.c.Now()
-	layout.GatherYRank(dst, out, p.g, p.OutputFast())
+	layout.GatherYRank(dst, out, p.g)
 	return b, 0, p.pl.c.Now() - t, nil
 }
 
@@ -160,7 +156,7 @@ func (p *Plan) observe(b Breakdown) {
 func (p *Plan) Trace() []StepEvent { return p.pl.Events() }
 
 // Backward executes one inverse transform. slab is this rank's y-slab in
-// the plan's forward output layout (read, not modified); the returned
+// the z-y-x forward output layout (read, not modified); the returned
 // x-slab (x-y-z layout) is owned by the plan and valid until the next
 // execution. Like Backward3D, the round trip is unnormalized (×Nx·Ny·Nz).
 func (p *Plan) Backward(slab []complex128) ([]complex128, Breakdown, error) {
@@ -187,7 +183,7 @@ func (p *Plan) BackwardFull(dst, src []complex128) (b Breakdown, scatterNs, gath
 		return b, 0, 0, err
 	}
 	t := p.pl.c.Now()
-	layout.ScatterYInto(p.bwd.out, src, p.g, p.bwd.fast)
+	layout.ScatterYInto(p.bwd.out, src, p.g)
 	scatterNs = p.pl.c.Now() - t
 	if b, err = p.bwd.run(p.g.XSlab(dst), p.bwd.out); err == nil {
 		p.observe(b)

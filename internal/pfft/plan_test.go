@@ -42,8 +42,7 @@ func runWithPlan(t *testing.T, full []complex128, nx, ny, nz, p, iters int, v Va
 	if err != nil {
 		t.Fatalf("world failed: %v", err)
 	}
-	g0, _ := layout.NewGrid(nx, ny, nz, p, 0)
-	return layout.GatherY(outs, nx, ny, nz, p, OutputFast(v, g0))
+	return layout.GatherY(outs, nx, ny, nz, p)
 }
 
 // TestPlanReuseMatchesFresh: executing the same transform repeatedly on
@@ -51,9 +50,9 @@ func runWithPlan(t *testing.T, full []complex128, nx, ny, nz, p, iters int, v Va
 // run identical arithmetic), and certainly to 1e-12.
 func TestPlanReuseMatchesFresh(t *testing.T) {
 	for _, c := range []struct{ nx, ny, nz, p int }{
-		{16, 16, 16, 4}, // fast path
-		{12, 8, 10, 2},  // rectangular, no fast path
-		{9, 10, 8, 3},   // non-divisible
+		{16, 16, 16, 4},
+		{12, 8, 10, 2}, // rectangular
+		{9, 10, 8, 3},  // non-divisible
 	} {
 		full := randCube(c.nx, c.ny, c.nz, 21)
 		g0, err := layout.NewGrid(c.nx, c.ny, c.nz, c.p, 0)
@@ -119,8 +118,8 @@ func TestPlanForwardBackwardRoundTrip(t *testing.T) {
 // serial path exactly (run under -race in verify.sh).
 func TestPlanParallelWorkers(t *testing.T) {
 	for _, c := range []struct{ nx, ny, nz, p int }{
-		{16, 16, 16, 2}, // fast path
-		{12, 10, 14, 2}, // standard transpose, uneven splits
+		{16, 16, 16, 2},
+		{12, 10, 14, 2}, // uneven splits
 	} {
 		full := randCube(c.nx, c.ny, c.nz, 33)
 		g0, err := layout.NewGrid(c.nx, c.ny, c.nz, c.p, 0)
@@ -286,7 +285,7 @@ func TestPlanDirectionsShareWork(t *testing.T) {
 		nx, ny, nz, p int
 		v             Variant
 	}{
-		{16, 16, 16, 2, NEW},     // fast layout, several tiles in flight
+		{16, 16, 16, 2, NEW},     // several tiles in flight
 		{12, 10, 9, 3, Baseline}, // standard layout, ragged
 	} {
 		x1, x2 := randCube(c.nx, c.ny, c.nz, 51), randCube(c.nx, c.ny, c.nz, 52)
@@ -351,7 +350,7 @@ func runDirSteps(t *testing.T, nx, ny, nz, p int, v Variant, steps []dirStep, sh
 			case s.full:
 				_, _, _, err = plan.ForwardFull(res[i], s.in)
 			case s.backward:
-				out, _, err = plan.Backward(layout.ScatterY(s.in, g, plan.OutputFast()))
+				out, _, err = plan.Backward(layout.ScatterY(s.in, g))
 			default:
 				out, _, err = plan.Forward(layout.ScatterX(s.in, g))
 			}

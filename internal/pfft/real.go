@@ -32,8 +32,8 @@ type RealEngine struct {
 
 	src  []complex128 // input x-slab, x-y-z layout; FFTz reads it and nothing writes it
 	in   []complex128 // two-pass FFTz's output, same layout (TH only); made on first use
-	work []complex128 // post-transpose slab (z-x-y or x-z-y); FFTz writes it on the fused path
-	out  []complex128 // output y-slab (z-y-x or y-z-x)
+	work []complex128 // post-transpose z-x-y slab; FFTz writes it on the fused path
+	out  []complex128 // output z-y-x y-slab
 
 	planZ, planY, planX *fft.Plan
 
@@ -123,9 +123,8 @@ func (e *RealEngine) Grid() layout.Grid { return e.g }
 // Comm returns the rank's communicator.
 func (e *RealEngine) Comm() mpi.Comm { return e.comm }
 
-// Output returns the rank's output y-slab. Layout is z-y-x, or y-z-x when
-// the fast path was used (NEW/NEW-0 with Nx == Ny). The slab is owned by
-// the engine: a reused Plan overwrites it on the next execution.
+// Output returns the rank's z-y-x output y-slab. The slab is owned by the
+// engine: a reused Plan overwrites it on the next execution.
 func (e *RealEngine) Output() []complex128 { return e.out }
 
 // FFTz transforms every z row of the input slab through the batched
@@ -149,39 +148,39 @@ func (e *RealEngine) FFTz() {
 	e.planZ.TransformRowsTo(in, src, rows, e.g.Nz)
 }
 
-// fusedFFTz runs FFTz and the optimized Transpose as one pass when e is a
+// fusedFFTz runs FFTz and variant v's Transpose as one pass when e is a
 // RealEngine, with the same bits as the two steps, and reports whether it
 // did; otherwise the caller runs the two steps (TH's plain rearrangement,
 // and the cost model, which charges both as the paper's FFTW Baseline).
-func fusedFFTz(e Engine, fast, optimized bool) bool {
+func fusedFFTz(e Engine, v Variant) bool {
 	re, ok := e.(*RealEngine)
-	if !ok || !optimized {
+	if !ok || v == TH || v == TH0 {
 		return false
 	}
 	src := re.src
 	re.src = nil // its last reader: the input may be a caller's array
 	if re.pool != nil {
 		re.pool.parallel(re.g.XC()*re.g.Ny, func(w, lo, hi int) {
-			fftzRows(re.planZs[w], re.g, src, re.work, fast, true, lo, hi)
+			fftzRows(re.planZs[w], re.g, src, re.work, true, lo, hi)
 		})
 		return true
 	}
-	fftzRows(re.planZ, re.g, src, re.work, fast, true, 0, re.g.XC()*re.g.Ny)
+	fftzRows(re.planZ, re.g, src, re.work, true, 0, re.g.XC()*re.g.Ny)
 	return true
 }
 
 // fftzRows transforms z rows [lo, hi) of the XC·Ny rows between the x-y-z
-// slab xyz, where row (lx, y) is contiguous, and the post-transpose slab
-// post (z-x-y, or x-z-y when fast), where it is column y of plane lx, z
-// stepping by RowYBase(fast, 1, 0). toPost reads xyz and writes post (the
-// forward FFTz); otherwise post is read and xyz written (FFTz⁻¹). A block
-// of consecutive y rows is a run of adjacent elements on the post side.
-func fftzRows(p *fft.Plan, g layout.Grid, xyz, post []complex128, fast, toPost bool, lo, hi int) {
-	ny, nz, zs := g.Ny, g.Nz, g.RowYBase(fast, 1, 0)
+// slab xyz, where row (lx, y) is contiguous, and the z-x-y post-transpose
+// slab post, where it is column y of plane lx, z stepping by XC·Ny. toPost
+// reads xyz and writes post (the forward FFTz); otherwise post is read and
+// xyz written (FFTz⁻¹). A block of consecutive y rows is a run of adjacent
+// elements on the post side.
+func fftzRows(p *fft.Plan, g layout.Grid, xyz, post []complex128, toPost bool, lo, hi int) {
+	ny, nz, zs := g.Ny, g.Nz, g.RowYBase(1, 0)
 	for r := lo; r < hi; {
 		lx, y0 := r/ny, r%ny
 		n := min(ny-y0, hi-r)
-		a, b := xyz[r*nz:], post[g.RowYBase(fast, 0, lx)+y0:]
+		a, b := xyz[r*nz:], post[g.RowYBase(0, lx)+y0:]
 		if toPost {
 			p.StridedRowsTo(b, a, n, nz, 1, 1, zs)
 		} else {
@@ -191,12 +190,12 @@ func fftzRows(p *fft.Plan, g layout.Grid, xyz, post []complex128, fast, toPost b
 	}
 }
 
-// Transpose rearranges FFTz's slab into the standard post-FFTz layout
-// with a deliberately naive element loop instead of the cache-blocked
-// kernel, mirroring the paper's observation that TH's rearrangement is
-// slower than FFTW's tuned one. Only TH/TH-0 reach it, which never take the
-// fast layout: every other variant runs it fused into FFTz (fusedFFTz).
-func (e *RealEngine) Transpose(fast, optimized bool) {
+// Transpose rearranges FFTz's slab into the z-x-y layout with a
+// deliberately naive element loop instead of the cache-blocked kernel,
+// mirroring the paper's observation that TH's rearrangement is slower than
+// FFTW's tuned one. Only TH/TH-0 reach it: every other variant runs it
+// fused into FFTz (fusedFFTz).
+func (e *RealEngine) Transpose(Variant) {
 	xc, ny, nz := e.g.XC(), e.g.Ny, e.g.Nz
 	for lx := 0; lx < xc; lx++ {
 		for y := 0; y < ny; y++ {
@@ -207,58 +206,37 @@ func (e *RealEngine) Transpose(fast, optimized bool) {
 	}
 }
 
-// FFTySub transforms the y rows of one Pack sub-tile. Rows are grouped
-// into the contiguous runs the slab layout provides — fast layout
-// (x-z-y): the z rows of one lx are adjacent; standard layout (z-x-y):
-// the lx rows of one z are adjacent — and each run goes through the
-// batched multi-row engine. Worker-pool chunks split over runs, still
+// FFTySub transforms the y rows of one Pack sub-tile. In the z-x-y slab
+// the lx rows of one z are adjacent, and each such run goes through the
+// batched multi-row engine. Worker-pool chunks split over z, still
 // entirely inside this one sub-tile call, so the MPI_Test cadence around
 // it is unchanged.
-func (e *RealEngine) FFTySub(fast bool, zt0, z0, z1, x0, x1 int) {
+func (e *RealEngine) FFTySub(zt0, z0, z1, x0, x1 int) {
 	ny := e.g.Ny
-	if fast {
-		if e.pool != nil {
-			e.pool.parallel(x1-x0, func(w, lo, hi int) {
-				p := e.planYs[w]
-				for lx := x0 + lo; lx < x0+hi; lx++ {
-					base := e.g.RowYBase(fast, zt0+z0, lx)
-					p.TransformRows(e.work[base:], z1-z0, ny)
-				}
-			})
-			return
-		}
-		for lx := x0; lx < x1; lx++ {
-			base := e.g.RowYBase(fast, zt0+z0, lx)
-			e.planY.TransformRows(e.work[base:], z1-z0, ny)
-		}
-		return
-	}
 	if e.pool != nil {
 		e.pool.parallel(z1-z0, func(w, lo, hi int) {
 			p := e.planYs[w]
 			for z := zt0 + z0 + lo; z < zt0+z0+hi; z++ {
-				base := e.g.RowYBase(fast, z, x0)
-				p.TransformRows(e.work[base:], x1-x0, ny)
+				p.TransformRows(e.work[e.g.RowYBase(z, x0):], x1-x0, ny)
 			}
 		})
 		return
 	}
 	for z := zt0 + z0; z < zt0+z1; z++ {
-		base := e.g.RowYBase(fast, z, x0)
-		e.planY.TransformRows(e.work[base:], x1-x0, ny)
+		e.planY.TransformRows(e.work[e.g.RowYBase(z, x0):], x1-x0, ny)
 	}
 }
 
 // PackSub packs one sub-tile into the slot's send buffer.
-func (e *RealEngine) PackSub(slot int, fast bool, zt0, ztl, z0, z1, x0, x1 int) {
+func (e *RealEngine) PackSub(slot, zt0, ztl, z0, z1, x0, x1 int) {
 	buf := e.sendBuf(slot, ztl)
 	if e.pool != nil {
 		e.pool.parallel(e.g.P, func(w, r0, r1 int) {
-			e.g.PackSubtileRanks(buf, e.work, fast, zt0, ztl, x0, x1, z0, z1, r0, r1)
+			e.g.PackSubtileRanks(buf, e.work, zt0, ztl, x0, x1, z0, z1, r0, r1)
 		})
 		return
 	}
-	e.g.PackSubtile(buf, e.work, fast, zt0, ztl, x0, x1, z0, z1)
+	e.g.PackSubtile(buf, e.work, zt0, ztl, x0, x1, z0, z1)
 }
 
 // PostTile starts the non-blocking all-to-all for the slot's tile.
@@ -270,54 +248,33 @@ func (e *RealEngine) PostTile(slot int, ztl int) mpi.Request {
 
 // UnpackSub unpacks one sub-tile from the slot's receive buffer into the
 // output slab.
-func (e *RealEngine) UnpackSub(slot int, fast bool, zt0, ztl, z0, z1, y0, y1 int) {
+func (e *RealEngine) UnpackSub(slot, zt0, ztl, z0, z1, y0, y1 int) {
 	buf := e.recvBuf(slot, ztl)
 	if e.pool != nil {
 		e.pool.parallel(e.g.P, func(w, s0, s1 int) {
-			e.g.UnpackSubtileRanks(e.out, buf, fast, zt0, ztl, y0, y1, z0, z1, s0, s1)
+			e.g.UnpackSubtileRanks(e.out, buf, zt0, ztl, y0, y1, z0, z1, s0, s1)
 		})
 		return
 	}
-	e.g.UnpackSubtile(e.out, buf, fast, zt0, ztl, y0, y1, z0, z1)
+	e.g.UnpackSubtile(e.out, buf, zt0, ztl, y0, y1, z0, z1)
 }
 
 // FFTxSub transforms the x rows of one Unpack sub-tile, batched over the
-// output layout's contiguous runs — fast layout (y-z-x): the z rows of one
-// ly are adjacent; standard layout (z-y-x): the ly rows of one z are
-// adjacent. Pool chunks split over runs inside this one call (see
-// FFTySub for the Test-cadence argument).
-func (e *RealEngine) FFTxSub(fast bool, zt0, z0, z1, y0, y1 int) {
+// z-y-x slab's contiguous runs (the ly rows of one z). Pool chunks split
+// over z inside this one call (see FFTySub for the Test-cadence argument).
+func (e *RealEngine) FFTxSub(zt0, z0, z1, y0, y1 int) {
 	nx := e.g.Nx
-	if fast {
-		if e.pool != nil {
-			e.pool.parallel(y1-y0, func(w, lo, hi int) {
-				p := e.planXs[w]
-				for ly := y0 + lo; ly < y0+hi; ly++ {
-					base := e.g.RowXBase(fast, ly, zt0+z0)
-					p.TransformRows(e.out[base:], z1-z0, nx)
-				}
-			})
-			return
-		}
-		for ly := y0; ly < y1; ly++ {
-			base := e.g.RowXBase(fast, ly, zt0+z0)
-			e.planX.TransformRows(e.out[base:], z1-z0, nx)
-		}
-		return
-	}
 	if e.pool != nil {
 		e.pool.parallel(z1-z0, func(w, lo, hi int) {
 			p := e.planXs[w]
 			for z := zt0 + z0 + lo; z < zt0+z0+hi; z++ {
-				base := e.g.RowXBase(fast, y0, z)
-				p.TransformRows(e.out[base:], y1-y0, nx)
+				p.TransformRows(e.out[e.g.RowXBase(y0, z):], y1-y0, nx)
 			}
 		})
 		return
 	}
 	for z := zt0 + z0; z < zt0+z1; z++ {
-		base := e.g.RowXBase(fast, y0, z)
-		e.planX.TransformRows(e.out[base:], y1-y0, nx)
+		e.planX.TransformRows(e.out[e.g.RowXBase(y0, z):], y1-y0, nx)
 	}
 }
 

@@ -66,8 +66,7 @@ func planTraces(t *testing.T, nx, p int, v Variant, backward bool) [][]StepEvent
 		t.Fatal(err)
 	}
 	if !backward {
-		g0, _ := layout.NewGrid(nx, nx, nx, p, 0)
-		got := layout.GatherY(outs, nx, nx, nx, p, OutputFast(v, g0))
+		got := layout.GatherY(outs, nx, nx, nx, p)
 		if e := maxErr(got, want); e > tol {
 			t.Fatalf("traced plan changed the forward result: %g", e)
 		}

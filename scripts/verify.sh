@@ -98,6 +98,8 @@ go test -count=1 -run 'Checksum|FuzzDeliver|FuzzEnvelopeRoundTrip|FuzzReadHeader
 # TestSlabBitsPinned holds pfft.Plan's forward and backward output bits on
 # four grids, every variant, serial and with two workers, to hashes
 # recorded before FFTz wrote the transposed slab itself,
+# TestRunManyBitsPinned RunMany's per-array output bits to hashes recorded
+# before it ran on pfft.Pipeline,
 # TestFusedFFTzWorkerRows that four workers, whose row chunks end mid
 # x-plane, give the serial bits, and
 # TestStridedRowsToBitIdentical the 1-D driver's independent read and write
@@ -105,7 +107,7 @@ go test -count=1 -run 'Checksum|FuzzDeliver|FuzzEnvelopeRoundTrip|FuzzReadHeader
 go test -count=1 -run 'TestGoldenSmallScale' ./internal/harness/
 go test -count=1 -run 'TestVirtualTimesPinned|TestDataPathMatchesByHand|TestIntoInPlace' .
 go test -count=1 -run 'TestScriptedTracePinned|TestTracePinned' ./internal/mpi/sim/ ./internal/vclock/
-go test -count=1 -run 'TestPipelineOrder|TestSlabBitsPinned|TestFusedFFTzWorkerRows' ./internal/pfft/
+go test -count=1 -run 'TestPipelineOrder|TestSlabBitsPinned|TestRunManyBitsPinned|TestFusedFFTzWorkerRows' ./internal/pfft/
 go test -count=1 -run 'TestStridedRowsToBitIdentical' ./internal/fft/
 go test -count=1 -run 'TestTuneSequencePinned' ./internal/tuner/
 
