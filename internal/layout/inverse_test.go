@@ -53,6 +53,39 @@ func TestRepackInvertsUnpackSubtiled(t *testing.T) {
 	}
 }
 
+// TestScatterInvertsPackFastPath: ScatterSubtile undoes a whole-tile pack
+// made the way the engines' worker pool makes it (one PackSubtileRanks call
+// per destination rank), and touches nothing outside the tile.
+func TestScatterInvertsPackFastPath(t *testing.T) {
+	g, err := NewGrid(8, 8, 6, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zt0, ztl := 3, 3
+	work := randSlab(g.InSize(), 2)
+	buf := make([]complex128, g.SendBufLen(ztl))
+	for r := g.P - 1; r >= 0; r-- {
+		g.PackSubtileRanks(buf, work, zt0, ztl, 0, g.XC(), 0, ztl, r, r+1)
+	}
+	back := make([]complex128, g.InSize())
+	g.ScatterSubtile(back, buf, zt0, ztl, 0, ztl, 0, g.XC())
+	for z := 0; z < g.Nz; z++ {
+		inTile := z >= zt0 && z < zt0+ztl
+		for lx := 0; lx < g.XC(); lx++ {
+			rb := g.RowYBase(z, lx)
+			for y := 0; y < g.Ny; y++ {
+				want := complex128(0)
+				if inTile {
+					want = work[rb+y]
+				}
+				if back[rb+y] != want {
+					t.Fatalf("scatter mismatch z=%d x=%d y=%d", z, lx, y)
+				}
+			}
+		}
+	}
+}
+
 func TestQuickInverseTransposes(t *testing.T) {
 	f := func(a, b, c uint8, seed int64) bool {
 		dims := []int{1, 2, 3, 5, 8, 33, 40}

@@ -198,8 +198,11 @@ func exchange(grids []Grid, sendbufs, recvbufs [][]complex128, ztl int) {
 // runPipeline pushes a full array through scatter → transpose → tiled
 // pack → exchange → tiled unpack → gather, with the given tile and sub-tile
 // sizes, and returns the reassembled array. Since no arithmetic is applied,
-// the result must equal the input exactly.
-func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, uy, uz int) []complex128 {
+// the result must equal the input exactly. fast runs each sub-tile the way
+// the engines' worker pool does: split into single-rank PackSubtileRanks and
+// UnpackSubtileRanks calls, issued in reverse rank order so no call relies
+// on another rank's block having been written first.
+func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, uy, uz int, fast bool) []complex128 {
 	t.Helper()
 	grids := make([]Grid, p)
 	work := make([][]complex128, p) // post-transpose slabs
@@ -230,7 +233,13 @@ func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, 
 			recvbufs[r] = make([]complex128, g.RecvBufLen(ztl))
 			SubTiles(ztl, pz, func(zlo, zhi int) {
 				SubTiles(g.XC(), px, func(xlo, xhi int) {
-					g.PackSubtile(sendbufs[r], work[r], zt0, ztl, xlo, xhi, zlo, zhi)
+					if !fast {
+						g.PackSubtile(sendbufs[r], work[r], zt0, ztl, xlo, xhi, zlo, zhi)
+						return
+					}
+					for d := p - 1; d >= 0; d-- {
+						g.PackSubtileRanks(sendbufs[r], work[r], zt0, ztl, xlo, xhi, zlo, zhi, d, d+1)
+					}
 				})
 			})
 		}
@@ -239,7 +248,13 @@ func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, 
 			g := grids[r]
 			SubTiles(ztl, uz, func(zlo, zhi int) {
 				SubTiles(g.YC(), uy, func(ylo, yhi int) {
-					g.UnpackSubtile(outs[r], recvbufs[r], zt0, ztl, ylo, yhi, zlo, zhi)
+					if !fast {
+						g.UnpackSubtile(outs[r], recvbufs[r], zt0, ztl, ylo, yhi, zlo, zhi)
+						return
+					}
+					for s := p - 1; s >= 0; s-- {
+						g.UnpackSubtileRanks(outs[r], recvbufs[r], zt0, ztl, ylo, yhi, zlo, zhi, s, s+1)
+					}
 				})
 			})
 		}
@@ -248,22 +263,26 @@ func runPipeline(t *testing.T, full []complex128, nx, ny, nz, p, tileT, px, pz, 
 }
 
 func TestPackExchangeUnpackIsIdentity(t *testing.T) {
-	cases := []struct{ nx, ny, nz, p, tileT, px, pz, uy, uz int }{
-		{8, 8, 8, 2, 4, 2, 2, 2, 2},
-		{8, 8, 8, 4, 3, 1, 3, 4, 1},
-		{16, 16, 12, 4, 5, 3, 2, 2, 4},
-		{9, 10, 7, 3, 7, 2, 3, 2, 2},  // non-divisible Nx, Ny
-		{12, 12, 5, 5, 2, 4, 1, 1, 2}, // p does not divide Nz tiles evenly
-		{6, 6, 6, 6, 6, 6, 6, 6, 6},   // single tile, single sub-tile
-		{8, 8, 8, 1, 4, 2, 2, 2, 2},   // single rank
+	// fast selects the worker pool's rank-split kernels (see runPipeline).
+	cases := []struct {
+		nx, ny, nz, p, tileT, px, pz, uy, uz int
+		fast                                 bool
+	}{
+		{8, 8, 8, 2, 4, 2, 2, 2, 2, false},
+		{8, 8, 8, 2, 4, 2, 2, 2, 2, true},
+		{8, 8, 8, 4, 3, 1, 3, 4, 1, false},
+		{16, 16, 12, 4, 5, 3, 2, 2, 4, false},
+		{16, 16, 12, 4, 5, 3, 2, 2, 4, true},
+		{9, 10, 7, 3, 7, 2, 3, 2, 2, false},  // non-divisible Nx, Ny
+		{12, 12, 5, 5, 2, 4, 1, 1, 2, false}, // p does not divide Nz tiles evenly
+		{6, 6, 6, 6, 6, 6, 6, 6, 6, false},   // single tile, single sub-tile
+		{8, 8, 8, 1, 4, 2, 2, 2, 2, false},   // single rank
 	}
 	for _, c := range cases {
-		// The -fastfalse suffix is the name these cases have always run
-		// under; the y-z-x layout they were contrasted with is gone.
-		name := fmt.Sprintf("%dx%dx%d-p%d-T%d-fastfalse", c.nx, c.ny, c.nz, c.p, c.tileT)
+		name := fmt.Sprintf("%dx%dx%d-p%d-T%d-fast%v", c.nx, c.ny, c.nz, c.p, c.tileT, c.fast)
 		t.Run(name, func(t *testing.T) {
 			full := randSlab(c.nx*c.ny*c.nz, 77)
-			got := runPipeline(t, full, c.nx, c.ny, c.nz, c.p, c.tileT, c.px, c.pz, c.uy, c.uz)
+			got := runPipeline(t, full, c.nx, c.ny, c.nz, c.p, c.tileT, c.px, c.pz, c.uy, c.uz, c.fast)
 			for i := range full {
 				if got[i] != full[i] {
 					t.Fatalf("element %d: got %v want %v", i, got[i], full[i])
@@ -274,7 +293,7 @@ func TestPackExchangeUnpackIsIdentity(t *testing.T) {
 }
 
 func TestQuickPipelineIdentity(t *testing.T) {
-	f := func(seed int64, a, b, c, pp, tt, px, pz, uy, uz uint8) bool {
+	f := func(seed int64, a, b, c, pp, tt, px, pz, uy, uz uint8, fast bool) bool {
 		dims := []int{4, 5, 6, 8, 9, 12}
 		nx := dims[int(a)%len(dims)]
 		ny := dims[int(b)%len(dims)]
@@ -284,7 +303,7 @@ func TestQuickPipelineIdentity(t *testing.T) {
 		sub := func(v uint8, n int) int { return 1 + int(v)%n }
 		full := randSlab(nx*ny*nz, seed)
 		got := runPipeline(t, full, nx, ny, nz, p, tileT,
-			sub(px, nx), sub(pz, tileT), sub(uy, ny), sub(uz, tileT))
+			sub(px, nx), sub(pz, tileT), sub(uy, ny), sub(uz, tileT), fast)
 		for i := range full {
 			if got[i] != full[i] {
 				return false
