@@ -29,7 +29,7 @@ func Backward3D(c mpi.Comm, g layout.Grid, slab []complex128, v Variant, prm Par
 		return nil, Breakdown{}, err
 	}
 	in := make([]complex128, g.InSize())
-	b, err := e.run(in, slab)
+	b, err := e.run(in, slab, false)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
@@ -54,8 +54,9 @@ type backEngine struct {
 	tl    layout.Tiling
 	phase Phase
 
-	src  []complex128 // this run's input y-slab (forward output); read by FFTx⁻¹ only
-	out  []complex128 // FFTx⁻¹'s output, same layout; may be src itself
+	src  []complex128 // this run's input, a y-slab or (full) the whole spectrum; read by FFTx⁻¹ only
+	full bool         // src is the caller's full x-y-z array (BackwardFull)
+	out  []complex128 // FFTx⁻¹'s output y-slab; may be src itself
 	work []complex128 // post-scatter z-x-y slab; dead once FFTz⁻¹ has read it
 	in   []complex128 // this run's destination, the final x-y-z slab
 
@@ -103,15 +104,21 @@ func newBackEngine(pl *Pipeline, g layout.Grid, v Variant, prm Params, flag fft.
 	return e, nil
 }
 
-// run executes one inverse transform of slab (this rank's y-slab in the
-// forward output layout; only read unless it is the engine's own out) and
-// lands the x-y-z result in dst, which FFTz⁻¹ writes and nothing reads.
-func (e *backEngine) run(dst, slab []complex128) (Breakdown, error) {
-	if len(slab) != e.g.OutSize() || len(dst) != e.g.InSize() {
-		return Breakdown{}, fmt.Errorf("pfft: backward slab/destination lengths %d/%d, want %d/%d",
-			len(slab), len(dst), e.g.OutSize(), e.g.InSize())
+// run executes one inverse transform of src and lands the x-y-z result in
+// dst, which FFTz⁻¹ writes and nothing reads. src is this rank's y-slab in
+// the forward output layout or, when full, the whole spectrum in x-y-z
+// layout, whose y-range FFTx⁻¹ reads where it lies; it is only read unless
+// it is the engine's own out.
+func (e *backEngine) run(dst, src []complex128, full bool) (Breakdown, error) {
+	want := e.g.OutSize()
+	if full {
+		want = e.g.Nx * e.g.Ny * e.g.Nz
 	}
-	e.src, e.in = slab, dst
+	if len(src) != want || len(dst) != e.g.InSize() {
+		return Breakdown{}, fmt.Errorf("pfft: backward source/destination lengths %d/%d, want %d/%d",
+			len(src), len(dst), want, e.g.InSize())
+	}
+	e.src, e.full, e.in = src, full, dst
 	pl, c, g := e.pl, e.pl.c, e.g
 	pl.Begin(e.prm.Comm)
 	pl.Run(e.tl.NumTiles(), window(e.v, e.prm), &e.phase)
@@ -134,10 +141,14 @@ func (e *backEngine) fftxRepack(tile, slot int, win []mpi.Request) {
 	layout.SubTiles(ztl, prm.Uz, func(z0, z1 int) {
 		layout.SubTiles(g.YC(), prm.Uy, func(y0, y1 int) {
 			t := c.Now()
-			// Batched over the layout's contiguous runs (see FFTxSub).
-			for z := zt0 + z0; z < zt0+z1; z++ {
-				base := g.RowXBase(y0, z)
-				e.planX.TransformRowsTo(e.out[base:], e.src[base:], y1-y0, g.Nx)
+			if e.full {
+				fftxRows(e.planX, g, e.out, e.src, false, zt0+z0, zt0+z1, y0, y1)
+			} else {
+				// Batched over the layout's contiguous runs (see FFTxSub).
+				for z := zt0 + z0; z < zt0+z1; z++ {
+					base := g.RowXBase(y0, z)
+					e.planX.TransformRowsTo(e.out[base:], e.src[base:], y1-y0, g.Nx)
+				}
 			}
 			pl.Step(&pl.B.FFTx, "FFTx", t, tile)
 			pl.Tests(win, testsDue(prm.Fx, u, nSub))

@@ -55,7 +55,9 @@ func WithTrace() PlanOpt {
 // until the next execution. Callers that need the result past that point
 // must copy it. The two directions share one post-transpose scratch slab,
 // which no returned slice aliases. ForwardFull/BackwardFull are the same
-// transforms between full arrays the ranks share.
+// transforms between full arrays the ranks share: the first and last 1-D
+// FFTs read and write the rank's pieces of them where they lie, and the
+// plan holds neither array past the call.
 type Plan struct {
 	g    layout.Grid
 	v    Variant
@@ -130,18 +132,20 @@ func (p *Plan) Forward(slab []complex128) ([]complex128, Breakdown, error) {
 }
 
 // ForwardFull is Forward between full Nx×Ny×Nz arrays in x-y-z layout that
-// every rank of the world is handed: the rank reads its x-slab of src where
-// it lies and corner-turns its y-slab of the spectrum into dst
-// (layout.GatherYRank), which may be src — see offt.Plan's runJob for why.
-// gatherNs is the time the corner turn took, on the communicator's clock.
+// every rank of the world is handed: FFTz reads the rank's x-slab of src
+// where it lies, and FFTx writes each transformed row of the rank's y-range
+// straight to its place in dst, the corner turn folded into it. dst may be
+// src — see offt.Plan's runJob for why. The engine is handed dst for this
+// run only, as Reset hands it src. Nothing is copied outside the kernels,
+// so scatterNs and gatherNs are 0.
 func (p *Plan) ForwardFull(dst, src []complex128) (b Breakdown, scatterNs, gatherNs int64, err error) {
-	out, b, err := p.Forward(p.g.XSlab(src))
-	if err != nil {
-		return b, 0, 0, err
+	if n := p.g.Nx * p.g.Ny * p.g.Nz; len(dst) != n {
+		return b, 0, 0, fmt.Errorf("pfft: ForwardFull destination length %d, want %d", len(dst), n)
 	}
-	t := p.pl.c.Now()
-	layout.GatherYRank(dst, out, p.g)
-	return b, 0, p.pl.c.Now() - t, nil
+	p.eng.dst = dst
+	_, b, err = p.Forward(p.g.XSlab(src))
+	p.eng.dst = nil // the caller's memory is not the engine's to keep alive
+	return b, 0, 0, err
 }
 
 func (p *Plan) observe(b Breakdown) {
@@ -166,7 +170,7 @@ func (p *Plan) Backward(slab []complex128) ([]complex128, Breakdown, error) {
 	if p.back == nil {
 		p.back = make([]complex128, p.g.InSize())
 	}
-	b, err := p.bwd.run(p.back, slab)
+	b, err := p.bwd.run(p.back, slab, false)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
@@ -174,21 +178,19 @@ func (p *Plan) Backward(slab []complex128) ([]complex128, Breakdown, error) {
 	return p.back, b, nil
 }
 
-// BackwardFull is Backward between full arrays (see ForwardFull): the rank
-// corner-turns its y-range of the spectrum src into the engine's y-slab
-// (layout.ScatterYInto), transforms it in place and lands its x-slab in
-// dst where the caller wants it. scatterNs is the corner turn's time.
+// BackwardFull is Backward between full arrays (see ForwardFull): each
+// tile's FFTx⁻¹ reads the rank's rows of the spectrum src where they lie
+// and writes them to the engine's y-slab, the corner turn folded into it,
+// and FFTz⁻¹ lands the rank's x-slab in dst where the caller wants it.
+// scatterNs and gatherNs are 0.
 func (p *Plan) BackwardFull(dst, src []complex128) (b Breakdown, scatterNs, gatherNs int64, err error) {
 	if err := p.ensureBackward(); err != nil {
 		return b, 0, 0, err
 	}
-	t := p.pl.c.Now()
-	layout.ScatterYInto(p.bwd.out, src, p.g)
-	scatterNs = p.pl.c.Now() - t
-	if b, err = p.bwd.run(p.g.XSlab(dst), p.bwd.out); err == nil {
+	if b, err = p.bwd.run(p.g.XSlab(dst), src, true); err == nil {
 		p.observe(b)
 	}
-	return b, scatterNs, 0, err
+	return b, 0, 0, err
 }
 
 // ensureBackward builds the backward engine, and the y-slab it works in, on

@@ -34,6 +34,7 @@ type RealEngine struct {
 	in   []complex128 // two-pass FFTz's output, same layout (TH only); made on first use
 	work []complex128 // post-transpose z-x-y slab; FFTz writes it on the fused path
 	out  []complex128 // output z-y-x y-slab
+	dst  []complex128 // ForwardFull's full x-y-z result, which FFTx writes instead of out (nil: none)
 
 	planZ, planY, planX *fft.Plan
 
@@ -262,8 +263,20 @@ func (e *RealEngine) UnpackSub(slot, zt0, ztl, z0, z1, y0, y1 int) {
 // FFTxSub transforms the x rows of one Unpack sub-tile, batched over the
 // z-y-x slab's contiguous runs (the ly rows of one z). Pool chunks split
 // over z inside this one call (see FFTySub for the Test-cadence argument).
+// During ForwardFull it writes the rows straight into the caller's full
+// array instead (fftxRows), and pool chunks split over ly, its batch unit.
 func (e *RealEngine) FFTxSub(zt0, z0, z1, y0, y1 int) {
 	nx := e.g.Nx
+	if e.dst != nil {
+		if e.pool != nil {
+			e.pool.parallel(y1-y0, func(w, lo, hi int) {
+				fftxRows(e.planXs[w], e.g, e.out, e.dst, true, zt0+z0, zt0+z1, y0+lo, y0+hi)
+			})
+			return
+		}
+		fftxRows(e.planX, e.g, e.out, e.dst, true, zt0+z0, zt0+z1, y0, y1)
+		return
+	}
 	if e.pool != nil {
 		e.pool.parallel(z1-z0, func(w, lo, hi int) {
 			p := e.planXs[w]
@@ -275,6 +288,25 @@ func (e *RealEngine) FFTxSub(zt0, z0, z1, y0, y1 int) {
 	}
 	for z := zt0 + z0; z < zt0+z1; z++ {
 		e.planX.TransformRows(e.out[e.g.RowXBase(y0, z):], y1-y0, nx)
+	}
+}
+
+// fftxRows transforms the x rows (ly, z), ly in [y0, y1) and z in [za, zb),
+// between the z-y-x y-slab slab, where each row is contiguous, and the full
+// Nx×Ny×Nz array full in x-y-z layout, where row (ly, z) starts at
+// (Y0+ly)·Nz + z and steps by Ny·Nz: the corner turn folded into the 1-D
+// FFT. toFull reads slab and writes full (forward FFTx); otherwise full is
+// read and slab written (FFTx⁻¹). The z rows of one ly are one batch, so
+// on the full side a block's rows are adjacent elements.
+func fftxRows(p *fft.Plan, g layout.Grid, slab, full []complex128, toFull bool, za, zb, y0, y1 int) {
+	n, zs, xs := zb-za, g.RowXBase(0, 1), g.Ny*g.Nz
+	for ly := y0; ly < y1; ly++ {
+		a, b := slab[g.RowXBase(ly, za):], full[(g.Y0()+ly)*g.Nz+za:]
+		if toFull {
+			p.StridedRowsTo(b, a, n, zs, 1, 1, xs)
+		} else {
+			p.StridedRowsTo(a, b, n, 1, xs, zs, 1)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"weak"
 
 	"offt"
+	"offt/internal/telemetry"
 )
 
 // eachInto runs fn once per *Into entry point of a slab and of a pencil plan
@@ -85,6 +86,46 @@ func TestIntoInPlace(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestIntoCtxTraceStages: slab ranks read and write the caller's arrays
+// inside their first and last 1-D FFTs, so a slab execution reports no
+// scatter or gather time and its request trace carries neither control
+// span; a pencil execution copies its pieces in and out and traces both.
+func TestIntoCtxTraceStages(t *testing.T) {
+	const n = 16
+	for _, c := range []struct {
+		name   string
+		decomp offt.Decomp
+		ranks  int
+		staged bool
+	}{{"slab", offt.Slab, 2, false}, {"pencil", offt.Pencil, 4, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			plan, err := offt.NewPlan(offt.WithGrid(n, n, n), offt.WithRanks(c.ranks), offt.WithDecomp(c.decomp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer plan.Close()
+			tc := telemetry.NewTraceContext("stages")
+			ctx := telemetry.ContextWithTrace(context.Background(), tc)
+			st, err := plan.ForwardIntoCtx(ctx, make([]complex128, n*n*n), randData(n*n*n, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.staged != (st.ScatterNs > 0) || c.staged != (st.GatherNs > 0) {
+				t.Errorf("ScatterNs %d, GatherNs %d; want both positive: %v", st.ScatterNs, st.GatherNs, c.staged)
+			}
+			spans := map[string]int{}
+			for _, s := range tc.Snapshot() {
+				spans[s.Name]++
+			}
+			want := map[bool]int{false: 0, true: 1}[c.staged]
+			if spans["dispatch"] != 1 || spans["scatter"] != want || spans["gather"] != want {
+				t.Errorf("%d dispatch, %d scatter, %d gather spans; want 1, %d, %d",
+					spans["dispatch"], spans["scatter"], spans["gather"], want, want)
+			}
+		})
+	}
 }
 
 // TestIntoLetsGoOfCallerArrays: the ranks are handed the caller's arrays
