@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pen, err := pencil.Simulate(m, 8, 4, n)
+	pen, err := pencil.SimulateGrid(m, 8, 4, n, n, n)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func main() {
 	if _, err := model.SimulateCube(m, 4*n, n, model.Spec{Variant: pfft.Baseline}); err != nil {
 		fmt.Printf("slab-1d at p=%d: %v\n", 4*n, err)
 	}
-	big, err := pencil.Simulate(m, 16, 8, n)
+	big, err := pencil.SimulateGrid(m, 16, 8, n, n, n)
 	if err != nil {
 		log.Fatal(err)
 	}

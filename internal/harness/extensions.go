@@ -155,7 +155,7 @@ func ExtDecomposition(r *Runner) error {
 	}
 	for _, pg := range c.pgrids {
 		pr, pc := pg[0], pg[1]
-		v, err := pencil.Simulate(m, pr, pc, c.n)
+		v, err := pencil.SimulateGrid(m, pr, pc, c.n, c.n, c.n)
 		if err != nil {
 			fmt.Fprintf(tw, "pencil-2d\t%d (%dx%d)\t(infeasible: %v)\n", pr*pc, pr, pc, err)
 			continue
@@ -167,7 +167,7 @@ func ExtDecomposition(r *Runner) error {
 		if err != nil {
 			continue
 		}
-		ov, err := pencil.SimulateOverlapped(m, pr, pc, c.n, pencil.DefaultParams2D(g0))
+		ov, err := pencil.SimulateOverlappedGrid(m, pr, pc, c.n, c.n, c.n, pencil.DefaultParams2D(g0))
 		if err != nil {
 			continue
 		}

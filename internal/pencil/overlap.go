@@ -100,52 +100,3 @@ func (p Params2D) Validate(g Grid2D) error {
 func wholeExtent(g Grid2D, comm mpi.CommAlg) Params2D {
 	return Params2D{TA: g.XD.MaxCount(), WA: 1, TB: g.ZD.MaxCount(), WB: 1, Comm: comm}
 }
-
-// tilesA returns the number of x tiles of size ta in phase A. It uses the
-// GLOBAL maximum x extent so every rank runs the same number of
-// collectives; ranks with a smaller extent run trailing zero-count tiles.
-func (g Grid2D) tilesA(ta int) int { return (g.XD.MaxCount() + ta - 1) / ta }
-
-// tilesB is tilesA for phase B's z tiles of size tb.
-func (g Grid2D) tilesB(tb int) int { return (g.ZD.MaxCount() + tb - 1) / tb }
-
-// tileRange returns tile i of size t as a range [lo, hi) clamped to the
-// local extent n.
-func tileRange(i, t, n int) (lo, hi int) {
-	lo, hi = i*t, i*t+t
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// countsA fills the all-to-all counts of a forward phase-A tile of nx local
-// x planes: the exchange stays within the row group, sending rank (RI, cj)
-// its z range of everything local and receiving its y range for ours.
-func (g Grid2D) countsA(nx int, send, recv []int) {
-	for j := range send {
-		send[j], recv[j] = 0, 0
-	}
-	for cj := 0; cj < g.PC; cj++ {
-		r := g.GlobalRank(g.RI, cj)
-		send[r] = nx * g.YC() * g.ZD.Count(cj)
-		recv[r] = nx * g.YD.Count(cj) * g.ZC()
-	}
-}
-
-// countsB fills the all-to-all counts of a forward phase-B tile of nz local
-// z planes: the exchange stays within the column group, sending rank
-// (ri, CI) its y range and receiving its x range.
-func (g Grid2D) countsB(nz int, send, recv []int) {
-	for j := range send {
-		send[j], recv[j] = 0, 0
-	}
-	for ri := 0; ri < g.PR; ri++ {
-		r := g.GlobalRank(ri, g.CI)
-		send[r] = g.XC() * g.YD2.Count(ri) * nz
-		recv[r] = g.XD.Count(ri) * g.Y2C() * nz
-	}
-}

@@ -18,10 +18,14 @@
 // over rows, z over columns), which is standard for pencil transforms.
 // Forward3D is the one-shot blocking implementation (like the comparison
 // libraries) and the oracle the tests compare against. Plan is the
-// reusable transform: it describes the two exchanges as pfft.Phases and
-// runs them on the same pfft.Pipeline as the slab transform, which is the
-// paper's overlap machinery applied to the 2-D decomposition (its §7).
-// SimulateOverlappedGrid runs the same phases with cost functions.
+// reusable transform. It describes each exchange once, as two sides (the
+// array, the per-peer walk that packs one way and unpacks the other, the
+// row FFT), and builds every pfft.Phase from that description: forward runs
+// exchange A then B, backward B then A with the sides swapped, both on the
+// same pfft.Pipeline as the slab transform, which is the paper's overlap
+// machinery applied to the 2-D decomposition (its §7).
+// SimulateOverlappedGrid runs the forward phases with steps that charge the
+// cost model instead of computing.
 package pencil
 
 import (

@@ -160,11 +160,11 @@ func TestPencilScalesBeyondSlabLimit(t *testing.T) {
 	if _, err := model.SimulateCube(m, 4*n, n, model.Spec{Variant: pfft.Baseline}); err == nil {
 		t.Fatal("slab decomposition should reject p > N")
 	}
-	quarter, err := Simulate(m, 8, 4, n) // p = n
+	quarter, err := SimulateGrid(m, 8, 4, n, n, n) // p = n
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Simulate(m, 16, 8, n) // p = 4n: impossible for the slab
+	full, err := SimulateGrid(m, 16, 8, n, n, n) // p = 4n: impossible for the slab
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSlabBeatsPencilWhereItFits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pencil2D, err := Simulate(m, 8, 8, n)
+	pencil2D, err := SimulateGrid(m, 8, 8, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSimulateSlabCompetitiveAtLowP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pencil2D, err := Simulate(m, 2, 2, n)
+	pencil2D, err := SimulateGrid(m, 2, 2, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestSimulateSlabCompetitiveAtLowP(t *testing.T) {
 
 func TestSimulateDeterministic(t *testing.T) {
 	m := machine.Hopper()
-	a, err := Simulate(m, 4, 4, 32)
+	a, err := SimulateGrid(m, 4, 4, 32, 32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(m, 4, 4, 32)
+	b, err := SimulateGrid(m, 4, 4, 32, 32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestSimulateRejectsBadGrid(t *testing.T) {
-	if _, err := Simulate(machine.Laptop(), 8, 8, 4); err == nil {
+	if _, err := SimulateGrid(machine.Laptop(), 8, 8, 4, 4, 4); err == nil {
 		t.Error("expected error for N < grid")
 	}
 }
@@ -296,11 +296,11 @@ func TestOverlappedPencilBeatsBlockingInSim(t *testing.T) {
 	m := machine.UMDCluster()
 	pr, pc, n := 8, 8, 128
 	g0, _ := NewGrid2D(n, n, n, pr, pc, 0)
-	blocking, err := Simulate(m, pr, pc, n)
+	blocking, err := SimulateGrid(m, pr, pc, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlapped, err := SimulateOverlapped(m, pr, pc, n, DefaultParams2D(g0))
+	overlapped, err := SimulateOverlappedGrid(m, pr, pc, n, n, n, DefaultParams2D(g0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +312,10 @@ func TestOverlappedPencilBeatsBlockingInSim(t *testing.T) {
 }
 
 func TestSimulateOverlappedValidates(t *testing.T) {
-	if _, err := SimulateOverlapped(machine.Laptop(), 2, 2, 16, Params2D{}); err == nil {
+	if _, err := SimulateOverlappedGrid(machine.Laptop(), 2, 2, 16, 16, 16, Params2D{}); err == nil {
 		t.Error("expected validation error for zero params")
 	}
-	if _, err := SimulateOverlapped(machine.Laptop(), 9, 9, 4, Params2D{TA: 1, WA: 1, TB: 1, WB: 1}); err == nil {
+	if _, err := SimulateOverlappedGrid(machine.Laptop(), 9, 9, 4, 4, 4, Params2D{TA: 1, WA: 1, TB: 1, WB: 1}); err == nil {
 		t.Error("expected geometry error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"offt/internal/fft"
+	"offt/internal/machine"
 	"offt/internal/mpi/fault"
 	"offt/internal/mpi/mem"
 	"offt/internal/mpi/transport"
@@ -200,4 +201,80 @@ func TestPlanStandaloneBackward3D(t *testing.T) {
 	if e := maxErr(want, res); e > 1e-9 {
 		t.Fatalf("round-trip error %g", e)
 	}
+}
+
+// TestPencilFullInPlaceSkewed holds the ordering that lets ForwardFull and
+// BackwardFull run with dst == src, where every rank writes the array its
+// peers read from (see offt.Plan's runJob): a rank reads src only before
+// its first post and writes dst only after its last Wait, and that Wait
+// needs a tile from a column peer that has finished phase A, so every rank
+// of its row has read src by then. The ranks start each call staggered by
+// 3 ms, in rank order and in reverse, and then on a world whose blocks
+// arrive 0.2 ms late. Each run must give the bits of distinct arrays.
+func TestPencilFullInPlaceSkewed(t *testing.T) {
+	const nx, ny, nz, pr, pc = 12, 10, 8, 2, 3
+	wantF, wantB := fullBits(t, nx, ny, nz, pr, pc, false, nil)
+	late := machine.Laptop()
+	late.Net.LatencyIntraNs, late.Net.LatencyInterNs = 200_000, 200_000
+	stagger := func(slot func(rank int) int) func(int) {
+		return func(rank int) { time.Sleep(time.Duration(slot(rank)) * 3 * time.Millisecond) }
+	}
+	for _, c := range []struct {
+		name string
+		skew func(rank int)
+		opts []transport.Option
+	}{
+		{"rank-order", stagger(func(r int) int { return r }), nil},
+		{"reverse", stagger(func(r int) int { return pr*pc - 1 - r }), nil},
+		{"delayed", nil, []transport.Option{mem.WithDelay(late)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fwd, bwd := fullBits(t, nx, ny, nz, pr, pc, true, c.skew, c.opts...)
+			if fwd != wantF || bwd != wantB {
+				t.Errorf("in place: bits %#x/%#x, distinct arrays %#x/%#x", fwd, bwd, wantF, wantB)
+			}
+		})
+	}
+}
+
+// fullBits runs ForwardFull on one random cube and BackwardFull on another,
+// on one NEW plan per rank of a mem world built with opts, and hashes the
+// two full results. inPlace hands each call its input as dst; skew, when
+// non-nil, runs on every rank before each call.
+func fullBits(t *testing.T, nx, ny, nz, pr, pc int, inPlace bool, skew func(rank int), opts ...transport.Option) (fwd, bwd uint64) {
+	t.Helper()
+	srcF, srcB := randCube(nx*ny*nz, 61), randCube(nx*ny*nz, 63)
+	dstF, dstB := make([]complex128, len(srcF)), make([]complex128, len(srcB))
+	if inPlace {
+		copy(dstF, srcF)
+		copy(dstB, srcB)
+		srcF, srcB = dstF, dstB
+	}
+	err := mem.NewWorld(pr*pc, opts...).Run(func(c *mem.Comm) {
+		g, err := NewGrid2D(nx, ny, nz, pr, pc, c.Rank())
+		if err != nil {
+			panic(err)
+		}
+		plan, err := NewPlan(c, g, pfft.NEW, Params2D{}, fft.Estimate)
+		if err != nil {
+			panic(err)
+		}
+		defer plan.Close()
+		if skew != nil {
+			skew(c.Rank())
+		}
+		if _, _, _, err := plan.ForwardFull(dstF, srcF); err != nil {
+			panic(err)
+		}
+		if skew != nil {
+			skew(c.Rank())
+		}
+		if _, _, _, err := plan.BackwardFull(dstB, srcB); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hashBits([][]complex128{dstF}), hashBits([][]complex128{dstB})
 }

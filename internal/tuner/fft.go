@@ -277,27 +277,6 @@ func RandomNEW(m machine.Machine, p, n, samples int, seed int64) (TuneOutcome, e
 	return out, nil
 }
 
-// PencilSpace builds the search space for the overlapped 2-D pencil
-// transform's five parameters (TA, WA, TB, WB, F).
-func PencilSpace(g pencil.Grid2D) Space {
-	maxF := 8 * g.P()
-	if maxF < 64 {
-		maxF = 64
-	}
-	return Space{Dims: []Dim{
-		{Name: "TA", Values: PowersOfTwoUpTo(g.XD.MaxCount())},
-		{Name: "WA", Values: IntRange(1, 6)},
-		{Name: "TB", Values: PowersOfTwoUpTo(g.ZD.MaxCount())},
-		{Name: "WB", Values: IntRange(1, 6)},
-		{Name: "F", Values: ZeroAndPowersOfTwoUpTo(maxF)},
-	}}
-}
-
-// DecodePencilParams converts a PencilSpace configuration into Params2D.
-func DecodePencilParams(cfg []int) pencil.Params2D {
-	return pencil.Params2D{TA: cfg[0], WA: cfg[1], TB: cfg[2], WB: cfg[3], F: cfg[4]}
-}
-
 // PencilGridSpace builds the search space of a pencil plan's public
 // parameters: the process-grid row count Pr ranges over the feasible
 // divisors of the rank count (the Py of each Py×Pz factorization), joined
@@ -382,16 +361,4 @@ func TunePencilNEWPinned(m machine.Machine, ranks, n, maxEvals int, pin *mpi.Com
 		}
 		return pencil.SimulateOverlappedGrid(m, pr, pc, n, n, n, pencil.FromParams(prm, g))
 	})
-}
-
-// TunePencil auto-tunes the overlapped pencil transform for a pr×pc grid
-// on machine m — auto-tuning applied to the paper's §7 future work.
-func TunePencil(m machine.Machine, pr, pc, n, maxEvals int) (pencil.Params2D, TuneOutcome, error) {
-	g, err := pencil.NewGrid2D(n, n, n, pr, pc, 0)
-	if err != nil {
-		return pencil.Params2D{}, TuneOutcome{}, err
-	}
-	def := pencil.DefaultParams2D(g)
-	simulate := func(prm pencil.Params2D) (int64, error) { return pencil.SimulateOverlapped(m, pr, pc, n, prm) } // rejects invalid prm unsimulated
-	return tune(PencilSpace(g), NelderMeadStrategy, []int{def.TA, def.WA, def.TB, def.WB, def.F}, maxEvals, DecodePencilParams, simulate)
 }

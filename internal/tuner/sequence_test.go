@@ -67,11 +67,6 @@ func TestTuneSequencePinned(t *testing.T) {
 			return out, err
 		},
 			"history c05783641c3ee054 n=7 evals=7 suggestions=44 hits=37 infeasible=0 best=[2 4 2 4 0] cost=1.100884e+06 virtual=8691051"},
-		{"TunePencil/umd-2x4-32-20", func() (TuneOutcome, error) {
-			_, out, err := TunePencil(umd, 2, 4, 32, 20)
-			return out, err
-		},
-			"history bdb96cbf7594023d n=13 evals=13 suggestions=42 hits=29 infeasible=0 best=[8 2 2 2 4] cost=1.06649e+06 virtual=14194046"},
 		{"RandomNEW/umd-4-32-20", func() (TuneOutcome, error) {
 			return RandomNEW(umd, 4, 32, 20, 7)
 		},

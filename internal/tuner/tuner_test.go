@@ -333,29 +333,6 @@ func TestTuneNEWWithCoordinateStrategy(t *testing.T) {
 	}
 }
 
-func TestTunePencilImprovesOnDefault(t *testing.T) {
-	m := machine.UMDCluster()
-	pr, pc, n := 4, 4, 64
-	g, err := pencil.NewGrid2D(n, n, n, pr, pc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := pencil.SimulateOverlapped(m, pr, pc, n, pencil.DefaultParams2D(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prm, out, err := TunePencil(m, pr, pc, n, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prm.Validate(g); err != nil {
-		t.Errorf("tuned pencil params invalid: %v", err)
-	}
-	if out.BestTime() > def {
-		t.Errorf("tuned (%d) worse than default (%d)", out.BestTime(), def)
-	}
-}
-
 func TestTunePencilNEWSearchesProcGrid(t *testing.T) {
 	m := machine.UMDCluster()
 	ranks, n := 16, 64
@@ -380,7 +357,7 @@ func TestTunePencilNEWSearchesProcGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	g0, _ := pencil.NewGrid2D(n, n, n, dpr, dpc, 0)
-	def, err := pencil.SimulateOverlapped(m, dpr, dpc, n, pencil.DefaultParams2D(g0))
+	def, err := pencil.SimulateOverlappedGrid(m, dpr, dpc, n, n, n, pencil.DefaultParams2D(g0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,11 +106,18 @@ go test -count=1 -run 'Checksum|FuzzDeliver|FuzzEnvelopeRoundTrip|FuzzReadHeader
 # x-plane, give the serial bits, and
 # TestStridedRowsToBitIdentical the 1-D driver's independent read and write
 # strides that kernel runs on to TransformRows plus an index copy.
+# TestPencilBitsPinned holds pencil.Plan's forward and backward output bits
+# (five grids, Baseline, NEW-0, NEW and a hand-set NEW tiling, mem and, for
+# the 32-cubed benchmark plan, a loopback net world), TestPencilCallsPinned
+# every communicator call and step event a pencil plan makes, and
+# TestPencilVirtualTimesPinned the pencil cost model's job times, all three
+# recorded while each pencil exchange was written out three times by hand.
 go test -count=1 -run 'TestGoldenSmallScale' ./internal/harness/
 go test -count=1 -run 'TestVirtualTimesPinned|TestDataPathMatchesByHand|TestIntoInPlace' .
 go test -count=1 -run 'TestScriptedTracePinned|TestTracePinned' ./internal/mpi/sim/ ./internal/vclock/
 go test -count=1 -run 'TestPipelineOrder|TestSlabBitsPinned|TestRunManyBitsPinned|TestFullBitsPinned|TestFusedFFTzWorkerRows' ./internal/pfft/
 go test -count=1 -run 'TestStridedRowsToBitIdentical' ./internal/fft/
+go test -count=1 -run 'TestPencilBitsPinned|TestPencilCallsPinned|TestPencilVirtualTimesPinned' ./internal/pencil/
 go test -count=1 -run 'TestTuneSequencePinned' ./internal/tuner/
 
 # The recorded recovery histories (mpi.Health) of both engines, twenty
@@ -119,12 +126,15 @@ go test -count=1 -run 'TestTuneSequencePinned' ./internal/tuner/
 # ack has not crossed the loopback yet).
 go test -race -count=20 -run 'TestHealthMatchesRecordedRun' ./internal/mpi/net/ ./internal/mpi/mem/
 
-# The in-place ordering of the slab *Full paths, twenty times under the race
-# detector: with dst == src, ranks started 3 ms apart in either order, or on
-# a world whose blocks arrive late, must give the bits of distinct arrays.
-# Forward writes dst from its first FFTx and backward reads src up to its
-# last FFTx⁻¹, so the first and last Waits are what keep them apart.
+# The in-place ordering of the slab and pencil *Full paths, twenty times
+# under the race detector: with dst == src, ranks started 3 ms apart in
+# either order, or on a world whose blocks arrive late, must give the bits
+# of distinct arrays. Slab forward writes dst from its first FFTx and slab
+# backward reads src up to its last FFTx⁻¹, so the first and last Waits are
+# what keep them apart; a pencil rank reads src before its first post and
+# writes dst after its last Wait.
 go test -race -count=20 -run 'TestFullInPlaceSkewed' ./internal/pfft/
+go test -race -count=20 -run 'TestPencilFullInPlaceSkewed' ./internal/pencil/
 
 # Multi-process leg: spawn real offt-run -engine net children over
 # 127.0.0.1, assert the forward/backward round-trip at 1e-9 and
