@@ -161,23 +161,31 @@ type Comm interface {
 	// still in flight. (The mem engine copies what it keeps; the sim engine
 	// derives all message sizes at post time.) Only the data buffers stay
 	// borrowed until completion.
+	//
+	// The returned handle is the caller's until a Wait consumes it.
 	Ialltoallv(send []complex128, sendCounts []int, recv []complex128, recvCounts []int) Request
 	// Test models one MPI_Test call: it progresses pending communication
 	// and reports whether all the given requests (nil entries ignored)
-	// have completed.
+	// have completed. Unlike MPI_Test it frees nothing, complete or not:
+	// the handles stay the caller's until a Wait.
 	Test(reqs ...Request) bool
-	// Wait blocks until all the given requests have completed.
+	// Wait blocks until all the given requests have completed and then
+	// consumes them, as MPI_Wait frees its requests: the engine may hand a
+	// consumed handle's state to a later post, so the handle must not be
+	// passed to Test or Wait again (a second Wait may panic).
 	Wait(reqs ...Request)
 }
 
 // DeadlineWaiter is optionally implemented by engines whose Wait can give
 // up after a configured soft deadline. WaitDeadline blocks like Wait but
 // returns a diagnostic error (naming the missing ranks/collectives) when
-// the deadline passes first; the requests stay valid and a later Wait or
-// WaitDeadline may still complete them. Engines without a configured
-// deadline behave exactly like Wait and return nil. The overlapped FFT
-// pipeline uses this to downgrade to its blocking path instead of hanging
-// when the transport misbehaves.
+// the deadline passes first. Under a configured deadline it consumes
+// nothing, returning nil or not: the requests stay valid, a later Wait or
+// WaitDeadline may still complete them, and a Wait consumes them. Engines
+// without a configured deadline behave exactly like Wait, consuming the
+// requests, and return nil. The overlapped FFT pipeline uses this to
+// downgrade to its blocking path instead of hanging when the transport
+// misbehaves.
 type DeadlineWaiter interface {
 	WaitDeadline(reqs ...Request) error
 }

@@ -32,6 +32,10 @@ type bruckBlock struct {
 // destination. Each rank sends exactly one (possibly empty) combined
 // packet per round under tag base+k, and entering round k+1 requires
 // round k's inbound packet — the per-rank state machine Drain() runs.
+//
+// Unlike pairwise and windowed requests, a Bruck request is not kept on a
+// FreeList: every post allocates it, its index vectors and its block
+// lists. No benchmark workload runs this schedule.
 type bruckRequest struct {
 	port       Port
 	baseTag    int

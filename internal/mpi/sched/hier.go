@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"offt/internal/arena"
-	"offt/internal/mpi"
 )
 
 // Hierarchical protocol phases, one collective sequence number each.
@@ -29,6 +28,10 @@ type hierBlock struct {
 // gate the exchange phase on all members' gather packets and the scatter
 // phase on all peer leaders' exchange packets; every packet is sent even
 // when empty so the phase machine never stalls.
+//
+// Unlike pairwise and windowed requests, a hierarchical request is not
+// kept on a FreeList: every post allocates it, its index vectors and its
+// pending sets. No benchmark workload runs this schedule.
 type hierRequest struct {
 	port       Port
 	baseTag    int
@@ -54,15 +57,11 @@ type hierRequest struct {
 	scatterDone bool
 }
 
-func postHier(port Port, ex mpi.Exchange, send []complex128, sendCounts, soff []int, recv []complex128, recvCounts, offsets []int) Request {
+// postHier starts a node-aware exchange over nodes of ns ranks; Post only
+// calls it for more than one node.
+func postHier(port Port, ns int, send []complex128, sendCounts, soff []int, recv []complex128, recvCounts, offsets []int) *hierRequest {
 	p, rank := port.Size(), port.Rank()
-	ns := nodeSize(port, ex)
 	nodes := (p + ns - 1) / ns
-	if nodes == 1 {
-		// One node: the hierarchy is pure direct exchange — identical to
-		// pairwise (a consistent choice world-wide, since the topology is).
-		return postPairwise(port, send, sendCounts, soff, recv, recvCounts, offsets)
-	}
 	node := rank / ns
 	req := &hierRequest{
 		port: port, baseTag: port.NextTags(hierTags),

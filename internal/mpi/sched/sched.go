@@ -29,7 +29,10 @@ import (
 
 // Port is the engine surface a schedule runs against: one rank's sending,
 // claiming and scratch facilities. All methods are called only by the
-// owning rank's goroutine.
+// owning rank's goroutine. A Port that also has a FreeList() *FreeList
+// method lends Post the rank's free list of completed pairwise and
+// windowed requests, which the engine's Wait refills (see FreeList); on a
+// Port without one, every post builds a fresh request.
 type Port interface {
 	// Rank and Size identify this rank within its world.
 	Rank() int
@@ -105,24 +108,46 @@ func AnyQueued(reqs []mpi.Request) bool {
 // default). The send buffer is consumed as messages are handed to the
 // transport; inbound blocks are copied into recv during Drain. The counts
 // slices may be reused by the caller immediately (they are copied); send
-// must stay frozen until the request completes.
+// must stay frozen until the request completes. A pairwise or windowed
+// request comes off the port's free list when it has one (see FreeList).
 func Post(port Port, ex mpi.Exchange, send []complex128, sendCounts []int, recv []complex128, recvCounts []int) Request {
 	p := port.Size()
 	if len(sendCounts) != p || len(recvCounts) != p {
 		panic(fmt.Sprintf("mpi/sched: counts length %d/%d, want %d", len(sendCounts), len(recvCounts), p))
 	}
-	// One backing slice for the request's three per-rank vectors. The
-	// receive counts are copied: callers may reuse their counts arrays for
-	// the next collective while this request is still in flight (the
-	// Ialltoallv counts-aliasing contract).
-	ints := make([]int, 3*p)
-	rc, offsets, soff := ints[:p:p], ints[p:2*p:2*p], ints[2*p:]
+	window := p // pairwise: every send released at post
+	if p > 1 {
+		switch ex.Alg {
+		case mpi.CommBruck:
+			rc, offsets, soff := vectors(make([]int, 3*p), send, sendCounts, recv, recvCounts)
+			return postBruck(port, send, sendCounts, soff, recv, rc, offsets)
+		case mpi.CommHier:
+			// One node: the hierarchy is pure direct exchange — identical to
+			// pairwise (a consistent choice world-wide, since the topology is).
+			if ns := nodeSize(port, ex); ns < p {
+				rc, offsets, soff := vectors(make([]int, 3*p), send, sendCounts, recv, recvCounts)
+				return postHier(port, ns, send, sendCounts, soff, recv, rc, offsets)
+			}
+		case mpi.CommWindowed:
+			window = windowOf(ex)
+		}
+	}
+	return postPairwise(port, send, sendCounts, recv, recvCounts, window)
+}
+
+// vectors lays a request's three per-rank vectors out on one backing
+// slice of 3p ints: the receive counts, copied because callers may reuse
+// their counts arrays for the next collective while this request is still
+// in flight (the Ialltoallv counts-aliasing contract), and the receive and
+// send offsets. It panics if either buffer is too small for its counts.
+func vectors(ints []int, send []complex128, sendCounts []int, recv []complex128, recvCounts []int) (rc, offsets, soff []int) {
+	p := len(recvCounts)
+	rc, offsets, soff = ints[:p:p], ints[p:2*p:2*p], ints[2*p:3*p:3*p]
 	copy(rc, recvCounts)
-	recvCounts = rc
 	off := 0
 	for s := 0; s < p; s++ {
 		offsets[s] = off
-		off += recvCounts[s]
+		off += rc[s]
 	}
 	if off > len(recv) {
 		panic(fmt.Sprintf("mpi/sched: recv buffer %d too small for counts (%d)", len(recv), off))
@@ -135,23 +160,11 @@ func Post(port Port, ex mpi.Exchange, send []complex128, sendCounts []int, recv 
 	if o > len(send) {
 		panic(fmt.Sprintf("mpi/sched: send buffer %d too small for counts (%d)", len(send), o))
 	}
-	if p > 1 {
-		switch ex.Alg {
-		case mpi.CommBruck:
-			return postBruck(port, send, sendCounts, soff, recv, recvCounts, offsets)
-		case mpi.CommHier:
-			return postHier(port, ex, send, sendCounts, soff, recv, recvCounts, offsets)
-		case mpi.CommWindowed:
-			if w := window(ex); w < p-1 {
-				return postWindowed(port, send, sendCounts, soff, recv, recvCounts, offsets, w)
-			}
-		}
-	}
-	return postPairwise(port, send, sendCounts, soff, recv, recvCounts, offsets)
+	return rc, offsets, soff
 }
 
-// window resolves the windowed schedule's in-flight cap.
-func window(ex mpi.Exchange) int {
+// windowOf resolves the windowed schedule's in-flight cap.
+func windowOf(ex mpi.Exchange) int {
 	if ex.Window > 0 {
 		return ex.Window
 	}
@@ -216,53 +229,94 @@ func (s *pendSet) members(dst []int) []int {
 	return dst
 }
 
-// ---- pairwise --------------------------------------------------------------
+// ---- pairwise and windowed ---------------------------------------------------
 
-// pairRequest tracks a pending pairwise all-to-all: which source blocks
-// are still outstanding and where to copy them. It is also the receive
-// core the windowed schedule embeds.
+// pairRequest tracks a pending pairwise or windowed all-to-all: which
+// source blocks are still outstanding, where to copy them, and the peer
+// sends not yet handed to the transport. Windowed pairwise bounds the
+// released-but-unreceived sends: distance i's send is released once
+// (window + completed receives) covers it. Liveness holds by induction on
+// the world's minimum completed-receive count: every rank has always
+// released at least window + that minimum distances, so some gated
+// receive is always satisfiable. Pairwise is the window that covers every
+// peer, so all its sends go out at post, in round-robin distance order.
 type pairRequest struct {
 	port       Port
 	tag        int
 	recv       []complex128
+	ints       []int // backing of recvCounts and offsets (and Post's send offsets)
 	recvCounts []int
 	offsets    []int
-	pending    pendSet // source ranks not yet copied in
+	pending    pendSet   // source ranks not yet copied in
+	deferred   []winSend // all nonzero sends, in distance order
+	released   int
+	recvInit   int
+	window     int
+	freed      bool // on a FreeList: Waited for, reusable by the next Post
 }
 
-// postPairwise is the historical eager schedule: every peer's block is
-// handed to the transport at post time, in round-robin distance order.
-func postPairwise(port Port, send []complex128, sendCounts, soff []int, recv []complex128, recvCounts, offsets []int) *pairRequest {
+// winSend is one deferred peer send. The data slice aliases the caller's
+// send buffer, which the Ialltoallv contract keeps frozen until the request
+// completes; the transport copies the payload when the send is released.
+type winSend struct {
+	dst  int
+	data []complex128
+}
+
+// postPairwise starts a pairwise (window ≥ p−1) or windowed collective on
+// a request from the port's free list, or a fresh one when the list is
+// empty. Zero-count blocks are skipped on both sides, so sub-grid
+// collectives only touch their real peers.
+func postPairwise(port Port, send []complex128, sendCounts []int, recv []complex128, recvCounts []int, window int) *pairRequest {
 	p, rank := port.Size(), port.Rank()
-	tag := port.NextTags(1)
-	req := newPairRequest(port, tag, recv, recvCounts, offsets)
-	// Zero-count blocks are skipped on both sides, so sub-grid collectives
-	// only touch their real peers.
-	for i := 1; i < p; i++ {
-		dst := (rank + i) % p
-		if sendCounts[dst] > 0 {
-			port.Send(dst, tag, send[soff[dst]:soff[dst]+sendCounts[dst]])
-		}
+	var req *pairRequest
+	if l, ok := port.(interface{ FreeList() *FreeList }); ok {
+		req = l.FreeList().take()
 	}
-	copy(recv[offsets[rank]:offsets[rank]+sendCounts[rank]], send[soff[rank]:soff[rank]+sendCounts[rank]])
-	return req
-}
-
-// newPairRequest builds the receive-tracking core shared by the pairwise
-// and windowed schedules. recvCounts and offsets are Post's own copies.
-func newPairRequest(port Port, tag int, recv []complex128, recvCounts, offsets []int) *pairRequest {
-	p := port.Size()
-	req := &pairRequest{port: port, tag: tag, recv: recv, recvCounts: recvCounts, offsets: offsets, pending: newPendSet(p)}
+	if req == nil {
+		req = &pairRequest{pending: newPendSet(p), deferred: make([]winSend, 0, p-1)}
+	}
+	if cap(req.ints) < 3*p {
+		req.ints = make([]int, 3*p)
+	}
+	rc, offsets, soff := vectors(req.ints, send, sendCounts, recv, recvCounts)
+	req.port, req.tag, req.recv, req.recvCounts, req.offsets = port, port.NextTags(1), recv, rc, offsets
 	for s := 0; s < p; s++ {
-		if s != port.Rank() && recvCounts[s] > 0 {
+		if s != rank && rc[s] > 0 {
 			req.pending.add(s)
 		}
 	}
+	req.recvInit, req.window, req.freed = req.pending.n, window, false
+	for i := 1; i < p; i++ {
+		dst := (rank + i) % p
+		if sendCounts[dst] > 0 {
+			req.deferred = append(req.deferred, winSend{dst: dst, data: send[soff[dst] : soff[dst]+sendCounts[dst]]})
+		}
+	}
+	copy(recv[offsets[rank]:offsets[rank]+sendCounts[rank]], send[soff[rank]:soff[rank]+sendCounts[rank]])
+	req.release()
 	return req
 }
 
+// release hands every eligible deferred send to the transport. Once all
+// receives are in, the remaining sends are flushed unconditionally so the
+// request can complete even under asymmetric count shapes.
+func (req *pairRequest) release() {
+	completed := req.recvInit - req.pending.n
+	allow := req.window + completed
+	if req.pending.n == 0 {
+		allow = len(req.deferred)
+	}
+	for req.released < len(req.deferred) && req.released < allow {
+		s := req.deferred[req.released]
+		req.port.Send(s.dst, req.tag, s.data)
+		req.released++
+	}
+}
+
 // Drain claims every available pending block, copying payloads into the
-// receive buffer. Returns true when the request is complete.
+// receive buffer, and releases the sends that became eligible. Returns
+// true when the request is complete.
 func (req *pairRequest) Drain() bool {
 	port := req.port
 	for s := req.pending.next(0); s >= 0; s = req.pending.next(s + 1) {
@@ -276,7 +330,8 @@ func (req *pairRequest) Drain() bool {
 			req.pending.remove(s)
 		}
 	}
-	return req.pending.n == 0
+	req.release()
+	return req.pending.n == 0 && req.released == len(req.deferred)
 }
 
 // Queued reports whether any pending source's block is in the mailbox.
@@ -297,66 +352,49 @@ func (req *pairRequest) Missing() (seqs, from []int) {
 	return []int{req.tag}, req.pending.members(nil)
 }
 
-// ---- windowed pairwise -----------------------------------------------------
+// ---- free list --------------------------------------------------------------
 
-// winSend is one deferred peer send of a windowed collective. The data
-// slice aliases the caller's send buffer, which the Ialltoallv contract
-// keeps frozen until the request completes; the transport copies the
-// payload when the send is released.
-type winSend struct {
-	dst  int
-	data []complex128
-}
+// FreeList is one rank's completed pairwise and windowed requests. MPI_Wait
+// frees the requests it completes; an engine's Wait hands them to Free, and
+// the rank's next posts take them back with their index vectors, pending
+// set and deferred sends at high-water capacity, so a steady stream of
+// collectives allocates nothing. Bruck and hierarchical requests are not
+// kept: they allocate per post. Only the rank's own goroutine touches the
+// list, so it has no lock.
+type FreeList struct{ reqs []*pairRequest }
 
-// winRequest is pairwise with a bounded number of released-but-unreceived
-// peer sends: distance i's send is released once (window + completed
-// receives) covers it. Liveness holds by induction on the world's minimum
-// completed-receive count: every rank has always released at least
-// window + that minimum distances, so some gated receive is always
-// satisfiable.
-type winRequest struct {
-	pairRequest
-	deferred []winSend // all nonzero sends, in distance order
-	released int
-	recvInit int
-	window   int
-}
-
-func postWindowed(port Port, send []complex128, sendCounts, soff []int, recv []complex128, recvCounts, offsets []int, window int) *winRequest {
-	p, rank := port.Size(), port.Rank()
-	tag := port.NextTags(1)
-	req := &winRequest{pairRequest: *newPairRequest(port, tag, recv, recvCounts, offsets), window: window}
-	req.recvInit = req.pending.n
-	req.deferred = make([]winSend, 0, p-1)
-	for i := 1; i < p; i++ {
-		dst := (rank + i) % p
-		if sendCounts[dst] > 0 {
-			req.deferred = append(req.deferred, winSend{dst: dst, data: send[soff[dst] : soff[dst]+sendCounts[dst]]})
+// Free puts every pairwise and windowed request of reqs, all complete, on
+// the list; other requests and nil entries are skipped. A request freed
+// twice panics: its handle was passed to Wait after an earlier Wait had
+// already freed it.
+func (l *FreeList) Free(reqs []mpi.Request) {
+	for _, r := range reqs {
+		req, ok := r.(*pairRequest)
+		if !ok {
+			continue
 		}
+		if req.freed {
+			panic("mpi/sched: Wait on a request an earlier Wait already freed")
+		}
+		// Drop the caller's buffers, which a freed request must not keep
+		// alive, and its sends: Test on the handle reports it complete
+		// until a post reuses it.
+		req.freed, req.recv, req.released = true, nil, 0
+		clear(req.deferred)
+		req.deferred = req.deferred[:0]
+		l.reqs = append(l.reqs, req)
 	}
-	copy(recv[offsets[rank]:offsets[rank]+sendCounts[rank]], send[soff[rank]:soff[rank]+sendCounts[rank]])
-	req.release()
+}
+
+// take pops the most recently freed request, or returns nil. Being
+// complete, it has an empty pending set.
+func (l *FreeList) take() *pairRequest {
+	n := len(l.reqs)
+	if n == 0 {
+		return nil
+	}
+	req := l.reqs[n-1]
+	l.reqs[n-1] = nil
+	l.reqs = l.reqs[:n-1]
 	return req
-}
-
-// release hands every eligible deferred send to the transport. Once all
-// receives are in, the remaining sends are flushed unconditionally so the
-// request can complete even under asymmetric count shapes.
-func (r *winRequest) release() {
-	completed := r.recvInit - r.pending.n
-	allow := r.window + completed
-	if r.pending.n == 0 {
-		allow = len(r.deferred)
-	}
-	for r.released < len(r.deferred) && r.released < allow {
-		s := r.deferred[r.released]
-		r.port.Send(s.dst, r.tag, s.data)
-		r.released++
-	}
-}
-
-func (r *winRequest) Drain() bool {
-	done := r.pairRequest.Drain()
-	r.release()
-	return done && r.released == len(r.deferred)
 }

@@ -24,6 +24,7 @@ type Comm struct {
 	pkt  []complex128   // reusable packet-assembly scratch (Bruck/hier)
 	wake *time.Timer    // the parked rank's deadline wake-up, reused across waits
 	one  [1]mpi.Request // Alltoallv's request list
+	free sched.FreeList // requests Wait freed, for the next posts
 }
 
 var (
@@ -102,6 +103,10 @@ func (c *Comm) Scratch(n int) []complex128 {
 // the hierarchical schedule when the Exchange does not pin one.
 func (c *Comm) NodeSize() int { return c.w.cfg.Machine.CoresPerNode }
 
+// FreeList is the rank's list of requests its Waits freed, which Post
+// reuses.
+func (c *Comm) FreeList() *sched.FreeList { return &c.free }
+
 // ---- collectives ------------------------------------------------------------
 
 // Ialltoallv starts a non-blocking all-to-all under the configured exchange
@@ -109,7 +114,8 @@ func (c *Comm) NodeSize() int { return c.w.cfg.Machine.CoresPerNode }
 // out, once, as messages are handed to the transport; inbound blocks are
 // copied into recv during Test/Wait (the caller's CPU does the progression
 // work, like the paper's manual progression). All schedules deliver
-// bit-identical receive buffers (see package mpi/sched).
+// bit-identical receive buffers (see package mpi/sched). The handle is
+// the caller's until a Wait consumes it.
 func (c *Comm) Ialltoallv(send []complex128, sendCounts []int, recv []complex128, recvCounts []int) mpi.Request {
 	return sched.Post(c, c.ex, send, sendCounts, recv, recvCounts)
 }
@@ -124,20 +130,25 @@ func (c *Comm) Alltoallv(send []complex128, sendCounts []int, recv []complex128,
 // Test drains whatever has arrived and reports completion.
 func (c *Comm) Test(reqs ...mpi.Request) bool { return sched.DrainAll(reqs) }
 
-// Wait blocks until all requests complete, draining as messages arrive. A
-// wait longer than the world's hang timeout, if it has one, panics with a
-// WorldFailure wrapping a *DeadlineError instead of hanging.
+// Wait blocks until all requests complete, draining as messages arrive,
+// and then frees them, as MPI_Wait does: the rank's next posts reuse them,
+// and passing one to Wait again panics. A wait longer than the world's
+// hang timeout, if it has one, panics with a WorldFailure wrapping a
+// *DeadlineError instead of hanging.
 func (c *Comm) Wait(reqs ...mpi.Request) {
 	if err := c.await(reqs, c.w.cfg.HangTimeout); err != nil {
 		panic(WorldFailure{fmt.Errorf("hang timeout: %w", err)})
 	}
+	c.free.Free(reqs)
 }
 
 // WaitDeadline blocks like Wait but gives up once the world's soft
 // deadline (WithDeadline) passes, returning a *DeadlineError that names
-// the collectives and source ranks still missing. The requests stay valid:
-// a subsequent Wait continues from where WaitDeadline left off. Without a
-// configured deadline it is exactly Wait.
+// the collectives and source ranks still missing. It frees nothing: the
+// requests stay valid whether it returns nil or not, and a subsequent
+// Wait continues from where WaitDeadline left off (at once, for requests
+// already complete) and frees them. Without a configured deadline it is
+// exactly Wait, and frees them.
 func (c *Comm) WaitDeadline(reqs ...mpi.Request) error {
 	if c.w.cfg.Deadline <= 0 {
 		c.Wait(reqs...)

@@ -21,9 +21,10 @@ type FaultMonitor struct {
 	dw       mpi.DeadlineWaiter
 	hr       mpi.HealthReporter
 	baseline int64 // Retransmits at pipeline start
-	// one is scratch for single-request Wait calls: spreading a reusable
-	// slice into the variadic Wait avoids a per-call heap allocation,
-	// which the steady-state allocation gate would otherwise count.
+	// one is scratch for single-request Wait and WaitDeadline calls:
+	// spreading a reusable slice into the variadic avoids a per-call heap
+	// allocation, which the steady-state allocation gate would otherwise
+	// count.
 	one [1]mpi.Request
 }
 
@@ -42,7 +43,9 @@ func (m *FaultMonitor) Init(c mpi.Comm) {
 // overlapped pipeline may continue. False means downgrade: either the
 // transport shows persistent retransmission pressure (checked before
 // blocking) or the soft wait deadline passed. In both cases the request
-// stays valid — the blocking path finishes it with a plain Wait.
+// stays valid — the blocking path finishes it with a plain Wait. True
+// means the request is done; the engine has freed it unless a soft
+// deadline is configured (see mpi.DeadlineWaiter).
 func (m *FaultMonitor) WaitTile(c mpi.Comm, req mpi.Request) bool {
 	if m.hr != nil && m.hr.TransportHealth().Retransmits-m.baseline > retransmitDowngradeThreshold {
 		return false
@@ -51,7 +54,10 @@ func (m *FaultMonitor) WaitTile(c mpi.Comm, req mpi.Request) bool {
 		m.Wait(c, req)
 		return true
 	}
-	return m.dw.WaitDeadline(req) == nil
+	m.one[0] = req
+	err := m.dw.WaitDeadline(m.one[:]...)
+	m.one[0] = nil
+	return err == nil
 }
 
 // Wait is plain Wait on one request, without the per-call allocation of

@@ -126,6 +126,14 @@ go test -count=1 -run 'TestTuneSequencePinned' ./internal/tuner/
 # ack has not crossed the loopback yet).
 go test -race -count=20 -run 'TestHealthMatchesRecordedRun' ./internal/mpi/net/ ./internal/mpi/mem/
 
+# The per-rank request free list, twenty times under the race detector: a
+# thousand pairwise and windowed collectives on a mem and a loopback net
+# world, up to four in flight, waited in shuffled order and some after a
+# missed soft deadline, must each deliver what a fresh request does on at
+# most four distinct requests per rank, and a second Wait on a freed
+# handle must panic.
+go test -race -count=20 -run 'TestRequestReuse' ./internal/mpi/net/
+
 # The in-place ordering of the slab and pencil *Full paths, twenty times
 # under the race detector: with dst == src, ranks started 3 ms apart in
 # either order, or on a world whose blocks arrive late, must give the bits
@@ -155,9 +163,10 @@ go test -run 'SteadyStateAllocs' -count=1 ./internal/pfft/
 
 # Exchange allocation gate (PR 14): the same plan reuse on the engines
 # that move data — mem worlds of 2 and 4 ranks and a 4-rank net world over
-# loopback, slab and pencil, forward and backward, at 64-cubed — must cost
-# O(1) objects per rank and collective and under 1% of the grid's bytes
-# per transform (steady_test.go); the arena's own round trip must cost
+# loopback, slab and pencil, forward and backward, at 64-cubed — must
+# allocate nothing (every request comes off its rank's free list) and
+# under 1% of the grid's bytes per transform (steady_test.go); the arena's
+# own round trip must cost
 # nothing, and its 4 MiB classes must hand a buffer out again after one
 # collection and let it go after two (serve-64-p2's alloc_kb_per_op is
 # steady only while that holds). Not under -race: the instrumented runtime
